@@ -63,19 +63,13 @@ class Lowering {
   }
 
   // -------------------------------------------------------------- bits
-  ir::NodeId constBit(bool v) {
-    ir::NodeId& slot = constBit_[v];
-    if (slot == ir::kInvalidNode) slot = g_.addConst(v);
-    return slot;
-  }
-
   ir::NodeId lowerBit(const Expr& e) {
     switch (e.kind) {
       case Expr::Kind::Number:
         if (e.number != 0 && e.number != 1)
           fail(strCat("bit constant must be 0 or 1, got ", e.number),
                e.line, e.column);
-        return constBit(e.number == 1);
+        return g_.addConst(e.number == 1);
       case Expr::Kind::Ref: {
         auto it = symbols_.find(e.name);
         if (it == symbols_.end())
@@ -225,7 +219,6 @@ class Lowering {
   std::map<std::string, Symbol> symbols_;
   std::map<std::string, int64_t> loopVars_;
   std::vector<std::string> outputOrder_;
-  ir::NodeId constBit_[2] = {ir::kInvalidNode, ir::kInvalidNode};
 };
 
 }  // namespace

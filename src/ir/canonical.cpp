@@ -108,20 +108,13 @@ CanonicalForm canonicalForm(const Graph& g) {
   // Canonical emission: Kahn's algorithm where the ready set is ordered
   // by (color, original id). For isomorphic inputs the colors are
   // id-independent, and genuinely automorphic twins share a color, so
-  // either emission order serializes to the same bytes.
-  // Readiness counts *distinct* producers: user lists are deduplicated,
-  // so a node consumed twice by the same op must release it only once.
-  std::vector<int> pendingOperands(n, 0);
+  // either emission order serializes to the same bytes. Operands are
+  // distinct (ir::Graph folds repeats), so each one releases its user once.
+  std::vector<size_t> pendingOperands(n, 0);
   std::set<std::pair<uint64_t, NodeId>> ready;
   for (NodeId id = g.firstId(); id < g.endId(); ++id) {
-    const Node& node = g.node(id);
-    std::vector<NodeId> distinct = node.operands;
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-    pendingOperands[static_cast<size_t>(id)] =
-        static_cast<int>(distinct.size());
-    if (distinct.empty())
+    pendingOperands[static_cast<size_t>(id)] = g.node(id).operands.size();
+    if (g.node(id).operands.empty())
       ready.emplace(color[static_cast<size_t>(id)], id);
   }
 

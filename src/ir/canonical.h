@@ -21,8 +21,9 @@
 //    refinement colors collide may canonicalize differently, which
 //    costs a spurious cache miss, never a wrong hit.
 //
-// Callers that want CSE/fold insensitivity (the compile service does)
-// must run transforms::canonicalize() before hashing.
+// Constant folding and structural sharing already hold by construction
+// (ir::Graph::addOp); callers that want dead nodes ignored too (the
+// compile service does) run transforms::canonicalize() before hashing.
 #pragma once
 
 #include <cstdint>

@@ -6,10 +6,29 @@
 // represents one operation together with the intermediate value it
 // produces. Operation nodes are unit-weighted for priority (b-level)
 // computation; operand nodes and edges have zero weight.
+//
+// A Graph is canonical by construction. addOp simplifies every request
+// with the rules below and hash-conses what is left (structural hashing,
+// as AIG builders do), so the frontend, the workload builders and every
+// transform emit the same canonical form without a cleanup pass:
+//   * COPY(x) is x; NOT(NOT(x)) is x; NOT of a constant is a constant.
+//   * Constant operands fold: identities vanish (x & 1, x | 0, x ^ 0),
+//     absorbing elements decide the result (x & 0, x | 1), and x ^ 1
+//     flips the parity of the op.
+//   * Repeated operands fold: AND/OR are idempotent, XOR keeps each
+//     operand that occurs an odd number of times (at its first position).
+//   * What remains is a constant, the single remaining operand (negated
+//     if the op inverts), or one op node over the remaining operands —
+//     the existing node if one of the same kind over the same operand
+//     set was added before.
+// Hence no op node has a constant or repeated operand, no COPY node
+// exists, and no two op nodes compute the same kind over the same
+// operands. Unused nodes are kept; transforms::canonicalize drops them.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/ops.h"
@@ -27,8 +46,8 @@ struct Node {
   Kind kind = Kind::Input;
   OpKind op = OpKind::And;          ///< valid iff kind == Op
   std::vector<NodeId> operands;     ///< producers, in operand order
-  std::vector<NodeId> users;        ///< consumer op nodes (deduplicated)
-  std::string name;                 ///< input name / debug label
+  std::vector<NodeId> users;        ///< consumer op nodes
+  std::string name;                 ///< input name; "ones"/"zeros" if Const
   bool constValue = false;          ///< valid iff kind == Const
 
   bool isOp() const { return kind == Kind::Op; }
@@ -39,20 +58,22 @@ struct Node {
 /// A directed acyclic data-flow graph of bulk-bitwise operations.
 ///
 /// Nodes are created append-only; operands must already exist when an op
-/// node is added, which guarantees acyclicity by construction and makes
-/// node ids a valid topological order.
+/// is added, which guarantees acyclicity by construction and makes node
+/// ids a valid topological order.
 class Graph {
  public:
   /// Adds a named external input operand.
   NodeId addInput(std::string name);
 
-  /// Adds a constant operand (all-zeros or all-ones bulk value).
+  /// The constant operand (all-zeros or all-ones bulk value); the graph
+  /// holds at most one node per value.
   NodeId addConst(bool value);
 
-  /// Adds an operation node. Operand ids must be < the new node's id.
-  /// Unary ops require exactly one operand; others at least two.
-  NodeId addOp(OpKind op, std::vector<NodeId> operands,
-               std::string name = "");
+  /// Returns the node computing `op` over `operands` under the rules in
+  /// the file comment: an existing node, or a new one appended. Operand
+  /// ids must be < endId(). Unary ops require exactly one operand; others
+  /// at least two.
+  NodeId addOp(OpKind op, std::vector<NodeId> operands);
 
   /// Appends a node to the ordered output list (kept live by transforms).
   /// The list preserves position and multiplicity.
@@ -68,7 +89,7 @@ class Graph {
   const std::vector<NodeId>& outputs() const { return outputs_; }
 
   /// Number of operation nodes.
-  size_t opCount() const;
+  size_t opCount() const { return index_.size(); }
   /// Number of Input nodes.
   size_t inputCount() const;
   /// Total operand + intermediate values = all nodes (each node is a value).
@@ -80,7 +101,8 @@ class Graph {
   std::vector<NodeId> inputNodes() const;
 
   /// Verifies structural invariants (operand ordering, arity, user lists,
-  /// output validity). Throws IRError on violation.
+  /// output validity, and the canonical-form guarantees above). Throws
+  /// IRError on violation.
   void validate() const;
 
   /// Ids are assigned contiguously, so iteration is by index.
@@ -89,9 +111,17 @@ class Graph {
 
  private:
   NodeId append(Node node);
+  /// NOT(x) under the unary rules.
+  NodeId negate(NodeId x);
+  /// The op node of kind `op` over the distinct, non-constant `operands`:
+  /// the structurally equal node if one exists, else a new one.
+  NodeId intern(OpKind op, std::vector<NodeId> operands);
 
   std::vector<Node> nodes_;
   std::vector<NodeId> outputs_;
+  NodeId consts_[2] = {kInvalidNode, kInvalidNode};
+  /// Every op node, keyed by a hash of (kind, operand set).
+  std::unordered_multimap<uint64_t, NodeId> index_;
 };
 
 }  // namespace sherlock::ir

@@ -34,6 +34,31 @@ bool isUnary(OpKind op) { return op == OpKind::Not || op == OpKind::Copy; }
 
 bool isMultiOperand(OpKind op) { return !isUnary(op); }
 
+OpKind baseOp(OpKind op) {
+  switch (op) {
+    case OpKind::Nand: return OpKind::And;
+    case OpKind::Nor: return OpKind::Or;
+    case OpKind::Xnor: return OpKind::Xor;
+    default: return op;
+  }
+}
+
+bool isInverted(OpKind op) {
+  return op == OpKind::Nand || op == OpKind::Nor || op == OpKind::Xnor;
+}
+
+OpKind complementOp(OpKind op) {
+  switch (op) {
+    case OpKind::And: return OpKind::Nand;
+    case OpKind::Nand: return OpKind::And;
+    case OpKind::Or: return OpKind::Nor;
+    case OpKind::Nor: return OpKind::Or;
+    case OpKind::Xor: return OpKind::Xnor;
+    case OpKind::Xnor: return OpKind::Xor;
+    default: throw InternalError("complementOp: unary op has no complement");
+  }
+}
+
 bool isSubstitutable(OpKind op) {
   // Only associative ops allow replacing op(op(a,b),c) by op(a,b,c).
   return op == OpKind::And || op == OpKind::Or || op == OpKind::Xor;

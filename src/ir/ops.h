@@ -36,6 +36,17 @@ bool isUnary(OpKind op);
 /// Xor/Xnor can (parity sensing), as can And/Or/Nand/Nor.
 bool isMultiOperand(OpKind op);
 
+/// The base op of an inverted kind (AND for NAND, OR for NOR, XOR for
+/// XNOR); every other op is its own base.
+OpKind baseOp(OpKind op);
+
+/// True for the inverted kinds NAND, NOR and XNOR.
+bool isInverted(OpKind op);
+
+/// The multi-operand kind computing the complement of `op` (AND <-> NAND,
+/// OR <-> NOR, XOR <-> XNOR). Throws InternalError for NOT and COPY.
+OpKind complementOp(OpKind op);
+
 /// The op f such that f(a, b, c, ...) == op(op(a, b), c) ... holds when
 /// flattening a tree of identical ops into one multi-operand node.
 /// For And/Or/Xor this is the op itself; Nand/Nor/Xnor are NOT

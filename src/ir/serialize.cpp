@@ -36,7 +36,9 @@ Graph graphFromText(const std::string& text) {
   std::istringstream is(text);
   std::string line;
   int lineNo = 0;
-  NodeId declared = 0;
+  // Line-declared position -> node: the graph may fold a declaration
+  // into an earlier node, so positions and node ids can differ.
+  std::vector<NodeId> declared;
   while (std::getline(is, line)) {
     ++lineNo;
     size_t hash = line.find('#');
@@ -50,24 +52,22 @@ Graph graphFromText(const std::string& text) {
       long id = std::stol(token, &pos);
       checkArg(pos == token.size(),
                strCat("line ", lineNo, ": bad node id '", token, "'"));
-      checkArg(id >= 0 && id < declared,
+      checkArg(id >= 0 && id < static_cast<long>(declared.size()),
                strCat("line ", lineNo, ": node id ", id,
                       " references an undeclared node"));
-      return static_cast<NodeId>(id);
+      return declared[static_cast<size_t>(id)];
     };
 
     if (kind == "input") {
       std::string name;
       checkArg(static_cast<bool>(ls >> name),
                strCat("line ", lineNo, ": input needs a name"));
-      g.addInput(name);
-      ++declared;
+      declared.push_back(g.addInput(name));
     } else if (kind == "const") {
       int v = -1;
       checkArg(static_cast<bool>(ls >> v) && (v == 0 || v == 1),
                strCat("line ", lineNo, ": const needs 0 or 1"));
-      g.addConst(v == 1);
-      ++declared;
+      declared.push_back(g.addConst(v == 1));
     } else if (kind == "op") {
       std::string mnemonic;
       checkArg(static_cast<bool>(ls >> mnemonic),
@@ -76,8 +76,7 @@ Graph graphFromText(const std::string& text) {
       std::vector<NodeId> operands;
       std::string tok;
       while (ls >> tok) operands.push_back(parseId(tok));
-      g.addOp(op, std::move(operands));
-      ++declared;
+      declared.push_back(g.addOp(op, std::move(operands)));
     } else if (kind == "output") {
       std::string tok;
       checkArg(static_cast<bool>(ls >> tok),

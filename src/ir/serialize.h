@@ -20,7 +20,10 @@ namespace sherlock::ir {
 /// Serializes the graph (inverse of graphFromText).
 std::string graphToText(const Graph& g);
 
-/// Parses the serialized form; throws Error on malformed input.
+/// Parses the serialized form; throws Error on malformed input. Nodes are
+/// rebuilt through Graph::addOp, so text that is not canonical (foldable
+/// ops, repeated constants) parses into its canonical graph, whose node
+/// ids may then differ from the declaration indices.
 Graph graphFromText(const std::string& text);
 
 }  // namespace sherlock::ir

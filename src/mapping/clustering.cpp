@@ -19,8 +19,6 @@ int cellsIfAdded(const Cluster& c, const Graph& g, NodeId node) {
   int extra = c.cells.contains(node) ? 0 : 1;
   for (NodeId o : g.node(node).operands)
     if (!c.cells.contains(o)) ++extra;
-  // Operand duplicates in the node's list are rare; the set-based count
-  // above already ignores them.
   return c.cellCount() + extra;
 }
 

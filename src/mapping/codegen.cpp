@@ -559,26 +559,19 @@ class CodeGenerator {
     pinned_.insert(v);
     for (NodeId o : n.operands) pinned_.insert(o);
 
-    std::vector<NodeId> unique;
-    for (NodeId o : n.operands)
-      if (std::find(unique.begin(), unique.end(), o) == unique.end())
-        unique.push_back(o);
-
     // Skip one chainable non-resident operand (pass 2 brings it into the
     // buffer right before the read); materialize the rest.
     NodeId skipped = ir::kInvalidNode;
     if (target_.bufferChaining) {
-      for (NodeId o : unique) {
+      for (NodeId o : n.operands) {
         if (layout_.placementIn(o, xc)) continue;
-        if (std::count(n.operands.begin(), n.operands.end(), o) != 1)
-          continue;
         if (crossArrayCellSource(o, xc)) continue;
         bool lastUse = usesLeft_[static_cast<size_t>(o)] == 1 &&
                        !isOutput_[static_cast<size_t>(o)];
         if (layout_.isPlaced(o) || lastUse) skipped = o;
       }
     }
-    for (NodeId o : unique)
+    for (NodeId o : n.operands)
       if (o != skipped) ensureInColumn(o, xc);
   }
 
@@ -591,20 +584,9 @@ class CodeGenerator {
     pinned_.insert(v);
     for (NodeId o : n.operands) pinned_.insert(o);
 
-    // Deduplicate operand occurrences; a cell's row is activated once.
-    // For Xor-based ops deduplication would change semantics — such DAGs
-    // must be folded first (see transforms::canonicalize).
-    std::vector<NodeId> unique;
-    for (NodeId o : n.operands)
-      if (std::find(unique.begin(), unique.end(), o) == unique.end())
-        unique.push_back(o);
-    if (unique.size() != n.operands.size()) {
-      bool xorBase = n.op == ir::OpKind::Xor || n.op == ir::OpKind::Xnor;
-      checkArg(!xorBase,
-               strCat("op node ", v,
-                      ": XOR with duplicate operands cannot be mapped; "
-                      "run foldConstants/canonicalize first"));
-    }
+    // Operands are distinct (ir::Graph folds repeated operands), so each
+    // one activates its own row.
+    const std::vector<NodeId>& operands = n.operands;
 
     // Chaining decision: one operand may be consumed from the execution
     // column's row buffer instead of a cell. Preferred candidate: an
@@ -621,13 +603,11 @@ class CodeGenerator {
                        !isOutput_[static_cast<size_t>(b)];
         return layout_.isPlaced(b) || lastUse;
       };
-      // Moved-operand candidate (must be the only occurrence). Operands
-      // whose nearest copy is a cell on another array are better served
-      // by ensureInColumn's background XFER than by a chain move.
-      for (NodeId o : unique) {
+      // Moved-operand candidate. Operands whose nearest copy is a cell on
+      // another array are better served by ensureInColumn's background
+      // XFER than by a chain move.
+      for (NodeId o : operands) {
         if (layout_.placementIn(o, xc)) continue;
-        if (std::count(n.operands.begin(), n.operands.end(), o) != 1)
-          continue;
         if (crossArrayCellSource(o, xc)) continue;
         if (safeToConsume(o)) {
           chainVal = o;
@@ -641,14 +621,13 @@ class CodeGenerator {
         auto it = buf.find(xc.col);
         if (it != buf.end()) {
           NodeId b = it->second;
-          long occurrences =
-              std::count(n.operands.begin(), n.operands.end(), b);
           bool othersResident = true;
-          for (NodeId o : unique)
+          for (NodeId o : operands)
             if (o != b && !layout_.placementIn(o, xc))
               othersResident = false;
-          if (occurrences == 1 && safeToConsume(b) && othersResident &&
-              std::find(unique.begin(), unique.end(), b) != unique.end())
+          if (safeToConsume(b) && othersResident &&
+              std::find(operands.begin(), operands.end(), b) !=
+                  operands.end())
             chainVal = b;
         }
       }
@@ -658,7 +637,7 @@ class CodeGenerator {
     // moved chain operand into the buffer last (its shift would disturb
     // nothing any more).
     std::vector<int> rows;
-    for (NodeId o : unique) {
+    for (NodeId o : operands) {
       if (o == chainVal) continue;
       rows.push_back(ensureInColumn(o, xc));
     }
@@ -674,29 +653,7 @@ class CodeGenerator {
     // The CIM read overwrites the execution column's buffer slot.
     if (chainVal == ir::kInvalidNode) flushIfNeeded(xc);
 
-    // Binary ops whose operands collapsed to a single bit (duplicate
-    // operands after upstream rewrites) degenerate to Copy/Not.
-    ir::OpKind opToEmit = n.op;
-    int operandBits = static_cast<int>(rows.size()) +
-                      (chainVal != ir::kInvalidNode ? 1 : 0);
-    if (operandBits == 1 && !ir::isUnary(n.op)) {
-      switch (n.op) {
-        case ir::OpKind::And:
-        case ir::OpKind::Or:
-          opToEmit = ir::OpKind::Copy;
-          break;
-        case ir::OpKind::Nand:
-        case ir::OpKind::Nor:
-          opToEmit = ir::OpKind::Not;
-          break;
-        default:
-          throw MappingError(strCat(
-              "op node ", v, ": XOR collapsed to one operand; run "
-              "foldConstants/canonicalize first"));
-      }
-    }
-
-    emit(isa::makeCimRead(xc.arrayId, {xc.col}, std::move(rows), {opToEmit},
+    emit(isa::makeCimRead(xc.arrayId, {xc.col}, std::move(rows), {n.op},
                           {chainVal != ir::kInvalidNode}));
     prog_.stats.cimReads++;
     if (chainVal != ir::kInvalidNode) prog_.stats.chainedOperands++;

@@ -214,7 +214,7 @@ CompileResponse CompileService::handle(const std::string& source,
       trace::Span span("serve", "canonicalize");
       failpoint::check("canonicalize");
       g = transforms::canonicalize(g);
-      if (options.aggressive) g = transforms::optimize(g);
+      if (options.aggressive) g = transforms::foldInverters(g);
       if (options.nandLower)
         g = transforms::canonicalize(transforms::lowerToNand(g));
       canonicalOpt.emplace(ir::canonicalForm(g));

@@ -4,9 +4,9 @@
 //
 // A request carries a kernel (sherlock-dag text or kernel-language
 // source) plus per-request compile options. The service canonicalizes
-// the DAG (constant fold + CSE + dead-node elimination, then the
-// isomorphism-invariant renumbering of ir/canonical.h) and keys the
-// cache on
+// the DAG (built folded and shared by ir::Graph, then dead-node
+// elimination and the isomorphism-invariant renumbering of
+// ir/canonical.h) and keys the cache on
 //
 //   (canonical DAG fingerprint, mapping strategy, array dim, MRA,
 //    technology, grid + hop cost, fault policy, NAND lowering,

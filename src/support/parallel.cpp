@@ -12,10 +12,17 @@ namespace {
 // parallelFor calls observe it and degrade to serial inline execution.
 thread_local bool tlsInParallelRegion = false;
 
+// Restores the previous value on exit: a flattened nested call must not
+// clear the flag of the region it runs in.
 class ScopedParallelRegion {
  public:
-  ScopedParallelRegion() { tlsInParallelRegion = true; }
-  ~ScopedParallelRegion() { tlsInParallelRegion = false; }
+  ScopedParallelRegion() : previous_(tlsInParallelRegion) {
+    tlsInParallelRegion = true;
+  }
+  ~ScopedParallelRegion() { tlsInParallelRegion = previous_; }
+
+ private:
+  bool previous_;
 };
 
 }  // namespace

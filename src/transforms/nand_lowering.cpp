@@ -44,12 +44,6 @@ Graph lowerToNand(const Graph& g) {
   Rewriter rw(g);
   Graph& dest = rw.dest();
 
-  auto emitNot = [&](NodeId x) {
-    const Node& n = dest.node(x);
-    if (n.isOp() && n.op == OpKind::Not) return n.operands[0];
-    return dest.addOp(OpKind::Not, {x});
-  };
-
   for (NodeId i = g.firstId(); i < g.endId(); ++i) {
     const Node& n = g.node(i);
     if (!n.isOp()) {
@@ -71,9 +65,9 @@ Graph lowerToNand(const Graph& g) {
       case OpKind::Nor: {
         std::vector<NodeId> inverted;
         inverted.reserve(ops.size());
-        for (NodeId o : ops) inverted.push_back(emitNot(o));
+        for (NodeId o : ops) inverted.push_back(dest.addOp(OpKind::Not, {o}));
         OpKind k = n.op == OpKind::Or ? OpKind::Nand : OpKind::And;
-        rw.mapTo(i, dest.addOp(k, std::move(inverted), n.name));
+        rw.mapTo(i, dest.addOp(k, std::move(inverted)));
         break;
       }
       case OpKind::Xor:

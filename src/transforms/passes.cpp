@@ -1,9 +1,6 @@
 #include "transforms/passes.h"
 
-#include <algorithm>
-#include <map>
 #include <optional>
-#include <tuple>
 #include <vector>
 
 #include "support/trace.h"
@@ -16,8 +13,8 @@ using ir::Node;
 using ir::NodeId;
 using ir::OpKind;
 
-Graph eliminateDeadNodes(const Graph& g) {
-  trace::Span span("transforms", "dce");
+Graph canonicalize(const Graph& g) {
+  trace::Span span("transforms", "canonicalize");
   std::vector<bool> live(g.numNodes(), false);
   std::vector<NodeId> stack(g.outputs().begin(), g.outputs().end());
   while (!stack.empty()) {
@@ -38,186 +35,6 @@ Graph eliminateDeadNodes(const Graph& g) {
 }
 
 namespace {
-
-/// Structural key identifying an op node up to commutativity.
-using CseKey = std::tuple<OpKind, std::vector<NodeId>>;
-
-CseKey makeKey(OpKind op, std::vector<NodeId> operands) {
-  if (!ir::isUnary(op)) std::sort(operands.begin(), operands.end());
-  return {op, std::move(operands)};
-}
-
-}  // namespace
-
-Graph eliminateCommonSubexpressions(const Graph& g) {
-  trace::Span span("transforms", "cse");
-  Rewriter rw(g);
-  std::map<CseKey, NodeId> seen;
-  for (NodeId i = g.firstId(); i < g.endId(); ++i) {
-    const Node& n = g.node(i);
-    if (!n.isOp()) {
-      rw.cloneNode(i);
-      continue;
-    }
-    std::vector<NodeId> mapped;
-    mapped.reserve(n.operands.size());
-    for (NodeId o : n.operands) mapped.push_back(rw.lookup(o));
-    CseKey key = makeKey(n.op, mapped);
-    auto it = seen.find(key);
-    if (it != seen.end()) {
-      rw.mapTo(i, it->second);
-    } else {
-      NodeId copy = rw.cloneNode(i);
-      seen.emplace(std::move(key), copy);
-    }
-  }
-  rw.carryOutputs();
-  return std::move(rw).take();
-}
-
-namespace {
-
-/// Base (non-inverted) op and whether the node inverts its base result.
-std::pair<OpKind, bool> splitInversion(OpKind op) {
-  switch (op) {
-    case OpKind::Nand: return {OpKind::And, true};
-    case OpKind::Nor: return {OpKind::Or, true};
-    case OpKind::Xnor: return {OpKind::Xor, true};
-    default: return {op, false};
-  }
-}
-
-}  // namespace
-
-Graph foldConstants(const Graph& g) {
-  trace::Span span("transforms", "fold_constants");
-  Rewriter rw(g);
-  Graph& dest = rw.dest();
-
-  // Lazily created shared constants in the destination graph.
-  NodeId constId[2] = {ir::kInvalidNode, ir::kInvalidNode};
-  auto getConst = [&](bool v) {
-    if (constId[v] == ir::kInvalidNode) constId[v] = dest.addConst(v);
-    return constId[v];
-  };
-  auto destConst = [&](NodeId id, bool& value) {
-    const Node& n = dest.node(id);
-    if (!n.isConst()) return false;
-    value = n.constValue;
-    return true;
-  };
-  // Emits NOT(x), collapsing double negation.
-  auto emitNot = [&](NodeId x) {
-    const Node& n = dest.node(x);
-    if (n.isOp() && n.op == OpKind::Not) return n.operands[0];
-    bool v;
-    if (destConst(x, v)) return getConst(!v);
-    return dest.addOp(OpKind::Not, {x});
-  };
-
-  for (NodeId i = g.firstId(); i < g.endId(); ++i) {
-    const Node& n = g.node(i);
-    if (!n.isOp()) {
-      rw.cloneNode(i);
-      continue;
-    }
-    std::vector<NodeId> mapped;
-    mapped.reserve(n.operands.size());
-    for (NodeId o : n.operands) mapped.push_back(rw.lookup(o));
-
-    if (n.op == OpKind::Copy) {
-      rw.mapTo(i, mapped[0]);
-      continue;
-    }
-    if (n.op == OpKind::Not) {
-      rw.mapTo(i, emitNot(mapped[0]));
-      continue;
-    }
-
-    auto [base, inverted] = splitInversion(n.op);
-    // Partition operands into a constant accumulator and the rest, folding
-    // duplicate operands: And/Or are idempotent, Xor cancels pairs.
-    bool haveConst = false;
-    bool acc = (base == OpKind::And);  // identity element
-    std::vector<NodeId> rest;
-    bool changed = false;
-    for (NodeId m : mapped) {
-      bool v;
-      if (destConst(m, v)) {
-        haveConst = true;
-        changed = true;
-        switch (base) {
-          case OpKind::And: acc = acc && v; break;
-          case OpKind::Or: acc = acc || v; break;
-          case OpKind::Xor: acc = acc != v; break;
-          default: throw InternalError("foldConstants: bad base op");
-        }
-      } else {
-        auto dup = std::find(rest.begin(), rest.end(), m);
-        if (dup == rest.end()) {
-          rest.push_back(m);
-        } else {
-          changed = true;
-          if (base == OpKind::Xor) rest.erase(dup);  // x ^ x = 0
-          // And/Or: idempotent, simply drop the duplicate.
-        }
-      }
-    }
-    if (!changed) {
-      // Nothing to fold; keep the op (including native inverted forms).
-      rw.mapTo(i, dest.addOp(n.op, mapped, n.name));
-      continue;
-    }
-    if (rest.empty() && !haveConst) {
-      // Full Xor cancellation without any constant operand.
-      rw.mapTo(i, getConst(inverted));
-      continue;
-    }
-
-    NodeId result;
-    bool absorbing = (base == OpKind::And && !acc) ||
-                     (base == OpKind::Or && acc);
-    if (absorbing || rest.empty()) {
-      // Absorbing element dominates, or all operands were constant; either
-      // way the accumulated constant is the base result.
-      result = getConst(inverted ? !acc : acc);
-    } else {
-      // Identity constants vanish; an odd XOR constant contributes one
-      // inversion, which cancels against an inverted op kind (e.g.
-      // XNOR(x, 1) == NOT(x ^ 1) == x).
-      bool negate = inverted != (base == OpKind::Xor && acc);
-      NodeId core = rest.size() == 1 ? rest[0]
-                                     : dest.addOp(base, rest, n.name);
-      result = negate ? emitNot(core) : core;
-    }
-    rw.mapTo(i, result);
-  }
-  rw.carryOutputs();
-  return eliminateDeadNodes(std::move(rw).take());
-}
-
-Graph canonicalize(const Graph& g) {
-  trace::Span span("transforms", "canonicalize");
-  // CSE can reveal new folding opportunities (merged operands become
-  // duplicates), so fold runs on both sides of it.
-  return eliminateDeadNodes(
-      foldConstants(eliminateCommonSubexpressions(foldConstants(g))));
-}
-
-namespace {
-
-/// The op kind computing the complement of `op`, if any.
-std::optional<OpKind> invertedKind(OpKind op) {
-  switch (op) {
-    case OpKind::And: return OpKind::Nand;
-    case OpKind::Nand: return OpKind::And;
-    case OpKind::Or: return OpKind::Nor;
-    case OpKind::Nor: return OpKind::Or;
-    case OpKind::Xor: return OpKind::Xnor;
-    case OpKind::Xnor: return OpKind::Xor;
-    default: return std::nullopt;
-  }
-}
 
 /// De Morgan dual: f(NOT x1, .., NOT xk) == dual(x1, .., xk).
 std::optional<OpKind> deMorganDual(OpKind op) {
@@ -245,25 +62,18 @@ Graph foldInverters(const Graph& g) {
     }
 
     if (n.op == OpKind::Not) {
-      NodeId m = rw.lookup(n.operands[0]);
-      const Node& md = dest.node(m);
-      // NOT(NOT(x)) -> x.
-      if (md.isOp() && md.op == OpKind::Not) {
-        rw.mapTo(i, md.operands[0]);
-        continue;
-      }
+      const Node& md = dest.node(rw.lookup(n.operands[0]));
       // NOT over a single-use logic op becomes the inverted-kind op. The
       // single-use gate (on the source) avoids duplicating shared logic;
       // the rewrite itself must use the destination node's actual kind
       // (earlier rules may already have flipped it).
       const Node& src = g.node(n.operands[0]);
-      if (src.isOp() && src.users.size() == 1 && md.isOp()) {
-        if (auto inv = invertedKind(md.op)) {
-          rw.mapTo(i, dest.addOp(*inv, md.operands, md.name));
-          continue;
-        }
+      if (src.isOp() && src.users.size() == 1 && md.isOp() &&
+          !ir::isUnary(md.op)) {
+        rw.mapTo(i, dest.addOp(ir::complementOp(md.op), md.operands));
+        continue;
       }
-      rw.cloneNode(i);
+      rw.cloneNode(i);  // the graph collapses NOT(NOT(x)) itself
       continue;
     }
 
@@ -290,7 +100,7 @@ Graph foldInverters(const Graph& g) {
         }
       }
       rw.mapTo(i, dest.addOp(flip ? OpKind::Xnor : OpKind::Xor,
-                             std::move(ops), n.name));
+                             std::move(ops)));
       continue;
     }
 
@@ -306,20 +116,15 @@ Graph foldInverters(const Graph& g) {
         stripped.push_back(*inner);
       }
       if (allNots) {
-        rw.mapTo(i, dest.addOp(*dual, std::move(stripped), n.name));
+        rw.mapTo(i, dest.addOp(*dual, std::move(stripped)));
         continue;
       }
     }
 
-    rw.mapTo(i, dest.addOp(n.op, std::move(mapped), n.name));
+    rw.mapTo(i, dest.addOp(n.op, std::move(mapped)));
   }
   rw.carryOutputs();
-  return eliminateDeadNodes(std::move(rw).take());
-}
-
-Graph optimize(const Graph& g) {
-  trace::Span span("transforms", "optimize");
-  return canonicalize(foldInverters(canonicalize(g)));
+  return canonicalize(std::move(rw).take());
 }
 
 }  // namespace sherlock::transforms

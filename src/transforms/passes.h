@@ -1,7 +1,9 @@
-// Standard cleanup passes over the DAG IR: dead-node elimination, common
-// subexpression elimination, and constant folding. All passes are
-// functional (input graph is untouched) and preserve the bulk-bitwise
-// semantics of the marked outputs.
+// Cleanup and optimization passes over the DAG IR. Constant folding and
+// common-subexpression elimination are not passes: ir::Graph applies them
+// as nodes are added (see ir/graph.h), so every graph — and every pass
+// result — is already folded and shared. All passes are functional (the
+// input graph is untouched) and preserve the bulk-bitwise semantics of
+// the marked outputs.
 #pragma once
 
 #include "ir/graph.h"
@@ -9,19 +11,9 @@
 namespace sherlock::transforms {
 
 /// Removes every node that no marked output transitively depends on.
-/// Inputs are always kept (they define the external interface).
-ir::Graph eliminateDeadNodes(const ir::Graph& g);
-
-/// Merges structurally identical op nodes (same kind and operand multiset
-/// for commutative ops; same operand sequence otherwise).
-ir::Graph eliminateCommonSubexpressions(const ir::Graph& g);
-
-/// Folds operations whose operands are all constants, and simplifies
-/// identities with all-zeros / all-ones constants (x & 0 = 0, x | 0 = x,
-/// x ^ 0 = x, x & 1 = x, x | 1 = 1, x ^ 1 = ~x, ...).
-ir::Graph foldConstants(const ir::Graph& g);
-
-/// Convenience pipeline: fold, CSE, then DCE.
+/// Inputs are always kept (they define the external interface). Since
+/// graphs are folded and shared by construction, dropping dead nodes is
+/// all that is left of canonicalization.
 ir::Graph canonicalize(const ir::Graph& g);
 
 /// Inverter folding: absorbs NOT nodes into the native inverted scouting
@@ -30,10 +22,8 @@ ir::Graph canonicalize(const ir::Graph& g);
 ///   NOT(x) where x is a single-use logic op  ->  the inverted-kind op
 ///   AND/OR/NAND/NOR whose operands are all NOTs  ->  De Morgan dual
 ///   XOR/XNOR strip NOT operands pairwise (parity absorbed in the kind)
+/// Expects a graph without dead nodes (single use is counted on the
+/// input) and returns one.
 ir::Graph foldInverters(const ir::Graph& g);
-
-/// The full optimization pipeline: canonicalize, fold inverters, and
-/// canonicalize again (inverter folding exposes new CSE opportunities).
-ir::Graph optimize(const ir::Graph& g);
 
 }  // namespace sherlock::transforms

@@ -19,7 +19,7 @@ NodeId Rewriter::cloneNode(NodeId id) {
       std::vector<NodeId> ops;
       ops.reserve(n.operands.size());
       for (NodeId o : n.operands) ops.push_back(lookup(o));
-      copy = dest_.addOp(n.op, std::move(ops), n.name);
+      copy = dest_.addOp(n.op, std::move(ops));
       break;
     }
   }

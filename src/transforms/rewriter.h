@@ -10,8 +10,9 @@
 namespace sherlock::transforms {
 
 /// Incrementally clones nodes of a source graph into a destination graph.
-/// Passes decide per node whether to copy it verbatim (`cloneNode`) or to
-/// emit replacement nodes and record the mapping (`mapTo`).
+/// Passes decide per node whether to copy it (`cloneNode`) or to emit
+/// replacement nodes and record the mapping (`mapTo`). The destination is
+/// an ir::Graph, so whatever a pass emits comes out folded and shared.
 class Rewriter {
  public:
   explicit Rewriter(const ir::Graph& source) noexcept
@@ -28,16 +29,10 @@ class Rewriter {
   /// Destination id for a source id; throws if the node was skipped.
   ir::NodeId lookup(ir::NodeId id) const;
 
-  /// True if the source node has a destination mapping.
-  bool isMapped(ir::NodeId id) const {
-    return mapping_[static_cast<size_t>(id)] != ir::kInvalidNode;
-  }
-
   /// Marks the destination images of the source graph's outputs.
   void carryOutputs();
 
   ir::Graph& dest() { return dest_; }
-  const ir::Graph& source() const { return source_; }
 
   /// Finalizes and returns the destination graph.
   ir::Graph take() && { return std::move(dest_); }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <vector>
 
 #include "ir/analysis.h"
@@ -17,20 +16,6 @@ using ir::NodeId;
 using ir::OpKind;
 
 namespace {
-
-/// Base associative operation of an op kind (And for Nand, etc.).
-OpKind baseOf(OpKind op) {
-  switch (op) {
-    case OpKind::Nand: return OpKind::And;
-    case OpKind::Nor: return OpKind::Or;
-    case OpKind::Xnor: return OpKind::Xor;
-    default: return op;
-  }
-}
-
-bool isInverted(OpKind op) {
-  return op == OpKind::Nand || op == OpKind::Nor || op == OpKind::Xnor;
-}
 
 /// Disjoint-set over op nodes tracking the effective operand count of each
 /// merged component. The representative is always the absorbing (consumer)
@@ -76,12 +61,6 @@ class MergeForest {
   std::vector<int> size_;
 };
 
-/// Number of times `operand` appears in `node`'s operand list.
-int occurrenceCount(const Node& node, NodeId operand) {
-  return static_cast<int>(
-      std::count(node.operands.begin(), node.operands.end(), operand));
-}
-
 struct Candidate {
   NodeId producer;  ///< the node to be absorbed
   NodeId consumer;  ///< its unique user
@@ -110,8 +89,7 @@ SubstitutionResult substituteNodes(const Graph& g,
     if (prod.users.size() != 1) continue;
     NodeId c = prod.users[0];
     const Node& cons = g.node(c);
-    if (baseOf(cons.op) != prod.op) continue;
-    if (occurrenceCount(cons, p) != 1) continue;
+    if (ir::baseOp(cons.op) != prod.op) continue;
     candidates.push_back({p, c});
   }
 
@@ -145,27 +123,18 @@ SubstitutionResult substituteNodes(const Graph& g,
   }
 
   // Rebuild: every surviving op node splices in the operand lists of the
-  // producers absorbed into its component.
+  // producers absorbed into its component. Flattening can repeat an
+  // operand; the graph folds repeats exactly (AND/OR keep one, XOR
+  // cancels pairs).
   Rewriter rw(g);
-  Graph& dest = rw.dest();
-  NodeId constId[2] = {ir::kInvalidNode, ir::kInvalidNode};
-  auto getConst = [&](bool v) {
-    if (constId[v] == ir::kInvalidNode) constId[v] = dest.addConst(v);
-    return constId[v];
-  };
-
   for (NodeId i = g.firstId(); i < g.endId(); ++i) {
     const Node& n = g.node(i);
-    if (!n.isOp()) {
+    if (!n.isOp() || ir::isUnary(n.op)) {
+      // Leaves and unary ops never participate in merging.
       rw.cloneNode(i);
       continue;
     }
     if (forest.isAbsorbed(i)) continue;  // spliced into its consumer
-    if (ir::isUnary(n.op)) {
-      // Unary ops never participate in merging; copy verbatim.
-      rw.cloneNode(i);
-      continue;
-    }
 
     // Flatten the component rooted at i in source-operand order.
     std::vector<NodeId> flat;
@@ -181,33 +150,7 @@ SubstitutionResult substituteNodes(const Graph& g,
         flat.push_back(rw.lookup(o));
       }
     }
-
-    OpKind base = baseOf(n.op);
-    bool inverted = isInverted(n.op);
-    // Duplicate handling keeps the semantics exact: And/Or are idempotent,
-    // Xor cancels pairs.
-    std::map<NodeId, int> mult;
-    std::vector<NodeId> unique;
-    for (NodeId o : flat)
-      if (mult[o]++ == 0) unique.push_back(o);
-    std::vector<NodeId> finalOps;
-    for (NodeId o : unique) {
-      int m = mult[o];
-      bool keep = (base == OpKind::Xor) ? (m % 2 == 1) : true;
-      if (keep) finalOps.push_back(o);
-    }
-
-    NodeId result;
-    if (finalOps.empty()) {
-      // Only possible for Xor with full cancellation.
-      result = getConst(inverted);
-    } else if (finalOps.size() == 1) {
-      result = inverted ? dest.addOp(OpKind::Not, {finalOps[0]})
-                        : finalOps[0];
-    } else {
-      result = dest.addOp(n.op, std::move(finalOps), n.name);
-    }
-    rw.mapTo(i, result);
+    rw.mapTo(i, rw.dest().addOp(n.op, std::move(flat)));
   }
   rw.carryOutputs();
 

@@ -59,8 +59,8 @@ struct SubstitutionResult {
 };
 
 /// Applies node substitution to `g` under `options`. Exact semantics are
-/// preserved: And/Or absorb duplicate operands idempotently and Xor cancels
-/// operand pairs during flattening.
+/// preserved: operands that flattening repeats fold by the graph's rules
+/// (And/Or keep one, Xor cancels pairs; see ir/graph.h).
 SubstitutionResult substituteNodes(const ir::Graph& g,
                                    const SubstitutionOptions& options);
 

@@ -174,16 +174,9 @@ class AesCircuit {
  public:
   AesCircuit(Graph& g, const Tower& tower) : g_(g), tower_(tower) {}
 
-  NodeId zero() {
-    if (zero_ == ir::kInvalidNode) zero_ = g_.addConst(false);
-    return zero_;
-  }
+  NodeId zero() { return g_.addConst(false); }
 
-  NodeId x2(NodeId a, NodeId b) {
-    if (a == zero_ || a == ir::kInvalidNode) return b;
-    if (b == zero_) return a;
-    return g_.addOp(OpKind::Xor, {a, b});
-  }
+  NodeId x2(NodeId a, NodeId b) { return g_.addOp(OpKind::Xor, {a, b}); }
 
   /// out bit i = XOR over inputs j selected by rows[i].
   std::array<NodeId, 8> applyMatrix(const std::array<uint8_t, 8>& rows,
@@ -322,7 +315,6 @@ class AesCircuit {
  private:
   Graph& g_;
   const Tower& tower_;
-  NodeId zero_ = ir::kInvalidNode;
 };
 
 /// State as 128 slices: index = byte * 8 + bit, bytes column-major.

@@ -9,16 +9,6 @@ namespace sherlock::workloads {
 using ir::NodeId;
 using ir::OpKind;
 
-NodeId BitsliceBuilder::zero() {
-  if (zero_ == ir::kInvalidNode) zero_ = g_.addConst(false);
-  return zero_;
-}
-
-NodeId BitsliceBuilder::one() {
-  if (one_ == ir::kInvalidNode) one_ = g_.addConst(true);
-  return one_;
-}
-
 Word BitsliceBuilder::input(const std::string& name, int bits) {
   checkArg(bits > 0, "input width must be positive");
   Word w;
@@ -111,13 +101,10 @@ Word BitsliceBuilder::sub(const Word& a, const Word& b) {
 Word BitsliceBuilder::abs(const Word& a) {
   checkArg(!a.empty(), "abs of empty word");
   NodeId sign = a.back();
-  // |a| = (a XOR sign) + sign  (conditional two's-complement negation).
-  // The sign slice XORs with itself, which is constant zero — emit the
-  // constant directly (XOR nodes with duplicate operands are unmappable).
+  // |a| = (a XOR sign) + sign  (conditional two's-complement negation);
+  // the sign slice XORs with itself to the constant zero.
   Word flipped;
-  for (size_t i = 0; i + 1 < a.size(); ++i)
-    flipped.push_back(g_.addOp(OpKind::Xor, {a[i], sign}));
-  flipped.push_back(zero());
+  for (NodeId s : a) flipped.push_back(g_.addOp(OpKind::Xor, {s, sign}));
   Word signWord{sign};
   Word r = add(flipped, signWord);
   r.resize(a.size());  // |a| of an n-bit signed value fits n bits

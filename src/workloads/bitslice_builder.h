@@ -63,14 +63,12 @@ class BitsliceBuilder {
   ir::NodeId equal(const Word& a, const Word& b);
 
  private:
-  ir::NodeId zero();
-  ir::NodeId one();
+  ir::NodeId zero() { return g_.addConst(false); }
+  ir::NodeId one() { return g_.addConst(true); }
   /// Pads both words to equal width with zero slices.
   std::pair<Word, Word> aligned(const Word& a, const Word& b);
 
   ir::Graph& g_;
-  ir::NodeId zero_ = ir::kInvalidNode;
-  ir::NodeId one_ = ir::kInvalidNode;
 };
 
 }  // namespace sherlock::workloads

@@ -18,8 +18,7 @@ ir::Graph buildBitweaving(const BitweavingSpec& spec) {
     // v >= c1 and v <= c2, both as MSB-first bit-serial scans (Fig. 3a).
     ir::NodeId ge = b.greaterEqual(v, c1);
     ir::NodeId le = b.lessEqual(v, c2);
-    g.markOutput(g.addOp(ir::OpKind::And, {ge, le},
-                         strCat("between", s)));
+    g.markOutput(g.addOp(ir::OpKind::And, {ge, le}));
   }
   return g;
 }

@@ -20,9 +20,14 @@ ir::Graph buildRandomDag(const RandomDagSpec& spec) {
 
   Rng rng(spec.seed);
   ir::Graph g;
-  std::vector<NodeId> pool;
+  // The sampler draws from the earlier requests, not from graph nodes:
+  // the graph may answer two requests with one node (folding, sharing),
+  // and the random stream must not depend on that.
+  std::vector<NodeId> pool;    // node answering each request
+  std::vector<bool> consumed;  // a later op request used it
   for (int i = 0; i < spec.inputs; ++i)
     pool.push_back(g.addInput(strCat("in", i)));
+  consumed.assign(pool.size(), false);
 
   std::vector<OpKind> mix{OpKind::And, OpKind::Or, OpKind::Nand,
                           OpKind::Nor};
@@ -36,34 +41,42 @@ ir::Graph buildRandomDag(const RandomDagSpec& spec) {
         2, static_cast<size_t>(spec.locality *
                                static_cast<double>(pool.size())));
     size_t lo = pool.size() - window;
-    return pool[lo + static_cast<size_t>(rng.below(window))];
+    return lo + static_cast<size_t>(rng.below(window));
+  };
+  auto request = [&](OpKind op, const std::vector<size_t>& picks) {
+    std::vector<NodeId> operands;
+    for (size_t k : picks) {
+      operands.push_back(pool[k]);
+      consumed[k] = true;
+    }
+    pool.push_back(g.addOp(op, std::move(operands)));
+    consumed.push_back(false);
   };
 
   for (int i = 0; i < spec.ops; ++i) {
     if (rng.chance(spec.notProbability)) {
-      pool.push_back(g.addOp(OpKind::Not, {pick()}));
+      request(OpKind::Not, {pick()});
       continue;
     }
     int arity = static_cast<int>(rng.range(2, spec.maxArity));
-    std::vector<NodeId> operands;
-    // The locality window may hold fewer distinct nodes than the sampled
+    std::vector<size_t> picks;
+    // The locality window may hold fewer requests than the sampled
     // arity; bound the attempts and keep whatever was collected.
     for (int attempt = 0;
-         attempt < 8 * arity && static_cast<int>(operands.size()) < arity;
+         attempt < 8 * arity && static_cast<int>(picks.size()) < arity;
          ++attempt) {
-      NodeId cand = pick();
-      if (std::find(operands.begin(), operands.end(), cand) ==
-          operands.end())
-        operands.push_back(cand);
+      size_t cand = pick();
+      if (std::find(picks.begin(), picks.end(), cand) == picks.end())
+        picks.push_back(cand);
     }
-    if (static_cast<int>(operands.size()) < 2) continue;
-    OpKind op = mix[static_cast<size_t>(rng.below(mix.size()))];
-    pool.push_back(g.addOp(op, std::move(operands)));
+    if (static_cast<int>(picks.size()) < 2) continue;
+    request(mix[static_cast<size_t>(rng.below(mix.size()))], picks);
   }
 
-  // Every sink becomes an output (keeps the whole DAG live).
-  for (NodeId i = g.firstId(); i < g.endId(); ++i)
-    if (g.node(i).isOp() && g.node(i).users.empty()) g.markOutput(i);
+  // Every op request no later request consumed becomes an output (keeps
+  // the whole DAG live).
+  for (size_t k = static_cast<size_t>(spec.inputs); k < pool.size(); ++k)
+    if (!consumed[k]) g.markOutput(pool[k]);
   return g;
 }
 

@@ -164,12 +164,9 @@ Graph scramble(const Graph& g, Rng& rng) {
   std::vector<int> pending(n, 0);
   std::vector<NodeId> ready;
   for (NodeId id = g.firstId(); id < g.endId(); ++id) {
-    std::vector<NodeId> distinct = g.node(id).operands;
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
-    pending[static_cast<size_t>(id)] = static_cast<int>(distinct.size());
-    if (distinct.empty()) ready.push_back(id);
+    pending[static_cast<size_t>(id)] =
+        static_cast<int>(g.node(id).operands.size());
+    if (g.node(id).operands.empty()) ready.push_back(id);
   }
   Graph out;
   std::vector<NodeId> remap(n, kInvalidNode);

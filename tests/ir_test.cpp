@@ -1,11 +1,14 @@
-// Unit tests for the DAG IR: construction, validation, analyses (b-level),
-// the reference evaluator, and DOT export.
+// Unit tests for the DAG IR: construction and its folding/hash-consing
+// rules, validation, analyses (b-level), the reference evaluator, and DOT
+// export.
 #include <gtest/gtest.h>
 
 #include "ir/analysis.h"
 #include "ir/dot.h"
 #include "ir/evaluator.h"
 #include "ir/graph.h"
+#include "ir/serialize.h"
+#include "support/rng.h"
 
 namespace sherlock::ir {
 namespace {
@@ -65,17 +68,136 @@ TEST(Graph, UserListsTrackConsumers) {
 TEST(Graph, CountsAndNodeLists) {
   Graph g;
   NodeId a = g.addInput("a");
-  NodeId c = g.addConst(true);
-  NodeId x = g.addOp(OpKind::Or, {a, c});
+  g.addConst(true);  // a value, but neither an input nor an op
+  NodeId b = g.addInput("b");
+  NodeId x = g.addOp(OpKind::Or, {a, b});
   g.markOutput(x);
   EXPECT_EQ(g.opCount(), 1u);
-  EXPECT_EQ(g.inputCount(), 1u);
-  EXPECT_EQ(g.valueCount(), 3u);
+  EXPECT_EQ(g.inputCount(), 2u);
+  EXPECT_EQ(g.valueCount(), 4u);
   EXPECT_EQ(g.opNodes(), (std::vector<NodeId>{x}));
-  EXPECT_EQ(g.inputNodes(), (std::vector<NodeId>{a}));
+  EXPECT_EQ(g.inputNodes(), (std::vector<NodeId>{a, b}));
   // Outputs are positional: marking twice keeps both entries.
   g.markOutput(x);
   EXPECT_EQ(g.outputs().size(), 2u);
+}
+
+// ---------------------------------------------------------------------
+// Canonical by construction: addOp folds and hash-conses.
+// ---------------------------------------------------------------------
+
+TEST(GraphRules, StructurallyEqualOpsShareOneNode) {
+  Graph g;
+  NodeId a = g.addInput("a");
+  NodeId b = g.addInput("b");
+  NodeId x = g.addOp(OpKind::And, {a, b});
+  EXPECT_EQ(g.addOp(OpKind::And, {b, a}), x);  // operand order is irrelevant
+  EXPECT_NE(g.addOp(OpKind::Nand, {a, b}), x);  // the kind is not
+  EXPECT_EQ(g.opCount(), 2u);
+  EXPECT_EQ(g.node(a).users.size(), 2u);  // one entry per distinct user
+  // The shared node keeps the operand order it was first added with.
+  EXPECT_EQ(g.node(x).operands, (std::vector<NodeId>{a, b}));
+  EXPECT_EQ(g.addOp(OpKind::Xor, {x, g.addOp(OpKind::And, {b, a})}),
+            g.addConst(false));
+}
+
+TEST(GraphRules, OneNodePerConstant) {
+  Graph g;
+  NodeId zero = g.addConst(false);
+  NodeId one = g.addConst(true);
+  EXPECT_NE(zero, one);
+  EXPECT_EQ(g.addConst(false), zero);
+  EXPECT_EQ(g.addConst(true), one);
+  EXPECT_EQ(g.numNodes(), 2u);
+}
+
+TEST(GraphRules, ConstantIdentities) {
+  Graph g;
+  NodeId a = g.addInput("a");
+  NodeId b = g.addInput("b");
+  NodeId zero = g.addConst(false);
+  NodeId one = g.addConst(true);
+  EXPECT_EQ(g.addOp(OpKind::And, {a, zero}), zero);  // absorbing
+  EXPECT_EQ(g.addOp(OpKind::Or, {a, one}), one);     // absorbing
+  EXPECT_EQ(g.addOp(OpKind::Nor, {one, a}), zero);   // absorbing, inverted
+  EXPECT_EQ(g.addOp(OpKind::Or, {a, zero}), a);      // identity
+  EXPECT_EQ(g.addOp(OpKind::And, {one, a}), a);      // identity
+  EXPECT_EQ(g.addOp(OpKind::Xnor, {a, one}), a);     // x ^ 1 flips parity
+  NodeId notA = g.addOp(OpKind::Xor, {a, one});
+  EXPECT_EQ(g.node(notA).op, OpKind::Not);
+  EXPECT_EQ(g.addOp(OpKind::Not, {a}), notA);
+  EXPECT_EQ(g.addOp(OpKind::Nand, {one, zero}), one);  // all constant
+  // Inverted multi-operand ops keep an inverted kind.
+  NodeId nand = g.addOp(OpKind::Nand, {a, one, b});
+  EXPECT_EQ(g.node(nand).op, OpKind::Nand);
+  EXPECT_EQ(g.node(nand).operands, (std::vector<NodeId>{a, b}));
+  EXPECT_EQ(g.node(g.addOp(OpKind::Xor, {a, b, one})).op, OpKind::Xnor);
+  EXPECT_EQ(g.opCount(), 3u);
+  g.validate();
+}
+
+TEST(GraphRules, UnaryRules) {
+  Graph g;
+  NodeId a = g.addInput("a");
+  EXPECT_EQ(g.addOp(OpKind::Copy, {a}), a);
+  NodeId n1 = g.addOp(OpKind::Not, {a});
+  EXPECT_EQ(g.addOp(OpKind::Not, {n1}), a);
+  EXPECT_EQ(g.addOp(OpKind::Not, {g.addConst(true)}), g.addConst(false));
+  EXPECT_EQ(g.opCount(), 1u);
+}
+
+TEST(GraphRules, RepeatedOperands) {
+  Graph g;
+  NodeId a = g.addInput("a");
+  NodeId b = g.addInput("b");
+  NodeId c = g.addInput("c");
+  NodeId ab = g.addOp(OpKind::And, {a, b});
+  EXPECT_EQ(g.addOp(OpKind::And, {a, a, b}), ab);  // idempotent
+  EXPECT_EQ(g.addOp(OpKind::Or, {c, c}), c);
+  EXPECT_EQ(g.addOp(OpKind::Xor, {a, a}), g.addConst(false));  // cancels
+  EXPECT_EQ(g.addOp(OpKind::Xnor, {b, b}), g.addConst(true));
+  // XOR keeps operands of odd multiplicity at their first position.
+  NodeId x = g.addOp(OpKind::Xor, {b, a, b, c, b});
+  EXPECT_EQ(g.node(x).operands, (std::vector<NodeId>{b, a, c}));
+  NodeId nb = g.addOp(OpKind::Xnor, {a, b, a});
+  EXPECT_EQ(g.node(nb).op, OpKind::Not);
+  EXPECT_EQ(g.node(nb).operands, (std::vector<NodeId>{b}));
+  g.validate();
+}
+
+TEST(GraphRules, FuzzedRequestsStayCanonicalAndExact) {
+  // Random requests over a small pool: every returned node must compute
+  // the requested function, and the graph must keep its invariants.
+  Rng rng(7);
+  Graph g;
+  std::vector<NodeId> pool{g.addInput("a"), g.addInput("b"),
+                           g.addInput("c"), g.addConst(false),
+                           g.addConst(true)};
+  std::map<std::string, uint64_t> in{{"a", 0xF0F0F0F0F0F0F0F0ULL},
+                                     {"b", 0xCCCCCCCCCCCCCCCCULL},
+                                     {"c", 0xAAAAAAAAAAAAAAAAULL}};
+  std::vector<uint64_t> expect{in["a"], in["b"], in["c"], 0, ~uint64_t{0}};
+  const OpKind kinds[] = {OpKind::And, OpKind::Or, OpKind::Xor,
+                          OpKind::Nand, OpKind::Nor, OpKind::Xnor,
+                          OpKind::Not, OpKind::Copy};
+  for (int step = 0; step < 400; ++step) {
+    OpKind op = kinds[rng.below(8)];
+    size_t arity = isUnary(op) ? 1 : 2 + rng.below(3);
+    std::vector<NodeId> operands;
+    std::vector<uint64_t> values;
+    for (size_t k = 0; k < arity; ++k) {
+      size_t pick = rng.below(pool.size());
+      operands.push_back(pool[pick]);
+      values.push_back(expect[pick]);
+    }
+    NodeId id = g.addOp(op, operands);
+    pool.push_back(id);
+    expect.push_back(evalOp(op, values));
+  }
+  g.validate();
+  std::vector<uint64_t> got = evaluateAllWords(g, in);
+  for (size_t k = 0; k < pool.size(); ++k)
+    ASSERT_EQ(got[static_cast<size_t>(pool[k])], expect[k]) << "request " << k;
 }
 
 // Paper Fig. 3(b)-style chain: b-level counts op nodes on the longest
@@ -235,8 +357,9 @@ TEST(Analysis, SlackZeroSumsToCriticalPath) {
   // On a pure chain every op is critical.
   Graph g;
   NodeId a = g.addInput("a");
+  NodeId b = g.addInput("b");
   NodeId acc = g.addOp(OpKind::Not, {a});
-  for (int i = 0; i < 5; ++i) acc = g.addOp(OpKind::Not, {acc});
+  for (int i = 0; i < 5; ++i) acc = g.addOp(OpKind::Xor, {acc, b});
   g.markOutput(acc);
   EXPECT_EQ(criticalPathOps(g).size(), 6u);
   EXPECT_EQ(criticalPathLength(g), 6);
@@ -244,8 +367,6 @@ TEST(Analysis, SlackZeroSumsToCriticalPath) {
 
 }  // namespace
 }  // namespace sherlock::ir
-
-#include "ir/serialize.h"
 
 namespace sherlock::ir {
 namespace {
@@ -292,6 +413,17 @@ TEST(Serialize, RejectsMalformedInput) {
   EXPECT_THROW(graphFromText("const 2\n"), Error);
   EXPECT_THROW(graphFromText("input a\noutput 5\n"), Error);
   EXPECT_THROW(graphFromText("input a\nop NOT 0 0\n"), Error);  // arity
+}
+
+TEST(Serialize, NonCanonicalTextParsesCanonical) {
+  // Declaration indices stay positional even when a line folds into an
+  // earlier node: op 3 is OR(a, AND(a, 0)) == a.
+  Graph g = graphFromText(
+      "input a\nconst 0\nop AND 0 1\nop OR 0 2\nconst 0\noutput 3\n"
+      "output 4\n");
+  EXPECT_EQ(g.opCount(), 0u);
+  EXPECT_EQ(g.numNodes(), 2u);
+  EXPECT_EQ(g.outputs(), (std::vector<NodeId>{0, 1}));
 }
 
 TEST(Serialize, IgnoresCommentsAndBlankLines) {

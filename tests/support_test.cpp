@@ -287,6 +287,22 @@ TEST(Parallel, NestedParallelForFlattensWithoutDeadlock) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(Parallel, RepeatedNestedCallsStayFlattened) {
+  // A flattened nested call must not end the region it runs in: the
+  // second nested loop stays on the calling thread as well.
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  pool.parallelFor(1, [&](int64_t) {
+    pool.parallelFor(2, [](int64_t) {});
+    pool.parallelFor(2000, [&](int64_t) {
+      if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(5));
+    });
+  });
+  EXPECT_EQ(elsewhere.load(), 0);
+}
+
 TEST(Parallel, ParallelMapPreservesInputOrder) {
   ThreadPool pool(8);
   std::vector<int> items(257);

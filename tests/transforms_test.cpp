@@ -1,5 +1,6 @@
-// Unit and property tests for the DAG transforms: DCE, CSE, constant
-// folding, node substitution (MRA merging) and NAND lowering. The central
+// Unit and property tests for the DAG transforms: canonicalization (dead
+// node removal; folding and sharing are ir::Graph's, see ir_test), node
+// substitution (MRA merging), NAND lowering and inverter folding. The central
 // property — semantic equivalence on the marked outputs — is checked with
 // the reference evaluator on randomized inputs.
 #include <gtest/gtest.h>
@@ -45,105 +46,19 @@ void expectEquivalent(const Graph& a, const Graph& b) {
   }
 }
 
-TEST(Dce, RemovesUnreachableOps) {
+TEST(Canonicalize, RemovesUnreachableOps) {
   Graph g;
   NodeId a = g.addInput("a");
   NodeId b = g.addInput("b");
   NodeId live = g.addOp(OpKind::And, {a, b});
   g.addOp(OpKind::Or, {a, b});  // dead
+  g.addConst(true);              // dead
   g.markOutput(live);
-  Graph out = eliminateDeadNodes(g);
+  Graph out = canonicalize(g);
   EXPECT_EQ(out.opCount(), 1u);
   EXPECT_EQ(out.inputCount(), 2u);  // inputs always survive
+  EXPECT_EQ(out.numNodes(), 3u);
   expectEquivalent(g, out);
-}
-
-TEST(Cse, MergesCommutativeDuplicates) {
-  Graph g;
-  NodeId a = g.addInput("a");
-  NodeId b = g.addInput("b");
-  NodeId x = g.addOp(OpKind::And, {a, b});
-  NodeId y = g.addOp(OpKind::And, {b, a});  // same op, swapped operands
-  NodeId z = g.addOp(OpKind::Xor, {x, y});  // becomes XOR(t, t)
-  g.markOutput(z);
-  Graph out = eliminateCommonSubexpressions(g);
-  EXPECT_EQ(out.opCount(), 2u);
-  expectEquivalent(g, out);
-}
-
-TEST(Cse, KeepsDistinctOps) {
-  Graph g;
-  NodeId a = g.addInput("a");
-  NodeId b = g.addInput("b");
-  NodeId x = g.addOp(OpKind::And, {a, b});
-  NodeId y = g.addOp(OpKind::Nand, {a, b});
-  g.markOutput(g.addOp(OpKind::Xor, {x, y}));
-  Graph out = eliminateCommonSubexpressions(g);
-  EXPECT_EQ(out.opCount(), 3u);
-  expectEquivalent(g, out);
-}
-
-TEST(Fold, ConstantIdentities) {
-  Graph g;
-  NodeId a = g.addInput("a");
-  NodeId zero = g.addConst(false);
-  NodeId one = g.addConst(true);
-  NodeId andZero = g.addOp(OpKind::And, {a, zero});   // -> 0
-  NodeId orA = g.addOp(OpKind::Or, {a, zero});        // -> a
-  NodeId xorOne = g.addOp(OpKind::Xor, {a, one});     // -> ~a
-  NodeId andOne = g.addOp(OpKind::And, {a, one});     // -> a
-  g.markOutput(andZero);
-  g.markOutput(orA);
-  g.markOutput(xorOne);
-  g.markOutput(andOne);
-  Graph out = foldConstants(g);
-  // Only the NOT from x^1 remains as an op.
-  EXPECT_EQ(out.opCount(), 1u);
-  expectEquivalent(g, out);
-}
-
-TEST(Fold, DoubleNegationCollapses) {
-  Graph g;
-  NodeId a = g.addInput("a");
-  NodeId n1 = g.addOp(OpKind::Not, {a});
-  NodeId n2 = g.addOp(OpKind::Not, {n1});
-  g.markOutput(n2);
-  Graph out = foldConstants(g);
-  EXPECT_EQ(out.opCount(), 0u);
-  expectEquivalent(g, out);
-}
-
-TEST(Fold, DuplicateOperandsIdempotentOps) {
-  Graph g;
-  NodeId a = g.addInput("a");
-  NodeId b = g.addInput("b");
-  NodeId x = g.addOp(OpKind::And, {a, a, b});  // == a & b
-  NodeId y = g.addOp(OpKind::Xor, {a, a});     // == 0
-  NodeId z = g.addOp(OpKind::Or, {x, y});
-  g.markOutput(z);
-  Graph out = foldConstants(g);
-  expectEquivalent(g, out);
-  // No op in the result may carry duplicate operands.
-  for (NodeId i = out.firstId(); i < out.endId(); ++i) {
-    const ir::Node& n = out.node(i);
-    if (!n.isOp()) continue;
-    auto ops = n.operands;
-    std::sort(ops.begin(), ops.end());
-    EXPECT_EQ(std::adjacent_find(ops.begin(), ops.end()), ops.end());
-  }
-}
-
-TEST(Fold, AllConstOperands) {
-  Graph g;
-  NodeId one = g.addConst(true);
-  NodeId zero = g.addConst(false);
-  NodeId x = g.addOp(OpKind::Nand, {one, zero});  // -> 1
-  g.markOutput(x);
-  Graph out = foldConstants(g);
-  EXPECT_EQ(out.opCount(), 0u);
-  const ir::Node& res = out.node(out.outputs()[0]);
-  EXPECT_TRUE(res.isConst());
-  EXPECT_TRUE(res.constValue);
 }
 
 TEST(Canonicalize, PreservesSemanticsOnWorkloads) {
@@ -428,7 +343,7 @@ TEST(FoldInverters, DeMorganAllNotOperands) {
   NodeId nb = g.addOp(OpKind::Not, {b});
   NodeId x = g.addOp(OpKind::And, {na, nb});  // == NOR(a, b)
   g.markOutput(x);
-  Graph out = eliminateDeadNodes(foldInverters(g));
+  Graph out = foldInverters(g);
   EXPECT_EQ(out.opCount(), 1u);
   EXPECT_EQ(out.node(out.outputs()[0]).op, OpKind::Nor);
   expectEquivalent(g, out);
@@ -445,21 +360,10 @@ TEST(FoldInverters, XorStripsNotsPairwise) {
   NodeId nc = g.addOp(OpKind::Not, {c});
   NodeId odd = g.addOp(OpKind::Xor, {even, nc});  // == ~(a^b^c)
   g.markOutput(odd);
-  Graph out = eliminateDeadNodes(foldInverters(g));
+  Graph out = foldInverters(g);
   // No NOT nodes survive.
   for (NodeId i = out.firstId(); i < out.endId(); ++i)
     if (out.node(i).isOp()) EXPECT_NE(out.node(i).op, OpKind::Not);
-  expectEquivalent(g, out);
-}
-
-TEST(FoldInverters, DoubleNegationCollapses) {
-  Graph g;
-  NodeId a = g.addInput("a");
-  NodeId n1 = g.addOp(OpKind::Not, {a});
-  NodeId n2 = g.addOp(OpKind::Not, {n1});
-  g.markOutput(n2);
-  Graph out = eliminateDeadNodes(foldInverters(g));
-  EXPECT_EQ(out.opCount(), 0u);
   expectEquivalent(g, out);
 }
 
@@ -467,12 +371,12 @@ TEST(FoldInverters, ShrinksFrontEndWorkloads) {
   // Sobel's subtractors are NOT-heavy and must shrink strictly;
   // Bitweaving already uses native inverted ops, so "no growth" suffices.
   Graph bw = canonicalize(workloads::buildBitweaving({12}));
-  Graph bwOut = optimize(bw);
+  Graph bwOut = foldInverters(bw);
   EXPECT_LE(bwOut.opCount(), bw.opCount());
   expectEquivalent(bw, bwOut);
 
   Graph sobel = canonicalize(workloads::buildSobel({}));
-  Graph sobelOut = optimize(sobel);
+  Graph sobelOut = foldInverters(sobel);
   EXPECT_LT(sobelOut.opCount(), sobel.opCount());
   expectEquivalent(sobel, sobelOut);
 }
@@ -486,13 +390,13 @@ TEST(FoldInverters, RandomDagsStayEquivalent) {
     spec.notProbability = 0.3;  // NOT-heavy on purpose
     Graph g = workloads::buildRandomDag(spec);
     expectEquivalent(g, foldInverters(g));
-    expectEquivalent(g, optimize(g));
+    expectEquivalent(g, foldInverters(canonicalize(g)));
   }
 }
 
-TEST(Optimize, IdempotentOnFixedPoint) {
-  Graph g = optimize(workloads::buildSobel({}));
-  Graph again = optimize(g);
+TEST(FoldInverters, IdempotentOnFixedPoint) {
+  Graph g = foldInverters(canonicalize(workloads::buildSobel({})));
+  Graph again = foldInverters(g);
   EXPECT_EQ(again.opCount(), g.opCount());
   expectEquivalent(g, again);
 }

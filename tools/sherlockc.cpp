@@ -270,7 +270,7 @@ std::string processFile(const std::string& inputFile, const Options& opts) {
 
   ir::Graph g = transforms::canonicalize(
       frontend::compileKernel(source.str()));
-  if (opts.aggressive) g = transforms::optimize(g);
+  if (opts.aggressive) g = transforms::foldInverters(g);
   if (opts.nandLower)
     g = transforms::canonicalize(transforms::lowerToNand(g));
 
