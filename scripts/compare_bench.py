@@ -15,13 +15,11 @@ array_dim, strategy, mra, cache_size) and gated two ways:
     baseline exactly (within 1e-9): any drift means the cache keying or
     eviction behavior changed, which is a correctness signal, not noise.
 
-Artifacts where one side has no gateable configs (older PRs report
-different metrics, e.g. BENCH_6.json's Monte-Carlo wall-clock) pass
-with a note: there is nothing to compare, not a regression. But when
-BOTH sides carry gateable configs and they share none, the gate fails
-loudly — that is a config-key mismatch (renamed workload, changed key
-schema), and silently passing would disable the gate without anyone
-noticing.
+A pair with nothing to gate — one side has no gateable configs, e.g.
+BENCH_6.json's Monte-Carlo wall-clock record — fails: a gate that
+compares nothing would pass forever without anyone noticing. When BOTH
+sides carry gateable configs and they share none, the gate fails too —
+that is a config-key mismatch (renamed workload, changed key schema).
 """
 
 import argparse
@@ -156,9 +154,10 @@ def main():
         compared = True
 
     if not compared:
-        print(f"compare_bench: no shared gateable configs between "
-              f"{args.baseline} and {args.current}; nothing to gate")
-        return 0
+        print(f"compare_bench: FAIL — no shared gateable configs between "
+              f"{args.baseline} and {args.current}; the gate compared "
+              f"nothing")
+        return 1
     print("compare_bench: OK")
     return 0
 

@@ -155,12 +155,17 @@ bool FaultMap::rowWornOut(int arrayId, int row) const {
          rowWrites_[rowIndex(arrayId, row)] > options_.rowWriteBudget;
 }
 
-int FaultMap::usableCellsInColumn(int arrayId, int col, int rowLimit) const {
+std::vector<int> FaultMap::usableCellsPerColumn(int arrayId,
+                                                int rowLimit) const {
   checkArg(rowLimit >= 0 && rowLimit <= rows_,
-           "usableCellsInColumn row limit out of range");
-  int usable = 0;
-  for (int row = 0; row < rowLimit; ++row)
-    if (isUsable(arrayId, row, col)) ++usable;
+           "usableCellsPerColumn row limit out of range");
+  std::vector<int> usable(static_cast<size_t>(cols_), 0);
+  if (rowLimit == 0) return usable;
+  constexpr auto kNone = static_cast<uint8_t>(CellFault::None);
+  const uint8_t* cells = &faults_[cellIndex(arrayId, 0, 0)];
+  for (int row = 0; row < rowLimit; ++row, cells += cols_)
+    for (int col = 0; col < cols_; ++col)
+      usable[static_cast<size_t>(col)] += cells[col] == kNone;
   return usable;
 }
 

@@ -100,9 +100,10 @@ class FaultMap {
   bool rowWornOut(int arrayId, int row) const;
 
   // --- Aggregates ------------------------------------------------------
-  /// Cells of the column that placement can use: rows below `rowLimit`
-  /// whose cell carries no fault.
-  int usableCellsInColumn(int arrayId, int col, int rowLimit) const;
+  /// Cells that placement can use in each column of one array (element
+  /// c is column c): rows below `rowLimit` whose cell carries no fault.
+  /// Counted in one row-major pass, like packRowMasks.
+  std::vector<int> usableCellsPerColumn(int arrayId, int rowLimit) const;
   long stuckCellCount() const;
   long weakCellCount() const;
   long totalCells() const {

@@ -52,8 +52,8 @@ double decisionFailureProbability(const TechnologyParams& tech,
                                   SenseKind kind, int rows) {
   checkArg(rows >= 1, "rows must be >= 1");
   checkArg(rows <= tech.maxActivatedRows,
-           strCat(rows, " activated rows exceed the technology cap of ",
-                  tech.maxActivatedRows));
+           rows, " activated rows exceed the technology cap of ",
+           tech.maxActivatedRows);
   if (kind != SenseKind::PlainRead)
     checkArg(rows >= 2, "logic sensing requires >= 2 rows");
 

@@ -8,8 +8,8 @@ std::vector<BitVector> evaluateAll(const Graph& g,
   for (const auto& [name, value] : inputs) {
     if (width == 0) width = value.size();
     checkArg(value.size() == width,
-             strCat("input '", name, "' width ", value.size(),
-                    " differs from ", width));
+             "input '", name, "' width ", value.size(),
+             " differs from ", width);
   }
   checkArg(width > 0 || g.inputCount() == 0, "no input values provided");
   if (width == 0) width = 1;  // constant-only graphs
@@ -21,7 +21,7 @@ std::vector<BitVector> evaluateAll(const Graph& g,
       case Node::Kind::Input: {
         auto it = inputs.find(n.name);
         checkArg(it != inputs.end(),
-                 strCat("missing value for input '", n.name, "'"));
+                 "missing value for input '", n.name, "'");
         values[static_cast<size_t>(i)] = it->second;
         break;
       }
@@ -99,10 +99,10 @@ std::vector<uint64_t> evaluateAllWordsPacked(
       case Node::Kind::Input: {
         auto it = inputs.find(n.name);
         checkArg(it != inputs.end(),
-                 strCat("missing value for input '", n.name, "'"));
+                 "missing value for input '", n.name, "'");
         checkArg(it->second.size() == W,
-                 strCat("input '", n.name, "' has ", it->second.size(),
-                        " words, expected ", W));
+                 "input '", n.name, "' has ", it->second.size(),
+                 " words, expected ", W);
         for (size_t w = 0; w < W; ++w) out[w] = it->second[w];
         break;
       }

@@ -145,7 +145,7 @@ NodeId Graph::intern(OpKind op, std::vector<NodeId> operands) {
 
 void Graph::markOutput(NodeId id) {
   checkArg(id >= 0 && static_cast<size_t>(id) < nodes_.size(),
-           strCat("output id ", id, " out of range"));
+           "output id ", id, " out of range");
   // Outputs are an ordered list and may repeat: rewrites can alias two
   // distinct outputs to one node, and consumers (e.g. bit-sliced state
   // unpacking) rely on position.

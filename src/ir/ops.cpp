@@ -67,13 +67,13 @@ bool isSubstitutable(OpKind op) {
 uint64_t evalOp(OpKind op, std::span<const uint64_t> operands) {
   if (isUnary(op)) {
     checkArg(operands.size() == 1,
-             strCat(opName(op), " takes exactly one operand, got ",
-                    operands.size()));
+             opName(op), " takes exactly one operand, got ",
+             operands.size());
     return op == OpKind::Not ? ~operands[0] : operands[0];
   }
   checkArg(operands.size() >= 2,
-           strCat(opName(op), " takes at least two operands, got ",
-                  operands.size()));
+           opName(op), " takes at least two operands, got ",
+           operands.size());
   uint64_t acc = operands[0];
   for (size_t i = 1; i < operands.size(); ++i) {
     switch (op) {
@@ -97,8 +97,7 @@ uint64_t evalOp(OpKind op, std::span<const uint64_t> operands) {
 void evalOpWide(OpKind op, const uint64_t* const* operands, size_t n,
                 size_t words, uint64_t* out) {
   if (isUnary(op)) {
-    checkArg(n == 1, strCat(opName(op), " takes exactly one operand, got ",
-                            n));
+    checkArg(n == 1, opName(op), " takes exactly one operand, got ", n);
     const uint64_t* a = operands[0];
     if (op == OpKind::Not)
       for (size_t w = 0; w < words; ++w) out[w] = ~a[w];
@@ -106,8 +105,7 @@ void evalOpWide(OpKind op, const uint64_t* const* operands, size_t n,
       for (size_t w = 0; w < words; ++w) out[w] = a[w];
     return;
   }
-  checkArg(n >= 2, strCat(opName(op), " takes at least two operands, got ",
-                          n));
+  checkArg(n >= 2, opName(op), " takes at least two operands, got ", n);
   const uint64_t* first = operands[0];
   if (out != first)
     for (size_t w = 0; w < words; ++w) out[w] = first[w];

@@ -51,27 +51,27 @@ Graph graphFromText(const std::string& text) {
       size_t pos = 0;
       long id = std::stol(token, &pos);
       checkArg(pos == token.size(),
-               strCat("line ", lineNo, ": bad node id '", token, "'"));
+               "line ", lineNo, ": bad node id '", token, "'");
       checkArg(id >= 0 && id < static_cast<long>(declared.size()),
-               strCat("line ", lineNo, ": node id ", id,
-                      " references an undeclared node"));
+               "line ", lineNo, ": node id ", id,
+               " references an undeclared node");
       return declared[static_cast<size_t>(id)];
     };
 
     if (kind == "input") {
       std::string name;
       checkArg(static_cast<bool>(ls >> name),
-               strCat("line ", lineNo, ": input needs a name"));
+               "line ", lineNo, ": input needs a name");
       declared.push_back(g.addInput(name));
     } else if (kind == "const") {
       int v = -1;
       checkArg(static_cast<bool>(ls >> v) && (v == 0 || v == 1),
-               strCat("line ", lineNo, ": const needs 0 or 1"));
+               "line ", lineNo, ": const needs 0 or 1");
       declared.push_back(g.addConst(v == 1));
     } else if (kind == "op") {
       std::string mnemonic;
       checkArg(static_cast<bool>(ls >> mnemonic),
-               strCat("line ", lineNo, ": op needs a mnemonic"));
+               "line ", lineNo, ": op needs a mnemonic");
       OpKind op = opFromName(mnemonic);
       std::vector<NodeId> operands;
       std::string tok;
@@ -80,7 +80,7 @@ Graph graphFromText(const std::string& text) {
     } else if (kind == "output") {
       std::string tok;
       checkArg(static_cast<bool>(ls >> tok),
-               strCat("line ", lineNo, ": output needs a node id"));
+               "line ", lineNo, ": output needs a node id");
       g.markOutput(parseId(tok));
     } else {
       throw Error(strCat("line ", lineNo, ": unknown directive '", kind,

@@ -21,15 +21,15 @@ std::string joinInts(const std::vector<int>& xs) {
 /// Parses "a,b,c" into integers.
 std::vector<int> splitInts(const std::string& text) {
   checkArg(text.empty() || text.back() != ',',
-           strCat("trailing comma in list '", text, "'"));
+           "trailing comma in list '", text, "'");
   std::vector<int> out;
   std::string cur;
   std::istringstream is(text);
   while (std::getline(is, cur, ',')) {
-    checkArg(!cur.empty(), strCat("empty element in list '", text, "'"));
+    checkArg(!cur.empty(), "empty element in list '", text, "'");
     size_t pos = 0;
     int v = std::stoi(cur, &pos);
-    checkArg(pos == cur.size(), strCat("trailing junk in number '", cur, "'"));
+    checkArg(pos == cur.size(), "trailing junk in number '", cur, "'");
     out.push_back(v);
   }
   return out;
@@ -39,9 +39,9 @@ std::vector<int> splitInts(const std::string& text) {
 /// `pos` past it.
 std::string nextBracketGroup(const std::string& line, size_t& pos) {
   size_t open = line.find('[', pos);
-  checkArg(open != std::string::npos, strCat("expected '[' in: ", line));
+  checkArg(open != std::string::npos, "expected '[' in: ", line);
   size_t close = line.find(']', open);
-  checkArg(close != std::string::npos, strCat("unterminated '[' in: ", line));
+  checkArg(close != std::string::npos, "unterminated '[' in: ", line);
   pos = close + 1;
   return line.substr(open + 1, close - open - 1);
 }
@@ -107,7 +107,7 @@ Instruction Instruction::parse(const std::string& line) {
     inst.arrayId = std::stoi(arr);
     size_t dirPos = line.find_first_of("LRlr", pos);
     checkArg(dirPos != std::string::npos,
-             strCat("missing shift direction in: ", line));
+             "missing shift direction in: ", line);
     inst.shiftDirection = (line[dirPos] == 'R' || line[dirPos] == 'r')
                               ? ShiftDirection::Right
                               : ShiftDirection::Left;
@@ -140,7 +140,7 @@ Instruction Instruction::parse(const std::string& line) {
   }
 
   checkArg(mnemonic == "read" || mnemonic == "write",
-           strCat("unknown mnemonic in: ", line));
+           "unknown mnemonic in: ", line);
   inst.kind = mnemonic == "read" ? InstKind::Read : InstKind::Write;
   inst.arrayId = std::stoi(nextBracketGroup(line, pos));
   inst.columns = splitInts(nextBracketGroup(line, pos));
@@ -255,7 +255,7 @@ std::vector<Instruction> parseAssembly(const std::string& text) {
 void validateInstruction(const Instruction& inst, int numArrays, int rows,
                          int cols) {
   checkArg(inst.arrayId >= 0 && inst.arrayId < numArrays,
-           strCat("array id ", inst.arrayId, " out of range"));
+           "array id ", inst.arrayId, " out of range");
   if (inst.kind == InstKind::Shift) {
     checkArg(inst.shiftDistance >= 0, "negative shift distance");
     return;
@@ -295,9 +295,9 @@ void validateInstruction(const Instruction& inst, int numArrays, int rows,
       checkArg(chain, "rowless read requires all columns to chain");
   }
   for (int c : inst.columns)
-    checkArg(c >= 0 && c < cols, strCat("column ", c, " out of range"));
+    checkArg(c >= 0 && c < cols, "column ", c, " out of range");
   for (int r : inst.rows)
-    checkArg(r >= 0 && r < rows, strCat("row ", r, " out of range"));
+    checkArg(r >= 0 && r < rows, "row ", r, " out of range");
   checkArg(std::is_sorted(inst.columns.begin(), inst.columns.end()) &&
                std::adjacent_find(inst.columns.begin(), inst.columns.end()) ==
                    inst.columns.end(),

@@ -40,6 +40,9 @@ class CodeGenerator {
  private:
   // ---------------------------------------------------------------- state
   void initState() {
+    // The paper kernels emit 2-6 instructions per DAG node; reserving
+    // up front spares most regrowth copies of the instruction vector.
+    prog_.instructions.reserve(4 * g_.numNodes());
     usesLeft_.assign(g_.numNodes(), 0);
     lastLanding_.assign(g_.numNodes(), -1);
     isOutput_.assign(g_.numNodes(), false);
@@ -48,6 +51,8 @@ class CodeGenerator {
         usesLeft_[static_cast<size_t>(o)]++;
     for (NodeId out : g_.outputs())
       isOutput_[static_cast<size_t>(out)] = true;
+    touched_.assign(static_cast<size_t>(target_.cols()) * target_.numArrays,
+                    false);
   }
 
   /// A value must not be lost from the row buffer if it still has pending
@@ -161,7 +166,7 @@ class CodeGenerator {
   /// has no replica to drop.
   bool tryDropReplica(ColumnRef where) {
     for (NodeId v : layout_.valuesIn(where)) {
-      if (pinned_.contains(v)) continue;
+      if (isPinned(v)) continue;
       if (layout_.placementCount(v) >= 2) {
         layout_.releaseCellIn(v, where);
         return true;
@@ -200,7 +205,7 @@ class CodeGenerator {
   void evictVictim(ColumnRef where) {
     NodeId victim = ir::kInvalidNode;
     for (NodeId v : layout_.valuesIn(where)) {
-      if (pinned_.contains(v)) continue;
+      if (isPinned(v)) continue;
       victim = v;
       break;
     }
@@ -291,16 +296,16 @@ class CodeGenerator {
       }
       if (srcArray < 0) {
         // Load from a cell; prefer a copy in the target array.
-        auto cells = layout_.placements(v);
+        const auto& cells = layout_.placements(v);
         SHERLOCK_ASSERT(!cells.empty(), "value ", v,
                         " demanded but neither buffered nor placed");
-        const CellAddress* src = &cells.front();
+        CellAddress src = cells.front();
         for (const CellAddress& c : cells)
           if (c.arrayId == xc.arrayId) {
-            src = &c;
+            src = c;
             break;
           }
-        if (src->arrayId != xc.arrayId) {
+        if (src.arrayId != xc.arrayId) {
           // Cross-array cell source: one cell-to-cell transfer replaces
           // the buffered plain-read + move + write round trip and leaves
           // both row buffers undisturbed. The only destination the
@@ -310,8 +315,8 @@ class CodeGenerator {
           // through the normal repair machinery).
           CellAddress dstCell = layout_.allocate(v, xc);
           if (dstCell.row < layout_.mainRowLimit()) {
-            emit(isa::makeXfer(src->arrayId, src->col, src->row,
-                               xc.arrayId, xc.col, dstCell.row));
+            emit(isa::makeXfer(src.arrayId, src.col, src.row, xc.arrayId,
+                               xc.col, dstCell.row));
             prog_.stats.xfers++;
             noteLanding(v);
             touch(xc.arrayId, xc.col);
@@ -322,14 +327,14 @@ class CodeGenerator {
           layout_.releaseCellIn(v, xc);
         }
         // The plain read clobbers the source column's buffer slot.
-        if (buffer_[static_cast<size_t>(src->arrayId)].count(src->col) &&
-            buffer_[static_cast<size_t>(src->arrayId)][src->col] != v)
-          flushIfNeeded({src->arrayId, src->col});
-        emit(isa::makePlainRead(src->arrayId, {src->col}, src->row));
+        if (buffer_[static_cast<size_t>(src.arrayId)].count(src.col) &&
+            buffer_[static_cast<size_t>(src.arrayId)][src.col] != v)
+          flushIfNeeded({src.arrayId, src.col});
+        emit(isa::makePlainRead(src.arrayId, {src.col}, src.row));
         prog_.stats.plainReads++;
-        buffer_[static_cast<size_t>(src->arrayId)][src->col] = v;
-        srcArray = src->arrayId;
-        srcCol = src->col;
+        buffer_[static_cast<size_t>(src.arrayId)][src.col] = v;
+        srcArray = src.arrayId;
+        srcCol = src.col;
       }
       if (srcArray == xc.arrayId) {
         bufCol = srcCol;
@@ -426,7 +431,7 @@ class CodeGenerator {
   /// chaining it through a synchronous bus Move would be slower.
   bool crossArrayCellSource(NodeId v, ColumnRef xc) const {
     if (findInBuffer(xc.arrayId, v) >= 0) return false;
-    auto cells = layout_.placements(v);
+    const auto& cells = layout_.placements(v);
     if (cells.empty()) return false;
     for (const CellAddress& c : cells)
       if (c.arrayId == xc.arrayId) return false;
@@ -454,29 +459,29 @@ class CodeGenerator {
         }
       }
       // Load from a cell, preferring the target array.
-      auto cells = layout_.placements(v);
+      const auto& cells = layout_.placements(v);
       SHERLOCK_ASSERT(!cells.empty(), "value ", v,
                       " neither buffered nor placed");
-      const CellAddress* src = &cells.front();
+      CellAddress src = cells.front();
       for (const CellAddress& c : cells)
         if (c.arrayId == xc.arrayId) {
-          src = &c;
+          src = c;
           break;
         }
-      if (buffer_[static_cast<size_t>(src->arrayId)].count(src->col) &&
-          buffer_[static_cast<size_t>(src->arrayId)][src->col] != v)
-        flushIfNeeded({src->arrayId, src->col});
-      emit(isa::makePlainRead(src->arrayId, {src->col}, src->row));
+      if (buffer_[static_cast<size_t>(src.arrayId)].count(src.col) &&
+          buffer_[static_cast<size_t>(src.arrayId)][src.col] != v)
+        flushIfNeeded({src.arrayId, src.col});
+      emit(isa::makePlainRead(src.arrayId, {src.col}, src.row));
       prog_.stats.plainReads++;
-      buffer_[static_cast<size_t>(src->arrayId)][src->col] = v;
-      if (src->arrayId != xc.arrayId) {
+      buffer_[static_cast<size_t>(src.arrayId)][src.col] = v;
+      if (src.arrayId != xc.arrayId) {
         flushIfNeeded(xc);
-        emit(isa::makeMove(src->arrayId, src->col, xc.arrayId, xc.col));
+        emit(isa::makeMove(src.arrayId, src.col, xc.arrayId, xc.col));
         prog_.stats.moves++;
         buffer_[static_cast<size_t>(xc.arrayId)][xc.col] = v;
         return;
       }
-      bufCol = src->col;
+      bufCol = src.col;
     }
     if (bufCol != xc.col) shiftBuffer(xc.arrayId, bufCol, xc.col, v);
   }
@@ -555,9 +560,7 @@ class CodeGenerator {
   void prepareOperands(NodeId v) {
     const Node& n = g_.node(v);
     ColumnRef xc = plan_.opLocation[static_cast<size_t>(v)];
-    pinned_.clear();
-    pinned_.insert(v);
-    for (NodeId o : n.operands) pinned_.insert(o);
+    pin(v);
 
     // Skip one chainable non-resident operand (pass 2 brings it into the
     // buffer right before the read); materialize the rest.
@@ -580,9 +583,7 @@ class CodeGenerator {
     ColumnRef xc = plan_.opLocation[static_cast<size_t>(v)];
 
     // Pin the op's values against eviction while it is being emitted.
-    pinned_.clear();
-    pinned_.insert(v);
-    for (NodeId o : n.operands) pinned_.insert(o);
+    pin(v);
 
     // Operands are distinct (ir::Graph folds repeated operands), so each
     // one activates its own row.
@@ -707,13 +708,28 @@ class CodeGenerator {
   }
 
   void finalize() {
-    prog_.usedColumns = static_cast<int>(touched_.size());
+    prog_.usedColumns = usedColumns_;
     prog_.peakLiveCells = layout_.peakLiveCells();
     prog_.stats.spareRowAllocations = layout_.spareAllocations();
   }
 
   void touch(int arrayId, int col) {
-    touched_.insert(arrayId * target_.cols() + col);
+    size_t idx = static_cast<size_t>(arrayId) * target_.cols() + col;
+    if (!touched_[idx]) {
+      touched_[idx] = true;
+      ++usedColumns_;
+    }
+  }
+
+  /// Makes `op` and its operands the values exempt from eviction.
+  void pin(NodeId op) {
+    const std::vector<NodeId>& operands = g_.node(op).operands;
+    pinned_.assign(operands.begin(), operands.end());
+    pinned_.push_back(op);
+  }
+
+  bool isPinned(NodeId v) const {
+    return std::find(pinned_.begin(), pinned_.end(), v) != pinned_.end();
   }
 
   /// Records that `v`'s most recent cell-landing instruction (posted
@@ -745,9 +761,11 @@ class CodeGenerator {
   std::vector<bool> isOutput_;
   /// Per array: column -> value currently latched in the row buffer.
   std::vector<std::map<int, NodeId>> buffer_;
-  std::set<int> touched_;
-  /// Values of the op being emitted; exempt from eviction.
-  std::set<NodeId> pinned_;
+  /// Per column index (arrayId * cols + col): written or computed in.
+  std::vector<bool> touched_;
+  int usedColumns_ = 0;
+  /// The op being emitted and its operands; exempt from eviction.
+  std::vector<NodeId> pinned_;
   /// Movement scratch copies of the op being emitted (no-reuse flow).
   std::set<std::pair<NodeId, ColumnRef>> tempCopies_;
   /// Results with remote consumers, queued for the next wave's

@@ -1,14 +1,16 @@
 #include "mapping/layout.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace sherlock::mapping {
 
-int usablePlanningCells(const isa::TargetSpec& target,
-                        const FaultPolicy& faults, int arrayId, int col) {
+std::vector<int> usablePlanningCells(const isa::TargetSpec& target,
+                                     const FaultPolicy& faults, int arrayId) {
   int mainLimit = target.rows() - std::min(faults.spareRows, target.rows());
-  if (!faults.map) return mainLimit;
-  return faults.map->usableCellsInColumn(arrayId, col, mainLimit);
+  if (!faults.map)
+    return std::vector<int>(static_cast<size_t>(target.cols()), mainLimit);
+  return faults.map->usableCellsPerColumn(arrayId, mainLimit);
 }
 
 Layout::Layout(const isa::TargetSpec& target, const FaultPolicy& faults)
@@ -22,148 +24,148 @@ Layout::Layout(const isa::TargetSpec& target, const FaultPolicy& faults)
   if (faults.map) {
     checkArg(faults.map->numArrays() == numArrays_ &&
                  faults.map->rows() == rows_ && faults.map->cols() == cols_,
-             strCat("fault map dimensions (", faults.map->numArrays(), "x",
-                    faults.map->rows(), "x", faults.map->cols(),
-                    ") do not match the target (", numArrays_, "x", rows_,
-                    "x", cols_, ")"));
+             "fault map dimensions (", faults.map->numArrays(), "x",
+             faults.map->rows(), "x", faults.map->cols(),
+             ") do not match the target (", numArrays_, "x", rows_,
+             "x", cols_, ")");
+    usableByArray_.resize(static_cast<size_t>(numArrays_));
   }
   spareRows_ = std::min(faults.spareRows, rows_);
   mainRowLimit_ = rows_ - spareRows_;
-  freeRows_.resize(static_cast<size_t>(cols_) * numArrays_);
-  spareFree_.resize(static_cast<size_t>(cols_) * numArrays_);
-  residents_.resize(static_cast<size_t>(cols_) * numArrays_);
-  for (int a = 0; a < numArrays_; ++a)
-    for (int c = 0; c < cols_; ++c) {
-      size_t idx = static_cast<size_t>(a) * cols_ + c;
-      // Descending so pop_back hands out the lowest row first.
-      for (int r = rows_ - 1; r >= 0; --r) {
-        if (faults_.map && !faults_.map->isUsable(a, r, c)) continue;
-        (r < mainRowLimit_ ? freeRows_ : spareFree_)[idx].push_back(r);
-      }
-    }
+  columns_.resize(static_cast<size_t>(cols_) * numArrays_);
 }
 
 int Layout::columnIndex(ColumnRef where) const {
   checkArg(where.arrayId >= 0 && where.arrayId < numArrays_,
-           strCat("array ", where.arrayId, " out of range"));
+           "array ", where.arrayId, " out of range");
   checkArg(where.col >= 0 && where.col < cols_,
-           strCat("column ", where.col, " out of range"));
+           "column ", where.col, " out of range");
   return where.arrayId * cols_ + where.col;
 }
 
+int Layout::usableCells(int arrayId, int col) const {
+  if (!faults_.map) return rows_;
+  auto& usable = usableByArray_[static_cast<size_t>(arrayId)];
+  if (usable.empty())
+    usable = faults_.map->usableCellsPerColumn(arrayId, rows_);
+  return usable[static_cast<size_t>(col)];
+}
+
 CellAddress Layout::allocate(ir::NodeId value, ColumnRef where) {
-  size_t idx = static_cast<size_t>(columnIndex(where));
-  auto* freeList = &freeRows_[idx];
-  if (freeList->empty() && !spareFree_[idx].empty()) {
-    // Repair: the main region is exhausted (faults punched holes in it or
-    // the program is simply dense); remap into the spare-row region.
-    freeList = &spareFree_[idx];
-    ++spareAllocations_;
-  }
-  if (freeList->empty()) {
+  checkArg(value >= 0, "value ", value, " is not a node id");
+  Column& column = columnAt(where);
+  if (column.used == usableCells(where.arrayId, where.col)) {
     std::string detail;
-    if (faults_.active()) {
-      int unusable = rows_ - (faults_.map ? faults_.map->usableCellsInColumn(
-                                                where.arrayId, where.col,
-                                                rows_)
-                                          : rows_);
-      detail = strCat("; ", unusable, " of ", rows_,
-                      " rows unusable due to faults, ", spareRows_,
-                      " spare rows all in use");
-    }
+    if (faults_.active())
+      detail = strCat("; ", rows_ - usableCells(where.arrayId, where.col),
+                      " of ", rows_, " rows unusable due to faults, ",
+                      spareRows_, " spare rows all in use");
     throw MappingError(strCat("column ", where.col, " of array ",
                               where.arrayId, " is full (value ", value, ")",
                               detail));
   }
-  int row = freeList->back();
-  freeList->pop_back();
+  int row;
+  auto& heap = column.released;
+  if (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<int>{});
+    row = heap.back();
+    heap.pop_back();
+  } else {
+    // A free cell exists and every usable row below the watermark is in
+    // use, so a usable row lies at or above it.
+    row = column.watermark;
+    while (faults_.map &&
+           !faults_.map->isUsable(where.arrayId, row, where.col))
+      ++row;
+    column.watermark = row + 1;
+    column.holder.resize(static_cast<size_t>(row) + 1, ir::kInvalidNode);
+  }
+  // Repair: the main region is exhausted (faults punched holes in it or
+  // the program is simply dense); the value lands in the spare region.
+  if (row >= mainRowLimit_) ++spareAllocations_;
+  ++column.used;
+  column.holder[static_cast<size_t>(row)] = value;
+  if (static_cast<size_t>(value) >= placements_.size())
+    placements_.resize(static_cast<size_t>(value) + 1);
   CellAddress cell{where.arrayId, where.col, row};
-  placements_[value].push_back(cell);
-  residents_[static_cast<size_t>(columnIndex(where))].insert(value);
+  placements_[static_cast<size_t>(value)].push_back(cell);
   ++liveCells_;
   peakLiveCells_ = std::max(peakLiveCells_, liveCells_);
   return cell;
 }
 
 int Layout::freeCells(ColumnRef where) const {
-  size_t idx = static_cast<size_t>(columnIndex(where));
-  return static_cast<int>(freeRows_[idx].size() + spareFree_[idx].size());
+  // columnAt checks the bounds that usableCells relies on.
+  const Column& column = columnAt(where);
+  return usableCells(where.arrayId, where.col) - column.used;
 }
 
 bool Layout::isPlaced(ir::NodeId value) const {
-  auto it = placements_.find(value);
-  return it != placements_.end() && !it->second.empty();
+  return !placements(value).empty();
 }
 
 std::optional<CellAddress> Layout::placementIn(ir::NodeId value,
                                                ColumnRef where) const {
-  auto it = placements_.find(value);
-  if (it == placements_.end()) return std::nullopt;
-  for (const CellAddress& cell : it->second)
+  for (const CellAddress& cell : placements(value))
     if (cell.arrayId == where.arrayId && cell.col == where.col) return cell;
   return std::nullopt;
 }
 
 std::optional<CellAddress> Layout::anyPlacement(ir::NodeId value) const {
-  auto it = placements_.find(value);
-  if (it == placements_.end() || it->second.empty()) return std::nullopt;
-  return it->second.front();
+  const auto& cells = placements(value);
+  if (cells.empty()) return std::nullopt;
+  return cells.front();
 }
 
-std::vector<CellAddress> Layout::placements(ir::NodeId value) const {
-  auto it = placements_.find(value);
-  return it == placements_.end() ? std::vector<CellAddress>{} : it->second;
+const std::vector<CellAddress>& Layout::placements(ir::NodeId value) const {
+  static const std::vector<CellAddress> kNone;
+  if (value < 0 || static_cast<size_t>(value) >= placements_.size())
+    return kNone;
+  return placements_[static_cast<size_t>(value)];
 }
 
 void Layout::freeCell(const CellAddress& cell) {
-  size_t idx =
-      static_cast<size_t>(columnIndex({cell.arrayId, cell.col}));
-  auto& freeList =
-      (cell.row < mainRowLimit_ ? freeRows_ : spareFree_)[idx];
-  // Keep descending order so the lowest row is reused first.
-  auto pos = std::lower_bound(freeList.begin(), freeList.end(), cell.row,
-                              std::greater<int>{});
-  freeList.insert(pos, cell.row);
+  Column& column = columnAt({cell.arrayId, cell.col});
+  column.holder[static_cast<size_t>(cell.row)] = ir::kInvalidNode;
+  column.released.push_back(cell.row);
+  std::push_heap(column.released.begin(), column.released.end(),
+                 std::greater<int>{});
+  --column.used;
   --liveCells_;
 }
 
 void Layout::release(ir::NodeId value) {
-  auto it = placements_.find(value);
-  if (it == placements_.end()) return;
-  for (const CellAddress& cell : it->second) {
-    freeCell(cell);
-    residents_[static_cast<size_t>(columnIndex({cell.arrayId, cell.col}))]
-        .erase(value);
-  }
-  placements_.erase(it);
+  if (!isPlaced(value)) return;
+  auto& cells = placements_[static_cast<size_t>(value)];
+  for (const CellAddress& cell : cells) freeCell(cell);
+  cells.clear();
 }
 
 void Layout::releaseCellIn(ir::NodeId value, ColumnRef where) {
-  auto it = placements_.find(value);
-  checkArg(it != placements_.end(),
-           strCat("value ", value, " has no placements"));
-  auto& cells = it->second;
+  checkArg(isPlaced(value), "value ", value, " has no placements");
+  auto& cells = placements_[static_cast<size_t>(value)];
   auto pos = std::find_if(cells.begin(), cells.end(),
                           [&](const CellAddress& c) {
                             return c.arrayId == where.arrayId &&
                                    c.col == where.col;
                           });
-  checkArg(pos != cells.end(),
-           strCat("value ", value, " not placed in the given column"));
+  checkArg(pos != cells.end(), "value ", value,
+           " not placed in the given column");
   freeCell(*pos);
   cells.erase(pos);
-  residents_[static_cast<size_t>(columnIndex(where))].erase(value);
-  if (cells.empty()) placements_.erase(it);
 }
 
 std::vector<ir::NodeId> Layout::valuesIn(ColumnRef where) const {
-  const auto& set = residents_[static_cast<size_t>(columnIndex(where))];
-  return {set.begin(), set.end()};
+  std::vector<ir::NodeId> values;
+  for (ir::NodeId v : columnAt(where).holder)
+    if (v != ir::kInvalidNode) values.push_back(v);
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  return values;
 }
 
 int Layout::placementCount(ir::NodeId value) const {
-  auto it = placements_.find(value);
-  return it == placements_.end() ? 0 : static_cast<int>(it->second.size());
+  return static_cast<int>(placements(value).size());
 }
 
 }  // namespace sherlock::mapping

@@ -5,9 +5,7 @@
 // to the free pool so long programs fit small arrays).
 #pragma once
 
-#include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "device/faultmap.h"
@@ -50,12 +48,16 @@ struct ColumnRef {
   auto operator<=>(const ColumnRef&) const = default;
 };
 
-/// Cells of a column that planning may count on: usable (non-faulty)
-/// cells below the spare-row boundary. Used by the mappers to size
-/// per-column packing budgets consistently with Layout's free lists.
-int usablePlanningCells(const isa::TargetSpec& target,
-                        const FaultPolicy& faults, int arrayId, int col);
+/// Cells that planning may count on in each column of array `arrayId`
+/// (element c is column c): usable (non-faulty) cells below the
+/// spare-row boundary. Used by the mappers to size per-column packing
+/// budgets consistently with Layout's free counts.
+std::vector<int> usablePlanningCells(const isa::TargetSpec& target,
+                                     const FaultPolicy& faults, int arrayId);
 
+/// Set-up costs O(columns); a column's rows are only visited as the
+/// program allocates them, so a small kernel on a large target pays for
+/// the kernel, not the array.
 class Layout {
  public:
   explicit Layout(const isa::TargetSpec& target,
@@ -98,8 +100,9 @@ class Layout {
   /// Any placement of `value` (the first recorded one), if any.
   std::optional<CellAddress> anyPlacement(ir::NodeId value) const;
 
-  /// All placements of `value`.
-  std::vector<CellAddress> placements(ir::NodeId value) const;
+  /// All placements of `value`, in allocation order. The reference is
+  /// valid until the next allocation or release.
+  const std::vector<CellAddress>& placements(ir::NodeId value) const;
 
   /// Releases every cell held by `value` (the value died).
   void release(ir::NodeId value);
@@ -109,7 +112,9 @@ class Layout {
   /// copies from a full column.
   void releaseCellIn(ir::NodeId value, ColumnRef where);
 
-  /// Values currently holding at least one cell in the given column.
+  /// Values currently holding at least one cell in the given column, in
+  /// ascending order (computed on demand; the code generator asks only
+  /// when a column is full).
   std::vector<ir::NodeId> valuesIn(ColumnRef where) const;
 
   /// Number of cells `value` currently holds.
@@ -123,6 +128,9 @@ class Layout {
 
  private:
   int columnIndex(ColumnRef where) const;
+  /// Usable cells of a column over all rows (spare region included).
+  int usableCells(int arrayId, int col) const;
+  void freeCell(const CellAddress& cell);
 
   int rows_;
   int cols_;
@@ -132,17 +140,32 @@ class Layout {
   int mainRowLimit_ = 0;   // rows [0, mainRowLimit_) form the main region
   long spareAllocations_ = 0;
 
-  void freeCell(const CellAddress& cell);
+  /// Allocation state of one column. Rows below `watermark` have all
+  /// been handed out at least once; `released` is a min-heap of those
+  /// handed back since. The lowest free row is therefore the heap's top
+  /// if it has one, else the first usable row at or above the watermark
+  /// — main rows before spare rows, fault holes never.
+  struct Column {
+    int watermark = 0;
+    int used = 0;                    ///< cells in use
+    std::vector<int> released;       ///< min-heap of free rows < watermark
+    std::vector<ir::NodeId> holder;  ///< row -> value, kInvalidNode if free
+  };
 
-  // Per column: free row indices (kept descending so the lowest row is
-  // handed out first). Rows at or above mainRowLimit_ live in spareFree_
-  // instead; faulty rows appear in neither list.
-  std::vector<std::vector<int>> freeRows_;
-  std::vector<std::vector<int>> spareFree_;
-  // value -> its placements.
-  std::map<ir::NodeId, std::vector<CellAddress>> placements_;
-  // column index -> values resident there (eviction support).
-  std::vector<std::set<ir::NodeId>> residents_;
+  Column& columnAt(ColumnRef where) {
+    return columns_[static_cast<size_t>(columnIndex(where))];
+  }
+  const Column& columnAt(ColumnRef where) const {
+    return columns_[static_cast<size_t>(columnIndex(where))];
+  }
+
+  // Indexed by arrayId * cols + col.
+  std::vector<Column> columns_;
+  // Per array: usable cells per column over all rows, counted on the
+  // array's first use (fault maps only).
+  mutable std::vector<std::vector<int>> usableByArray_;
+  // NodeId -> its placements.
+  std::vector<std::vector<CellAddress>> placements_;
   int liveCells_ = 0;
   int peakLiveCells_ = 0;
 };

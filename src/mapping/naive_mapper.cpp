@@ -22,9 +22,16 @@ PlacementPlan mapNaive(const ir::Graph& g, const isa::TargetSpec& target,
   };
   // Per-column packing budget: with faults, only usable cells below the
   // spare-row boundary count (the spare region is the repair reserve).
+  // Counted per array, when the cursor first enters it.
+  int budgetArray = -1;
+  std::vector<int> arrayBudget;
   auto capacityOf = [&](int globalCol) {
     ColumnRef c = columnOf(globalCol);
-    return usablePlanningCells(target, faults, c.arrayId, c.col);
+    if (c.arrayId != budgetArray) {
+      budgetArray = c.arrayId;
+      arrayBudget = usablePlanningCells(target, faults, c.arrayId);
+    }
+    return arrayBudget[static_cast<size_t>(c.col)];
   };
   int capacity = capacityOf(0);
   auto reserveCell = [&] {

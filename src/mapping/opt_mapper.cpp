@@ -10,7 +10,6 @@ namespace sherlock::mapping {
 OptMapping mapOptimized(const ir::Graph& g, const isa::TargetSpec& target,
                         const OptMapperOptions& options,
                         const FaultPolicy& faults) {
-  const int totalColumns = target.cols() * target.numArrays;
   const int numArrays = std::max(1, target.numArrays);
 
   // Columns a cluster may land on, grouped per array. With faults,
@@ -20,21 +19,19 @@ OptMapping mapOptimized(const ir::Graph& g, const isa::TargetSpec& target,
   // of each array's columns the mapper occupies.
   std::vector<std::vector<int>> arrayColumns(
       static_cast<size_t>(numArrays));
-  int planningRows = usablePlanningCells(target, faults, 0, 0);
-  if (faults.map) planningRows = 0;
-  for (int globalCol = 0; globalCol < totalColumns; ++globalCol) {
-    int arrayId = globalCol / target.cols();
+  int planningRows = 0;
+  for (int arrayId = 0; arrayId < target.numArrays; ++arrayId) {
     auto& cols = arrayColumns[static_cast<size_t>(arrayId)];
-    if (options.maxColumnsPerArray > 0 &&
-        static_cast<int>(cols.size()) >= options.maxColumnsPerArray)
-      continue;
-    if (faults.map) {
-      int u = usablePlanningCells(target, faults, arrayId,
-                                  globalCol % target.cols());
-      if (u < 2) continue;
+    std::vector<int> usable = usablePlanningCells(target, faults, arrayId);
+    for (int col = 0; col < target.cols(); ++col) {
+      if (options.maxColumnsPerArray > 0 &&
+          static_cast<int>(cols.size()) >= options.maxColumnsPerArray)
+        break;
+      int u = usable[static_cast<size_t>(col)];
+      if (faults.map && u < 2) continue;
       planningRows = planningRows == 0 ? u : std::min(planningRows, u);
+      cols.push_back(arrayId * target.cols() + col);
     }
-    cols.push_back(globalCol);
   }
   std::vector<int> budget(static_cast<size_t>(numArrays), 0);
   for (int a = 0; a < numArrays; ++a)

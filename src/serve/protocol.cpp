@@ -201,7 +201,7 @@ ServeLoopResult runServeLoop(std::istream& in, std::ostream& out,
         size_t eq = pair.find('=');
         try {
           checkArg(eq != std::string::npos && eq > 0,
-                   strCat("malformed option '", pair, "'"));
+                   "malformed option '", pair, "'");
           applyOption(reqOptions, pair.substr(0, eq),
                       pair.substr(eq + 1));
         } catch (const Error& e) {

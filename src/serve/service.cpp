@@ -98,9 +98,9 @@ std::string CompileService::compileBody(
   failpoint::check("compile");
   const RequestOptions& o = request.options;
   checkArg(o.emit == "asm" || o.emit == "stats",
-           strCat("unknown emit kind '", o.emit, "'"));
+           "unknown emit kind '", o.emit, "'");
   checkArg(o.strategy == "opt" || o.strategy == "naive",
-           strCat("unknown strategy '", o.strategy, "'"));
+           "unknown strategy '", o.strategy, "'");
 
   isa::TargetSpec target =
       isa::TargetSpec::square(o.targetDim, techFor(o.tech), o.mra);

@@ -105,7 +105,7 @@ uint64_t runUnixSocketServer(const std::string& path,
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   checkArg(path.size() < sizeof(addr.sun_path),
-           strCat("socket path too long: ", path));
+           "socket path too long: ", path);
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
 
   // A client that vanishes mid-response turns our next write into

@@ -29,52 +29,71 @@ constexpr double kBufferOpLatencyNs = 0.5;   // rowless row-buffer logic
 /// Everything lives in flat contiguous uint64_t arrays — including the
 /// written/valid bookkeeping, which previously sat in std::vector<bool>
 /// bitmaps whose proxy references defeat autovectorization of the copy
-/// and combine loops.
+/// and combine loops. Cell state is paged by row: a row's page is
+/// allocated on the row's first write, so a program that writes a few
+/// rows of a large array pays for those rows only. A row without a page
+/// holds no written cell and no pending write.
 struct ArrayState {
-  ArrayState(int rows, int cols, int laneWords)
-      : rows_(rows),
-        cols_(cols),
-        W_(static_cast<size_t>(laneWords)),
-        cells(static_cast<size_t>(rows) * cols * W_, 0),
-        cellWritten((static_cast<size_t>(rows) * cols + 63) / 64, 0),
-        buffer(static_cast<size_t>(cols) * W_, 0),
-        bufferValid((static_cast<size_t>(cols) + 63) / 64, 0),
-        writeReadyNs(static_cast<size_t>(rows) * cols, 0.0),
-        writeIndex(static_cast<size_t>(rows) * cols, -1) {}
+  /// Cell state of one written row.
+  struct Row {
+    Row(int cols, size_t laneWords)
+        : cells(static_cast<size_t>(cols) * laneWords, 0),
+          written((static_cast<size_t>(cols) + 63) / 64, 0),
+          writeReadyNs(static_cast<size_t>(cols), 0.0),
+          writeIndex(static_cast<size_t>(cols), -1) {}
 
-  size_t cellIndex(int row, int col) const {
-    return static_cast<size_t>(row) * cols_ + col;
+    bool isWritten(int col) const {
+      return (written[static_cast<size_t>(col) >> 6] >> (col & 63)) & 1;
+    }
+    void markWritten(int col) {
+      written[static_cast<size_t>(col) >> 6] |= uint64_t{1} << (col & 63);
+    }
+
+    std::vector<uint64_t> cells;    ///< cols * W lane words
+    std::vector<uint64_t> written;  ///< packed bitmap over columns
+    /// Completion time of the last posted write per cell (the memory
+    /// controller performs read-around-write: a read stalls only on the
+    /// cells it actually senses).
+    std::vector<double> writeReadyNs;
+    /// Instruction index of the last posted write per cell (stall tracing).
+    std::vector<long> writeIndex;
+  };
+
+  ArrayState(int rows, int cols, int laneWords)
+      : cols_(cols),
+        W_(static_cast<size_t>(laneWords)),
+        rowPages(static_cast<size_t>(rows)),
+        buffer(static_cast<size_t>(cols) * W_, 0),
+        bufferValid((static_cast<size_t>(cols) + 63) / 64, 0) {}
+
+  /// The row's page, or nullptr if the row was never written.
+  const Row* rowAt(int row) const {
+    return rowPages[static_cast<size_t>(row)].get();
   }
-  uint64_t* cellWords(size_t ci) { return cells.data() + ci * W_; }
-  const uint64_t* cellWords(size_t ci) const {
-    return cells.data() + ci * W_;
+  /// The row's page, allocated on first use (writes only).
+  Row& writableRow(int row) {
+    auto& page = rowPages[static_cast<size_t>(row)];
+    if (!page) page = std::make_unique<Row>(cols_, W_);
+    return *page;
+  }
+  uint64_t* cellWords(Row& row, int col) {
+    return row.cells.data() + static_cast<size_t>(col) * W_;
+  }
+  const uint64_t* cellWords(const Row& row, int col) const {
+    return row.cells.data() + static_cast<size_t>(col) * W_;
   }
   uint64_t* bufferWords(int col) {
     return buffer.data() + static_cast<size_t>(col) * W_;
-  }
-  bool written(size_t ci) const {
-    return (cellWritten[ci >> 6] >> (ci & 63)) & 1;
-  }
-  void markWritten(size_t ci) {
-    cellWritten[ci >> 6] |= uint64_t{1} << (ci & 63);
   }
   bool bufferIsValid(int col) const {
     return (bufferValid[static_cast<size_t>(col) >> 6] >> (col & 63)) & 1;
   }
 
-  int rows_;
   int cols_;
   size_t W_;
-  std::vector<uint64_t> cells;        ///< rows * cols * W lane words
-  std::vector<uint64_t> cellWritten;  ///< packed bitmap over cell positions
+  std::vector<std::unique_ptr<Row>> rowPages;  ///< one slot per row
   std::vector<uint64_t> buffer;       ///< cols * W lane words
   std::vector<uint64_t> bufferValid;  ///< packed bitmap over columns
-  /// Completion time of the last posted write per cell (the memory
-  /// controller performs read-around-write: a read stalls only on the
-  /// cells it actually senses).
-  std::vector<double> writeReadyNs;
-  /// Instruction index of the last posted write per cell (stall tracing).
-  std::vector<long> writeIndex;
 };
 
 /// Precomputed packed fault masks of one array: one bit per column,
@@ -223,12 +242,12 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
     if (n.isConst()) {
       if (n.constValue) v.assign(W, ~uint64_t{0});
     } else {
-      checkArg(n.isInput(), strCat("host write of non-leaf node ", id));
+      checkArg(n.isInput(), "host write of non-leaf node ", id);
       auto wide = options.wideInputs.find(n.name);
       if (wide != options.wideInputs.end()) {
         checkArg(wide->second.size() == W,
-                 strCat("wide input '", n.name, "' has ",
-                        wide->second.size(), " words, expected ", W));
+                 "wide input '", n.name, "' has ",
+                 wide->second.size(), " words, expected ", W);
         v = wide->second;
       } else {
         // Consecutive draws of one name-keyed stream (defaultInputWord's
@@ -387,14 +406,17 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         // (read-around-write for everything else).
         double ready = now;
         long blockingWrite = -1;
-        for (int r : inst.rows)
+        for (int r : inst.rows) {
+          const ArrayState::Row* page = arr.rowAt(r);
+          if (!page) continue;
           for (int col : inst.columns) {
-            size_t ci = arr.cellIndex(r, col);
-            if (arr.writeReadyNs[ci] > ready) {
-              ready = arr.writeReadyNs[ci];
-              blockingWrite = arr.writeIndex[ci];
+            size_t c = static_cast<size_t>(col);
+            if (page->writeReadyNs[c] > ready) {
+              ready = page->writeReadyNs[c];
+              blockingWrite = page->writeIndex[c];
             }
           }
+        }
         if (ready > now && options.traceStalls)
           result.stallEvents.push_back(
               {idx, ready - now,
@@ -474,12 +496,12 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
               result.stuckCellReads++;
               continue;
             }
-            size_t ci = arr.cellIndex(r, c);
-            if (!arr.written(ci))
+            const ArrayState::Row* page = arr.rowAt(r);
+            if (!page || !page->isWritten(c))
               throw SimulationError(
                   strCat("instruction ", idx, ": read of unwritten cell (",
                          inst.arrayId, ",", r, ",", c, ")"));
-            opPtrs.push_back(arr.cellWords(ci));
+            opPtrs.push_back(arr.cellWords(*page, c));
             opStuck.push_back(0);
             if (fm && fm->isWeak(r, c)) ++weakPerCol[i];
           }
@@ -640,10 +662,10 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         }
         const FaultMasks* wfm = fmap ? &masksAt(inst.arrayId) : nullptr;
         auto hostIt = program.hostWriteValues.find(idx);
+        ArrayState::Row& page = arr.writableRow(row);
         for (size_t i = 0; i < inst.columns.size(); ++i) {
           int c = inst.columns[i];
-          size_t ci = arr.cellIndex(row, c);
-          uint64_t* dst = arr.cellWords(ci);
+          uint64_t* dst = arr.cellWords(page, c);
           if (hostIt != program.hostWriteValues.end()) {
             std::copy_n(leafWords(hostIt->second[i]), W, dst);
           } else {
@@ -661,13 +683,13 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
                 wfm->stuckReadsOne(row, c) ? onesW.data() : zerosW.data();
             std::copy_n(pinned, W, dst);
           }
-          arr.markWritten(ci);
+          page.markWritten(c);
         }
         // Posted write: issue cost now, programming completes later.
         for (int col : inst.columns) {
-          size_t ci = arr.cellIndex(row, col);
-          arr.writeReadyNs[ci] = now + cost.writeCompletionNs();
-          arr.writeIndex[ci] = static_cast<long>(idx);
+          page.writeReadyNs[static_cast<size_t>(col)] =
+              now + cost.writeCompletionNs();
+          page.writeIndex[static_cast<size_t>(col)] = static_cast<long>(idx);
         }
         now += cost.writeIssueLatencyNs();
         result.energyPj +=
@@ -680,17 +702,23 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         int d = inst.shiftDistance % cols;
         if (inst.shiftDirection == isa::ShiftDirection::Right)
           d = (cols - d) % cols;
-        // Rotate left by d: bits at column c move to (c + d) % cols.
-        shiftBuf.assign(arr.buffer.size(), 0);
+        // Rotate left by d: bits at column c move to (c + d) % cols. The
+        // lane words rotate as two block copies; the valid bits move one
+        // set bit at a time.
+        const auto split =
+            static_cast<std::ptrdiff_t>(static_cast<size_t>(cols - d) * W);
+        shiftBuf.resize(arr.buffer.size());
+        std::rotate_copy(arr.buffer.begin(), arr.buffer.begin() + split,
+                         arr.buffer.end(), shiftBuf.begin());
         shiftValid.assign(arr.bufferValid.size(), 0);
-        for (int c = 0; c < cols; ++c) {
-          int dst = (c + d) % cols;
-          std::copy_n(arr.bufferWords(c), W,
-                      shiftBuf.data() + static_cast<size_t>(dst) * W);
-          if (arr.bufferIsValid(c))
+        for (size_t w = 0; w < arr.bufferValid.size(); ++w)
+          for (uint64_t valid = arr.bufferValid[w]; valid;
+               valid &= valid - 1) {
+            int c = static_cast<int>(w * 64) + std::countr_zero(valid);
+            int dst = c < cols - d ? c + d : c + d - cols;
             shiftValid[static_cast<size_t>(dst) >> 6] |=
                 uint64_t{1} << (dst & 63);
-        }
+          }
         arr.buffer.swap(shiftBuf);
         arr.bufferValid.swap(shiftValid);
         now += cost.shiftLatencyNs(inst.shiftDistance);
@@ -722,15 +750,19 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         result.xferCount++;
         int srcCol = inst.columns[0];
         int srcRow = inst.rows[0];
-        size_t srcCi = arr.cellIndex(srcRow, srcCol);
+        const ArrayState::Row* srcPage = arr.rowAt(srcRow);
 
         // RAW exposure: the transfer engine senses the source cell, so a
         // pending posted write to it must complete first.
-        double ready = std::max(now, arr.writeReadyNs[srcCi]);
+        double ready = now;
+        if (srcPage)
+          ready = std::max(
+              now, srcPage->writeReadyNs[static_cast<size_t>(srcCol)]);
         if (ready > now && options.traceStalls)
           result.stallEvents.push_back(
               {idx, ready - now,
-               static_cast<long>(idx) - arr.writeIndex[srcCi]});
+               static_cast<long>(idx) -
+                   srcPage->writeIndex[static_cast<size_t>(srcCol)]});
         result.stallNs += ready - now;
         now = ready;
 
@@ -743,11 +775,11 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
           std::copy_n(pinned, W, truth.data());
           result.stuckCellReads++;
         } else {
-          if (!arr.written(srcCi))
+          if (!srcPage || !srcPage->isWritten(srcCol))
             throw SimulationError(
                 strCat("instruction ", idx, ": transfer of unwritten cell (",
                        inst.arrayId, ",", srcRow, ",", srcCol, ")"));
-          std::copy_n(arr.cellWords(srcCi), W, truth.data());
+          std::copy_n(arr.cellWords(*srcPage, srcCol), W, truth.data());
         }
         newBits.assign(W, 0);
         uint64_t* value = newBits.data();
@@ -811,8 +843,9 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
             if (slot) slot->refreshRow(*fmap, inst.dstArray, inst.dstRow);
           }
         }
-        size_t dstCi = dst.cellIndex(inst.dstRow, inst.dstCol);
-        std::copy_n(value, W, dst.cellWords(dstCi));
+        ArrayState::Row& dstPage = dst.writableRow(inst.dstRow);
+        uint64_t* dstWords = dst.cellWords(dstPage, inst.dstCol);
+        std::copy_n(value, W, dstWords);
         if (fmap) {
           const FaultMasks& dfm = masksAt(inst.dstArray);
           if (dfm.isStuck(inst.dstRow, inst.dstCol)) {
@@ -820,12 +853,14 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
                                                        inst.dstCol)
                                          ? onesW.data()
                                          : zerosW.data();
-            std::copy_n(pinned, W, dst.cellWords(dstCi));
+            std::copy_n(pinned, W, dstWords);
           }
         }
-        dst.markWritten(dstCi);
-        dst.writeReadyNs[dstCi] = busEnd + cost.writeCompletionNs();
-        dst.writeIndex[dstCi] = static_cast<long>(idx);
+        dstPage.markWritten(inst.dstCol);
+        dstPage.writeReadyNs[static_cast<size_t>(inst.dstCol)] =
+            busEnd + cost.writeCompletionNs();
+        dstPage.writeIndex[static_cast<size_t>(inst.dstCol)] =
+            static_cast<long>(idx);
         result.energyPj += cost.writeEnergyPj(1);
         break;
       }
@@ -884,9 +919,10 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
             strCat("output ", out, " has no recorded cell"));
       const mapping::CellAddress& cell = it->second;
       const ArrayState& arr2 = arrayAt(cell.arrayId);
-      size_t ci = arr2.cellIndex(cell.row, cell.col);
-      const uint64_t* actual = arr2.cellWords(ci);
-      bool written = arr2.written(ci);
+      const ArrayState::Row* page = arr2.rowAt(cell.row);
+      bool written = page && page->isWritten(cell.col);
+      const uint64_t* actual =
+          written ? arr2.cellWords(*page, cell.col) : nullptr;
       if (fmap && fmap->isStuck(cell.arrayId, cell.row, cell.col)) {
         // A stuck output cell holds its pinned value no matter what the
         // program did (including wear-out mid-run).
@@ -911,7 +947,8 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
           throw SimulationError(strCat(
               "output ", out, " mismatch at cell (array ", cell.arrayId,
               ", row ", cell.row, ", col ", cell.col, "), lane word ", w,
-              ", written by instruction ", arr2.writeIndex[ci],
+              ", written by instruction ",
+              page->writeIndex[static_cast<size_t>(cell.col)],
               ": array holds ", actual[w], " but reference is ", ref[w]));
         }
       }

@@ -57,7 +57,7 @@ BitVector BitVector::fromString(const std::string& text) {
   for (size_t i = 0; i < text.size(); ++i) {
     char c = text[text.size() - 1 - i];
     checkArg(c == '0' || c == '1',
-             strCat("invalid bit character '", c, "' in bit string"));
+             "invalid bit character '", c, "' in bit string");
     r.set(i, c == '1');
   }
   return r;

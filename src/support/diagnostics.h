@@ -89,9 +89,20 @@ class VerificationError : public Error {
   long instructionIndex_;
 };
 
-/// Throws `Error` with `message` unless `condition` holds.
-inline void checkArg(bool condition, const std::string& message) {
-  if (!condition) throw Error(message);
+namespace detail {
+template <typename... Parts>
+[[noreturn, gnu::cold, gnu::noinline]] void argFail(const Parts&... parts) {
+  throw Error(strCat(parts...));
+}
+}  // namespace detail
+
+/// Throws `Error` unless `condition` holds. The message is the
+/// concatenation of `parts` (as by strCat), built only on failure, so a
+/// passing check costs one branch however rich its message.
+template <typename... Parts>
+inline void checkArg(bool condition, const Parts&... parts) {
+  if (!condition) [[unlikely]]
+    detail::argFail(parts...);
 }
 
 namespace detail {

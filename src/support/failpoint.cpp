@@ -72,7 +72,7 @@ void FailPoints::configure(const std::string& spec, uint64_t seed) {
     if (entry.empty()) continue;
     size_t colon = entry.find(':');
     checkArg(colon != std::string::npos && colon > 0,
-             strCat("failpoint entry '", entry, "' wants <name>:<action>"));
+             "failpoint entry '", entry, "' wants <name>:<action>");
     std::string name = entry.substr(0, colon);
     points[name] = parseAction(name, entry.substr(colon + 1), seed);
   }

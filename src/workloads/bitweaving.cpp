@@ -51,7 +51,7 @@ ir::Graph buildPredicateScan(const PredicateScanSpec& spec) {
   Word c1 = b.input("c1", spec.bits);
   for (int s = 0; s < spec.segments; ++s) {
     Word v = b.input(s == 0 ? "v" : strCat("v", s), spec.bits);
-    ir::NodeId result;
+    ir::NodeId result = ir::kInvalidNode;
     switch (spec.predicate) {
       case Predicate::Lt:
         result = g.addOp(ir::OpKind::Not, {b.greaterEqual(v, c1)});

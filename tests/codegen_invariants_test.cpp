@@ -59,9 +59,11 @@ TEST_P(ProgramInvariants, Hold) {
                                              target.rows(), target.cols()));
 
   // (2) The MRA cap holds on every read.
-  for (const auto& inst : p.instructions)
-    if (inst.kind == isa::InstKind::Read)
+  for (const auto& inst : p.instructions) {
+    if (inst.kind == isa::InstKind::Read) {
       EXPECT_LE(static_cast<int>(inst.rows.size()), target.mraLimit());
+    }
+  }
 
   // (3) Exactly one CIM column-op per DAG op (merging moves, never
   // duplicates or drops them).

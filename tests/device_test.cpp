@@ -89,8 +89,9 @@ TEST(Reliability, SenseClassOrdering) {
       // At r=2 XOR's extra boundary can be numerically negligible, so the
       // relation is only >= there and strictly > for wider activations.
       EXPECT_LE(pOr, pXor) << technologyName(t) << " rows " << rows;
-      if (rows > 2)
+      if (rows > 2) {
         EXPECT_LT(pOr, pXor) << technologyName(t) << " rows " << rows;
+      }
     }
   }
 }

@@ -243,10 +243,11 @@ void runGridSeed(uint64_t seed, long& shardedRuns) {
       shardedRuns++;
       // Independent clusters can shard without any cut; only a real cut
       // obliges the code generator to move values across the mesh.
-      if (!compiled.partition.transfers.empty())
+      if (!compiled.partition.transfers.empty()) {
         EXPECT_GT(
             compiled.program.stats.xfers + compiled.program.stats.moves, 0u)
             << "cut placement emitted no inter-array movement";
+      }
     }
 
     verify::VerifyResult vr =

@@ -72,15 +72,20 @@ TEST(FaultMap, StuckBitFollowsStateConvention) {
   EXPECT_FALSE(m.isUsable(0, 5, 6));  // placement treats weak as unusable
 }
 
-TEST(FaultMap, UsableCellsInColumnHonorsRowLimit) {
-  FaultMap m(1, 16, 4);
-  EXPECT_EQ(m.usableCellsInColumn(0, 0, 16), 16);
-  EXPECT_EQ(m.usableCellsInColumn(0, 0, 10), 10);
+TEST(FaultMap, UsableCellsPerColumnHonorsRowLimit) {
+  FaultMap m(2, 16, 4);
+  using Counts = std::vector<int>;
+  EXPECT_EQ(m.usableCellsPerColumn(0, 16), (Counts{16, 16, 16, 16}));
+  EXPECT_EQ(m.usableCellsPerColumn(0, 10), (Counts{10, 10, 10, 10}));
+  EXPECT_EQ(m.usableCellsPerColumn(1, 0), (Counts{0, 0, 0, 0}));
   m.setFault(0, 2, 0, CellFault::StuckAtHrs);
   m.setFault(0, 12, 0, CellFault::Weak);
-  EXPECT_EQ(m.usableCellsInColumn(0, 0, 16), 14);
-  EXPECT_EQ(m.usableCellsInColumn(0, 0, 10), 9);  // row 12 is past the limit
-  EXPECT_EQ(m.usableCellsInColumn(0, 1, 16), 16);
+  m.setFault(1, 3, 2, CellFault::StuckAtLrs);
+  EXPECT_EQ(m.usableCellsPerColumn(0, 16), (Counts{14, 16, 16, 16}));
+  // Row 12 is past the limit.
+  EXPECT_EQ(m.usableCellsPerColumn(0, 10), (Counts{9, 10, 10, 10}));
+  EXPECT_EQ(m.usableCellsPerColumn(1, 16), (Counts{16, 16, 15, 16}));
+  EXPECT_THROW(m.usableCellsPerColumn(0, 17), Error);
 }
 
 TEST(FaultMap, EnduranceWearConvertsRowToStuck) {

@@ -386,10 +386,15 @@ TEST(Serialize, RoundTripsStructure) {
   for (NodeId i = g.firstId(); i < g.endId(); ++i) {
     EXPECT_EQ(back.node(i).kind, g.node(i).kind);
     EXPECT_EQ(back.node(i).operands, g.node(i).operands);
-    if (g.node(i).isOp()) EXPECT_EQ(back.node(i).op, g.node(i).op);
-    if (g.node(i).isInput()) EXPECT_EQ(back.node(i).name, g.node(i).name);
-    if (g.node(i).isConst())
+    if (g.node(i).isOp()) {
+      EXPECT_EQ(back.node(i).op, g.node(i).op);
+    }
+    if (g.node(i).isInput()) {
+      EXPECT_EQ(back.node(i).name, g.node(i).name);
+    }
+    if (g.node(i).isConst()) {
       EXPECT_EQ(back.node(i).constValue, g.node(i).constValue);
+    }
   }
   EXPECT_EQ(back.outputs(), g.outputs());
 }

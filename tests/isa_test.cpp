@@ -85,6 +85,21 @@ TEST(Validation, BoundsChecked) {
       validateInstruction(makeWrite(0, {0}, 16), arrays, rows, cols), Error);
 }
 
+TEST(Validation, OutOfRangeMessages) {
+  auto message = [](const Instruction& inst) -> std::string {
+    try {
+      validateInstruction(inst, 2, 16, 16);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(message(makeCimRead(0, {3}, {2, 16}, {ir::OpKind::And})),
+            "row 16 out of range");
+  EXPECT_EQ(message(makeWrite(0, {17}, 0)), "column 17 out of range");
+  EXPECT_EQ(message(makeWrite(2, {0}, 0)), "array id 2 out of range");
+}
+
 TEST(Validation, XferBoundsChecked) {
   int arrays = 4, rows = 16, cols = 16;
   EXPECT_NO_THROW(

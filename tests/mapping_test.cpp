@@ -3,6 +3,9 @@
 // invariants of generated programs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
 #include <set>
 
 #include "ir/analysis.h"
@@ -11,6 +14,7 @@
 #include "transforms/passes.h"
 #include "transforms/substitution.h"
 #include "sim/simulator.h"
+#include "support/rng.h"
 #include "workloads/bitweaving.h"
 #include "workloads/random_dag.h"
 #include "workloads/sobel.h"
@@ -73,6 +77,225 @@ TEST(Layout, BoundsChecked) {
   Layout l(smallTarget(16));
   EXPECT_THROW(l.allocate(1, {99, 0}), Error);  // bad array
   EXPECT_THROW(l.allocate(1, {0, 99}), Error);  // bad column
+
+  // With a fault map the free count reads per-array usable counts, which
+  // must not be indexed before the column is checked.
+  auto target = smallTarget(16);
+  device::FaultMap map(target.numArrays, target.rows(), target.cols());
+  map.setFault(0, 2, 3, device::CellFault::StuckAtLrs);
+  Layout faulty(target, {&map, 0});
+  EXPECT_EQ(faulty.freeCells({0, 3}), 15);
+  EXPECT_THROW(faulty.freeCells({99, 0}), Error);  // bad array
+  EXPECT_THROW(faulty.freeCells({0, 99}), Error);  // bad column
+}
+
+TEST(Layout, BadColumnMessage) {
+  Layout l(smallTarget(16));
+  try {
+    l.allocate(1, {0, 99});
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "column 99 out of range");
+  }
+}
+
+/// The allocator Layout used to be: every usable row of every column in
+/// a sorted free list built up front (main and spare region apart),
+/// lowest row first, spare rows only once the main list is empty.
+class FreeListLayout {
+ public:
+  FreeListLayout(const isa::TargetSpec& target, const FaultPolicy& faults)
+      : rows_(target.rows()), cols_(target.cols()), faults_(faults) {
+    spareRows_ = std::min(faults.spareRows, rows_);
+    int mainLimit = rows_ - spareRows_;
+    size_t columns = static_cast<size_t>(cols_) * target.numArrays;
+    main_.resize(columns);
+    spare_.resize(columns);
+    for (int a = 0; a < target.numArrays; ++a)
+      for (int c = 0; c < cols_; ++c)
+        for (int r = rows_ - 1; r >= 0; --r) {
+          if (faults.map && !faults.map->isUsable(a, r, c)) continue;
+          (r < mainLimit ? main_ : spare_)[index({a, c})].push_back(r);
+        }
+    mainLimit_ = mainLimit;
+  }
+
+  int allocate(NodeId value, ColumnRef where) {
+    size_t idx = index(where);
+    auto* list = &main_[idx];
+    if (list->empty() && !spare_[idx].empty()) {
+      list = &spare_[idx];
+      ++spareAllocations;
+    }
+    if (list->empty()) {
+      std::string detail;
+      if (faults_.active()) {
+        int usable = rows_;
+        if (faults_.map)
+          usable = faults_.map->usableCellsPerColumn(where.arrayId,
+                                                     rows_)[where.col];
+        int unusable = rows_ - usable;
+        detail = strCat("; ", unusable, " of ", rows_,
+                        " rows unusable due to faults, ", spareRows_,
+                        " spare rows all in use");
+      }
+      throw MappingError(strCat("column ", where.col, " of array ",
+                                where.arrayId, " is full (value ", value,
+                                ")", detail));
+    }
+    int row = list->back();
+    list->pop_back();
+    cells[value].push_back({where.arrayId, where.col, row});
+    return row;
+  }
+
+  void release(NodeId value) {
+    for (const CellAddress& cell : cells[value]) freeRow(cell);
+    cells.erase(value);
+  }
+
+  void releaseCellIn(NodeId value, ColumnRef where) {
+    auto& list = cells[value];
+    auto pos = std::find_if(list.begin(), list.end(),
+                            [&](const CellAddress& c) {
+                              return ColumnRef{c.arrayId, c.col} == where;
+                            });
+    freeRow(*pos);
+    list.erase(pos);
+    if (list.empty()) cells.erase(value);
+  }
+
+  int freeCells(ColumnRef where) const {
+    size_t idx = index(where);
+    return static_cast<int>(main_[idx].size() + spare_[idx].size());
+  }
+
+  std::vector<NodeId> valuesIn(ColumnRef where) const {
+    std::vector<NodeId> out;
+    for (const auto& [value, list] : cells)
+      for (const CellAddress& c : list)
+        if (ColumnRef{c.arrayId, c.col} == where) out.push_back(value);
+    return out;
+  }
+
+  long spareAllocations = 0;
+  std::map<NodeId, std::vector<CellAddress>> cells;
+
+ private:
+  size_t index(ColumnRef where) const {
+    return static_cast<size_t>(where.arrayId) * cols_ + where.col;
+  }
+  void freeRow(const CellAddress& cell) {
+    auto& list = (cell.row < mainLimit_ ? main_ : spare_)[index(
+        {cell.arrayId, cell.col})];
+    list.insert(std::lower_bound(list.begin(), list.end(), cell.row,
+                                 std::greater<int>{}),
+                cell.row);
+  }
+
+  int rows_;
+  int cols_;
+  FaultPolicy faults_;
+  int spareRows_ = 0;
+  int mainLimit_ = 0;
+  std::vector<std::vector<int>> main_;
+  std::vector<std::vector<int>> spare_;
+};
+
+/// Random allocate / release / releaseCellIn sequences: Layout hands out
+/// the same rows as the free-list allocator, reports the same free
+/// counts and repairs, and fails a full column with the same message.
+void expectMatchesFreeLists(const isa::TargetSpec& target,
+                            const FaultPolicy& faults, uint64_t seed) {
+  Layout layout(target, faults);
+  FreeListLayout ref(target, faults);
+  Rng rng(seed);
+  const int columns = target.cols() * target.numArrays;
+  auto randomColumn = [&] {
+    int g = static_cast<int>(rng.below(static_cast<uint64_t>(columns)));
+    return ColumnRef{g / target.cols(), g % target.cols()};
+  };
+  NodeId nextValue = 0;
+  int fullColumns = 0;
+  for (int step = 0; step < 3000; ++step) {
+    SCOPED_TRACE(strCat("seed ", seed, " step ", step));
+    uint64_t action = rng.below(10);
+    if (action < 6 || ref.cells.empty()) {
+      // Allocate a new value, or a replica of a placed one elsewhere.
+      NodeId value = nextValue;
+      ColumnRef where = randomColumn();
+      if (action == 0 && !ref.cells.empty()) {
+        auto it = ref.cells.begin();
+        std::advance(it, rng.below(ref.cells.size()));
+        value = it->first;
+        if (layout.placementIn(value, where)) continue;
+      } else {
+        ++nextValue;
+      }
+      std::string refError, error;
+      int refRow = -1, row = -1;
+      try {
+        refRow = ref.allocate(value, where);
+      } catch (const MappingError& e) {
+        refError = e.what();
+      }
+      try {
+        row = layout.allocate(value, where).row;
+      } catch (const MappingError& e) {
+        error = e.what();
+      }
+      ASSERT_EQ(row, refRow);
+      ASSERT_EQ(error, refError);
+      if (!error.empty()) ++fullColumns;
+    } else {
+      auto it = ref.cells.begin();
+      std::advance(it, rng.below(ref.cells.size()));
+      NodeId value = it->first;
+      if (action < 8) {
+        ref.release(value);
+        layout.release(value);
+      } else {
+        const auto& list = it->second;
+        const CellAddress& cell = list[rng.below(list.size())];
+        ColumnRef where{cell.arrayId, cell.col};
+        ref.releaseCellIn(value, where);
+        layout.releaseCellIn(value, where);
+      }
+      ASSERT_EQ(layout.isPlaced(value), ref.cells.count(value) > 0);
+    }
+    ASSERT_EQ(layout.spareAllocations(), ref.spareAllocations);
+    for (const auto& [value, cells] : ref.cells)
+      ASSERT_EQ(layout.placements(value), cells) << "value " << value;
+    for (int g = 0; g < columns; ++g) {
+      ColumnRef where{g / target.cols(), g % target.cols()};
+      ASSERT_EQ(layout.freeCells(where), ref.freeCells(where))
+          << "array " << where.arrayId << " column " << where.col;
+      ASSERT_EQ(layout.valuesIn(where), ref.valuesIn(where));
+    }
+  }
+  // The sequences must reach the interesting states.
+  EXPECT_GT(fullColumns, 0);
+  if (faults.spareRows > 0) {
+    EXPECT_GT(ref.spareAllocations, 0);
+  }
+}
+
+TEST(Layout, MatchesFreeListAllocator) {
+  auto target = isa::TargetSpec::square(8, device::TechnologyParams::reRam(),
+                                        2);
+  target.numArrays = 2;
+  device::FaultMapOptions fopts;
+  fopts.seed = 3;
+  fopts.stuckDensity = 0.15;
+  fopts.weakDensity = 0.1;
+  auto map = device::FaultMap::generate(target.numArrays, target.rows(),
+                                        target.cols(), fopts);
+  for (uint64_t seed : {1, 2, 3}) {
+    expectMatchesFreeLists(target, {}, seed);
+    expectMatchesFreeLists(target, {&map, 0}, seed);
+    expectMatchesFreeLists(target, {nullptr, 3}, seed);
+    expectMatchesFreeLists(target, {&map, 3}, seed);
+  }
 }
 
 // ---------------------------------------------------------- Clustering
@@ -245,9 +468,11 @@ TEST(Codegen, MraLimitRespected) {
                                            .seed = 5});
   auto target = smallTarget(64, 4);
   auto compiled = compile(g, target);
-  for (const auto& inst : compiled.program.instructions)
-    if (inst.kind == isa::InstKind::Read)
+  for (const auto& inst : compiled.program.instructions) {
+    if (inst.kind == isa::InstKind::Read) {
       EXPECT_LE(inst.rows.size(), 4u);
+    }
+  }
 }
 
 TEST(Codegen, OneCimReadPerOpWithoutMerging) {
@@ -309,9 +534,11 @@ TEST(Codegen, HostWritesCoverAllConsumedLeaves) {
               compiled.program.instructions[idx].columns.size());
     for (NodeId v : values) loaded.insert(v);
   }
-  for (NodeId leaf : g.inputNodes())
-    if (!g.node(leaf).users.empty())
+  for (NodeId leaf : g.inputNodes()) {
+    if (!g.node(leaf).users.empty()) {
       EXPECT_TRUE(loaded.contains(leaf)) << "leaf " << leaf;
+    }
+  }
 }
 
 }  // namespace

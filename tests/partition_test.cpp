@@ -117,7 +117,9 @@ TEST(Partition, PropertiesHoldOnRandomDags) {
               part.serializedMakespanNs * (1 + 1e-9));
 
     if (!part.singleArray) shardedSeeds++;
-    if (part.singleArray) EXPECT_TRUE(part.transfers.empty());
+    if (part.singleArray) {
+      EXPECT_TRUE(part.transfers.empty());
+    }
   }
   // The suite is only meaningful if the tight budgets actually force
   // multi-array placements on a healthy fraction of the seeds.

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "support/bitvector.h"
+#include "support/diagnostics.h"
 #include "support/parallel.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -18,6 +19,30 @@
 
 namespace sherlock {
 namespace {
+
+/// A message part that counts how often it is streamed.
+struct CountingPart {
+  int* streams;
+};
+
+std::ostream& operator<<(std::ostream& os, const CountingPart& part) {
+  ++*part.streams;
+  return os << "part";
+}
+
+TEST(Diagnostics, CheckArgBuildsItsMessageOnlyOnFailure) {
+  int streams = 0;
+  CountingPart part{&streams};
+  for (int i = 0; i < 100; ++i) checkArg(i >= 0, "index ", i, " ", part);
+  EXPECT_EQ(streams, 0);
+  try {
+    checkArg(false, "bad ", part, " #", 7);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "bad part #7");
+  }
+  EXPECT_EQ(streams, 1);
+}
 
 TEST(BitVector, ConstructionAndAccess) {
   BitVector v(70);

@@ -119,9 +119,11 @@ TEST(Substitution, RespectsMaxOperands) {
   SubstitutionOptions opt;
   opt.maxOperands = 3;
   auto res = substituteNodes(g, opt);
-  for (NodeId i = res.graph.firstId(); i < res.graph.endId(); ++i)
-    if (res.graph.node(i).isOp())
+  for (NodeId i = res.graph.firstId(); i < res.graph.endId(); ++i) {
+    if (res.graph.node(i).isOp()) {
       EXPECT_LE(res.graph.node(i).operands.size(), 3u);
+    }
+  }
   expectEquivalent(g, res.graph);
 }
 
@@ -362,8 +364,11 @@ TEST(FoldInverters, XorStripsNotsPairwise) {
   g.markOutput(odd);
   Graph out = foldInverters(g);
   // No NOT nodes survive.
-  for (NodeId i = out.firstId(); i < out.endId(); ++i)
-    if (out.node(i).isOp()) EXPECT_NE(out.node(i).op, OpKind::Not);
+  for (NodeId i = out.firstId(); i < out.endId(); ++i) {
+    if (out.node(i).isOp()) {
+      EXPECT_NE(out.node(i).op, OpKind::Not);
+    }
+  }
   expectEquivalent(g, out);
 }
 
