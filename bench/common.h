@@ -81,13 +81,6 @@ struct RunConfig {
   /// Monte-Carlo harnesses trade trial count against this at equal
   /// sample count.
   int laneWords = 1;
-
-  /// Multi-array mesh (bench_multi_array): R x C arrays of arrayDim^2
-  /// cells each, cross-array movement priced at the Manhattan hop
-  /// distance. Unconfigured = the flat single-bus target.
-  arraymodel::GridConfig grid{};
-  /// Columns the optimizer may occupy per array (0 = all).
-  int maxColumnsPerArray = 0;
 };
 
 struct RunResult {
@@ -96,9 +89,6 @@ struct RunResult {
   size_t instructionCount = 0;
   size_t opCount = 0;
   transforms::SubstitutionStats substitution;
-  /// Cluster-to-array sharding (optimized strategy; singleArray=true
-  /// whenever the kernel fit one array).
-  mapping::PartitionResult partition;
 };
 
 /// Bulk width of the evaluated workloads (bits of every logical operand).
@@ -112,7 +102,6 @@ inline RunResult runPipeline(const ir::Graph& canonical,
       cfg.arrayDim, device::TechnologyParams::forTechnology(cfg.tech),
       cfg.mra);
   target.geometry.dataWidthBits = kBulkBits;
-  if (cfg.grid.configured()) target = target.withGrid(cfg.grid);
 
   ir::Graph working = cfg.nandLowered
                           ? transforms::canonicalize(
@@ -150,7 +139,6 @@ inline RunResult runPipeline(const ir::Graph& canonical,
   copts.strategy = cfg.strategy;
   copts.faults.map = faultMap ? &*faultMap : nullptr;
   copts.faults.spareRows = cfg.spareRows;
-  copts.optimizer.maxColumnsPerArray = cfg.maxColumnsPerArray;
   auto compiled = mapping::compile(*final, target, copts);
   sim::SimOptions sopts;
   sopts.laneWords = cfg.laneWords;
@@ -162,7 +150,6 @@ inline RunResult runPipeline(const ir::Graph& canonical,
   out.stats = compiled.program.stats;
   out.instructionCount = compiled.program.instructions.size();
   out.opCount = final->opCount();
-  out.partition = compiled.partition;
   return out;
 }
 

@@ -18,9 +18,8 @@ namespace sherlock::bench {
 /// this as "schema_version"; scripts/compare_bench.py refuses to gate a
 /// run against a baseline from a different version (artifacts without
 /// the field are treated as version 1). Bump when renaming/removing
-/// fields the gates read — additive fields do not need a bump, but this
-/// v2 bump marks the introduction of the field itself plus the per-link
-/// occupancy arrays in BENCH_7.
+/// fields the gates read — additive fields do not need a bump. v2 marks
+/// the introduction of the field itself.
 inline constexpr int kBenchSchemaVersion = 2;
 
 /// Build-once JSON value tree. Construction order is preserved for

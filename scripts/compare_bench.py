@@ -4,7 +4,7 @@
 Usage: compare_bench.py BASELINE.json CURRENT.json [--threshold 0.05]
 
 Both artifacts may carry a "configs" array whose entries describe one
-benchmark point each; entries are matched on (workload, grid, tech,
+benchmark point each; entries are matched on (workload, tech,
 array_dim, strategy, mra, cache_size) and gated two ways:
 
   * latency_ns — geometric-mean regression over the shared configs must
@@ -31,7 +31,6 @@ import sys
 def config_key(c):
     return (
         c.get("workload"),
-        c.get("grid"),
         c.get("tech"),
         c.get("array_dim"),
         c.get("strategy"),

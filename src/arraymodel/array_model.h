@@ -36,6 +36,10 @@ class ArrayCostModel {
   /// CPU-side dispatch of one CIM instruction (1 GHz in-order core).
   double dispatchLatencyNs() const { return 1.0; }
 
+  /// Inter-array bus leg of one move or xfer: every transfer between
+  /// two distinct arrays crosses the one shared bus once.
+  double busLatencyNs() const { return 10.0; }
+
   /// Scouting/plain read: decode + wordline + bitline development + sense.
   /// Latency is independent of the number of sensed columns (parallel
   /// sense amps) and of the activated-row count (parallel wordlines).
@@ -65,6 +69,9 @@ class ArrayCostModel {
 
   /// CPU-side issue energy per instruction.
   double dispatchEnergyPj() const { return 5.0; }
+
+  /// Bus leg of one inter-array transfer: 0.5 pJ per bulk slice bit.
+  double busEnergyPj() const { return 0.5 * geometry_.dataWidthBits; }
 
   // --- Area (mm^2) --------------------------------------------------------
 

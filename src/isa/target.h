@@ -4,7 +4,6 @@
 #pragma once
 
 #include "arraymodel/array_model.h"
-#include "arraymodel/grid.h"
 #include "device/technology.h"
 
 namespace sherlock::isa {
@@ -14,16 +13,9 @@ struct TargetSpec {
   arraymodel::ArrayGeometry geometry;
 
   /// Arrays available to the mapper (layouts spill to additional arrays
-  /// when one array's columns are exhausted).
+  /// when one array's columns are exhausted). They share one flat bus:
+  /// every inter-array transfer costs one bus leg (ArrayCostModel).
   int numArrays = 16;
-
-  /// Physical arrangement of those arrays. Unconfigured (the default)
-  /// keeps the flat-bus model: every inter-array transfer is one hop.
-  /// When configured, grid.cells() arrays are mesh-addressable and
-  /// transfer cost scales with Manhattan distance; arrays beyond the
-  /// mesh (numArrays > cells()) may hold data but XFER may not reach
-  /// them (verifier TransferLegality).
-  arraymodel::GridConfig grid{};
 
   /// Maximum rows a single CIM read may activate. 2 restricts every
   /// operation to two operands (paper's "MRA = 2" configurations); larger
@@ -50,17 +42,6 @@ struct TargetSpec {
                                                     : tech.maxActivatedRows;
   }
 
-  /// Bus hops between two arrays: 0 for a == b, the grid's Manhattan
-  /// distance when both arrays sit on a configured mesh, and 1 (flat
-  /// bus) otherwise.
-  int hopsBetween(int a, int b) const {
-    if (a == b) return 0;
-    if (!grid.configured() || a >= grid.cells() || b >= grid.cells() ||
-        a < 0 || b < 0)
-      return 1;
-    return grid.hopDistance(a, b);
-  }
-
   /// Square N x N target with the paper's data-width pairing.
   static TargetSpec square(int n, device::TechnologyParams tech,
                            int maxActivatedRows = 2) {
@@ -68,15 +49,6 @@ struct TargetSpec {
     t.tech = std::move(tech);
     t.geometry = arraymodel::ArrayGeometry::square(n);
     t.maxActivatedRows = maxActivatedRows;
-    return t;
-  }
-
-  /// Copy of this target with the given mesh; numArrays follows the
-  /// mesh size so every grid array is mapper-addressable.
-  TargetSpec withGrid(arraymodel::GridConfig g) const {
-    TargetSpec t = *this;
-    t.grid = g;
-    if (g.configured()) t.numArrays = g.cells();
     return t;
   }
 };

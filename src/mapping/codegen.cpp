@@ -427,7 +427,7 @@ class CodeGenerator {
 
   /// True when `v`'s nearest copy is a cell on a different array — no
   /// buffer or cell copy exists in `xc`'s array, so movement crosses the
-  /// mesh. ensureInColumn serves that case with a background XFER;
+  /// bus. ensureInColumn serves that case with a background XFER;
   /// chaining it through a synchronous bus Move would be slower.
   bool crossArrayCellSource(NodeId v, ColumnRef xc) const {
     if (findInBuffer(xc.arrayId, v) >= 0) return false;

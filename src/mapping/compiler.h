@@ -50,9 +50,6 @@ struct CompileResult {
   PlacementPlan plan;
   /// Clustering details (optimized strategy only).
   ClusteringResult clustering;
-  /// Cluster-to-array sharding and its schedule estimates (optimized
-  /// strategy only; singleArray=true whenever the kernel fit one array).
-  PartitionResult partition;
 };
 
 inline CompileResult compile(const ir::Graph& g,
@@ -67,7 +64,6 @@ inline CompileResult compile(const ir::Graph& g,
                                   options.faults);
       result.plan = std::move(m.plan);
       result.clustering = std::move(m.clustering);
-      result.partition = std::move(m.partition);
     } else {
       result.plan = mapNaive(g, target, options.faults);
     }

@@ -1,11 +1,122 @@
 #include "mapping/opt_mapper.h"
 
 #include <algorithm>
+#include <map>
 #include <numeric>
 
+#include "ir/analysis.h"
 #include "support/trace.h"
 
 namespace sherlock::mapping {
+
+namespace {
+
+// Places the clusters of a kernel no single array holds, keeping few
+// operand edges on the bus: every edge whose producer and consumer
+// clusters land on different arrays costs the code generator an XFER.
+// A greedy pass places clusters in t-level order (producers before most
+// of their consumers) on the array with the fewest edges to placed
+// neighbors elsewhere, ties going to the lightest-loaded, lowest-id
+// array; Kernighan-Lin-style sweeps then move any cluster that has
+// strictly fewer such edges on another array with room. `budget` holds
+// each array's usable column count. Returns the array of each cluster.
+std::vector<int> spillAcrossArrays(const ir::Graph& g,
+                                   const ClusteringResult& clustering,
+                                   const std::vector<int>& budget,
+                                   int refinePasses) {
+  const size_t nClusters = clustering.clusters.size();
+  const int numArrays = static_cast<int>(budget.size());
+
+  // Operand edges between op nodes of two clusters, counted both ways:
+  // separating the pair costs the same whatever the edge direction.
+  std::vector<std::map<int, long>> affinity(nClusters);
+  for (ir::NodeId v = g.firstId(); v < g.endId(); ++v) {
+    const ir::Node& n = g.node(v);
+    if (!n.isOp()) continue;
+    int cv = clustering.clusterOf[static_cast<size_t>(v)];
+    for (ir::NodeId user : n.users) {
+      int cu = clustering.clusterOf[static_cast<size_t>(user)];
+      if (cu == cv) continue;
+      affinity[static_cast<size_t>(cv)][cu]++;
+      affinity[static_cast<size_t>(cu)][cv]++;
+    }
+  }
+
+  std::vector<int> arrayOf(nClusters, -1);
+  std::vector<int> load(static_cast<size_t>(numArrays), 0);
+  // Edges from cluster c to placed neighbors off `array`.
+  auto crossing = [&](size_t c, int array) {
+    long edges = 0;
+    for (const auto& [other, weight] : affinity[c]) {
+      int a = arrayOf[static_cast<size_t>(other)];
+      if (a >= 0 && a != array) edges += weight;
+    }
+    return edges;
+  };
+  auto hasRoom = [&](int a) {
+    return load[static_cast<size_t>(a)] < budget[static_cast<size_t>(a)];
+  };
+
+  std::vector<int> tl = ir::tLevels(g);
+  std::vector<double> priority(nClusters, 0.0);
+  for (size_t c = 0; c < nClusters; ++c) {
+    const auto& nodes = clustering.clusters[c].nodes;
+    long sum = 0;
+    for (ir::NodeId v : nodes) sum += tl[static_cast<size_t>(v)];
+    if (!nodes.empty())
+      priority[c] =
+          static_cast<double>(sum) / static_cast<double>(nodes.size());
+  }
+  std::vector<size_t> order(nClusters);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return priority[a] < priority[b];
+  });
+
+  for (size_t c : order) {
+    int best = -1;
+    long bestEdges = 0;
+    for (int a = 0; a < numArrays; ++a) {
+      if (!hasRoom(a)) continue;
+      long edges = crossing(c, a);
+      if (best < 0 || edges < bestEdges ||
+          (edges == bestEdges &&
+           load[static_cast<size_t>(a)] < load[static_cast<size_t>(best)])) {
+        best = a;
+        bestEdges = edges;
+      }
+    }
+    arrayOf[c] = best;
+    load[static_cast<size_t>(best)]++;
+  }
+
+  for (int pass = 0; pass < refinePasses; ++pass) {
+    bool moved = false;
+    for (size_t c = 0; c < nClusters; ++c) {
+      int cur = arrayOf[c];
+      int best = cur;
+      long bestEdges = crossing(c, cur);
+      for (int a = 0; a < numArrays; ++a) {
+        if (a == cur || !hasRoom(a)) continue;
+        long edges = crossing(c, a);
+        if (edges < bestEdges) {
+          best = a;
+          bestEdges = edges;
+        }
+      }
+      if (best != cur) {
+        arrayOf[c] = best;
+        load[static_cast<size_t>(cur)]--;
+        load[static_cast<size_t>(best)]++;
+        moved = true;
+      }
+    }
+    if (!moved) break;
+  }
+  return arrayOf;
+}
+
+}  // namespace
 
 OptMapping mapOptimized(const ir::Graph& g, const isa::TargetSpec& target,
                         const OptMapperOptions& options,
@@ -17,9 +128,10 @@ OptMapping mapOptimized(const ir::Graph& g, const isa::TargetSpec& target,
   // the cluster budget is sized to the worst surviving column so any
   // cluster fits any assigned column. maxColumnsPerArray caps how many
   // of each array's columns the mapper occupies.
-  std::vector<std::vector<int>> arrayColumns(
+  std::vector<std::vector<ColumnRef>> arrayColumns(
       static_cast<size_t>(numArrays));
   int planningRows = 0;
+  size_t usableTotal = 0;
   for (int arrayId = 0; arrayId < target.numArrays; ++arrayId) {
     auto& cols = arrayColumns[static_cast<size_t>(arrayId)];
     std::vector<int> usable = usablePlanningCells(target, faults, arrayId);
@@ -30,14 +142,10 @@ OptMapping mapOptimized(const ir::Graph& g, const isa::TargetSpec& target,
       int u = usable[static_cast<size_t>(col)];
       if (faults.map && u < 2) continue;
       planningRows = planningRows == 0 ? u : std::min(planningRows, u);
-      cols.push_back(arrayId * target.cols() + col);
+      cols.push_back(ColumnRef{arrayId, col});
     }
+    usableTotal += cols.size();
   }
-  std::vector<int> budget(static_cast<size_t>(numArrays), 0);
-  for (int a = 0; a < numArrays; ++a)
-    budget[static_cast<size_t>(a)] =
-        static_cast<int>(arrayColumns[static_cast<size_t>(a)].size());
-  long usableTotal = std::accumulate(budget.begin(), budget.end(), 0L);
   if (usableTotal == 0)
     throw MappingError(
         "fault map leaves no usable columns for optimized mapping");
@@ -64,30 +172,35 @@ OptMapping mapOptimized(const ir::Graph& g, const isa::TargetSpec& target,
   }
   const auto& clusters = out.clustering.clusters;
 
-  // Shard the clustered DAG across the mesh (single-array fallback when
-  // one array has room for everything).
-  PartitionOptions popt;
-  popt.arrayColumnBudget = budget;
-  popt.refinePasses = options.refinePasses;
-  {
-    trace::Span span("mapping", "partition");
-    out.partition = partitionClusters(g, out.clustering, target, popt);
-  }
-
   PlacementPlan& plan = out.plan;
   plan.opLocation.resize(g.numNodes());
   plan.leafColumns.resize(g.numNodes());
   plan.clusterCount = static_cast<int>(clusters.size());
   plan.usedColumns = static_cast<int>(clusters.size());
 
-  // Hand each cluster the next free column of its assigned array.
-  std::vector<size_t> cursor(static_cast<size_t>(numArrays), 0);
+  // Every cluster goes on the first array with a usable column for each,
+  // so no value crosses the bus; a kernel no array holds spills. The
+  // clusterer's maxClusters keeps the cluster count within usableTotal.
+  std::vector<int> budget;
+  for (const auto& cols : arrayColumns)
+    budget.push_back(static_cast<int>(cols.size()));
+  std::vector<int> arrayOf;
+  auto first = std::find_if(budget.begin(), budget.end(), [&](int cols) {
+    return static_cast<size_t>(cols) >= clusters.size();
+  });
+  if (first != budget.end())
+    arrayOf.assign(clusters.size(),
+                   static_cast<int>(first - budget.begin()));
+  else
+    arrayOf = spillAcrossArrays(g, out.clustering, budget,
+                                options.refinePasses);
+
+  // Hand each cluster the next usable column of its array.
+  std::vector<size_t> cursor(budget.size(), 0);
   std::vector<ColumnRef> clusterColumn(clusters.size());
   for (size_t ci = 0; ci < clusters.size(); ++ci) {
-    int arrayId = out.partition.arrayOf[ci];
-    int globalCol = arrayColumns[static_cast<size_t>(
-        arrayId)][cursor[static_cast<size_t>(arrayId)]++];
-    clusterColumn[ci] = ColumnRef{arrayId, globalCol % target.cols()};
+    auto a = static_cast<size_t>(arrayOf[ci]);
+    clusterColumn[ci] = arrayColumns[a][cursor[a]++];
   }
 
   for (size_t ci = 0; ci < clusters.size(); ++ci)
@@ -112,8 +225,7 @@ OptMapping mapOptimized(const ir::Graph& g, const isa::TargetSpec& target,
       } else {
         for (const auto& ac : arrayColumns)
           if (!ac.empty()) {
-            cols.push_back(
-                ColumnRef{ac[0] / target.cols(), ac[0] % target.cols()});
+            cols.push_back(ac[0]);
             break;
           }
       }

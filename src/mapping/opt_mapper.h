@@ -10,7 +10,6 @@
 #include "isa/target.h"
 #include "mapping/clustering.h"
 #include "mapping/layout.h"
-#include "mapping/partition.h"
 #include "mapping/placement.h"
 
 namespace sherlock::mapping {
@@ -20,7 +19,8 @@ struct OptMapperOptions {
   double alpha = 1.0;
   double beta = -0.5;
   uint64_t seed = 1;
-  /// Post-merge local refinement sweeps (see clustering.h).
+  /// Post-merge local refinement sweeps (see clustering.h); also the
+  /// most Kernighan-Lin sweeps a spill across arrays makes.
   int refinePasses = 2;
   /// Fraction of a column's rows the clusterer may budget. The remainder
   /// absorbs run-time allocations (movement targets, flushed buffers).
@@ -34,13 +34,14 @@ struct OptMapperOptions {
 struct OptMapping {
   PlacementPlan plan;
   ClusteringResult clustering;
-  /// Cluster-to-array assignment and its implied transfers/makespans.
-  PartitionResult partition;
 };
 
 /// Produces the Algorithm 2 placement plan. With a fault policy, clusters
 /// are budgeted against the worst usable column and assigned only to
-/// columns that can actually hold one (dead columns are skipped). Throws
+/// columns that can actually hold one (dead columns are skipped). All
+/// clusters go on the first array with a usable column for each; a
+/// kernel no array holds spills across arrays, keeping few operand
+/// edges on the bus (greedy placement plus Kernighan-Lin sweeps). Throws
 /// MappingError when the clusters cannot fit the target's columns.
 OptMapping mapOptimized(const ir::Graph& g, const isa::TargetSpec& target,
                         const OptMapperOptions& options = {},

@@ -32,7 +32,7 @@ namespace sherlock::serve {
 
 /// Bump when the snapshot framing or the cache-key/canonicalization
 /// schema changes incompatibly; old snapshots are then dropped whole.
-inline constexpr int kCacheSnapshotVersion = 1;
+inline constexpr int kCacheSnapshotVersion = 2;
 
 struct SnapshotStats {
   size_t written = 0;  ///< entries in the snapshot just saved

@@ -68,8 +68,6 @@ void applyOption(RequestOptions& o, const std::string& key,
   else if (key == "strategy") o.strategy = value;
   else if (key == "mra") o.mra = static_cast<int>(parseLong(key, value));
   else if (key == "fraction") o.fraction = parseDouble(key, value);
-  else if (key == "grid") o.grid = value;
-  else if (key == "hop-cost") o.hopCost = parseDouble(key, value);
   else if (key == "fault-density") o.faultDensity = parseDouble(key, value);
   else if (key == "fault-seed")
     o.faultSeed = static_cast<uint64_t>(parseLong(key, value));

@@ -7,9 +7,9 @@
 //                                lang=dag|kernel emit=asm|stats
 //                                target=<N> tech=reram|stt|pcm
 //                                strategy=opt|naive mra=<k>
-//                                fraction=<f> grid=<RxC> hop-cost=<ns>
-//                                fault-density=<f> fault-seed=<N>
-//                                spare-rows=<N> nand=0|1 opt=0|1
+//                                fraction=<f> fault-density=<f>
+//                                fault-seed=<N> spare-rows=<N>
+//                                nand=0|1 opt=0|1
 //                                deadline-ms=<ms> (0 = no deadline)
 //   <kernel lines ...>           the kernel body (sherlock-dag text or
 //                                kernel-language source, per lang=)

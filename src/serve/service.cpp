@@ -54,8 +54,7 @@ std::string optionsKey(const RequestOptions& o) {
   return strCat("emit=", o.emit, "|strategy=", o.strategy,
                 "|dim=", o.targetDim, "|mra=", o.mra,
                 "|frac=", o.fraction, "|tech=", o.tech,
-                "|grid=", o.grid.empty() ? "-" : o.grid,
-                "|hop=", o.hopCost, "|fd=", o.faultDensity,
+                "|fd=", o.faultDensity,
                 "|fseed=", o.faultSeed, "|spare=", o.spareRows,
                 "|nand=", o.nandLower ? 1 : 0,
                 "|O=", o.aggressive ? 1 : 0);
@@ -104,9 +103,6 @@ std::string CompileService::compileBody(
 
   isa::TargetSpec target =
       isa::TargetSpec::square(o.targetDim, techFor(o.tech), o.mra);
-  if (!o.grid.empty())
-    target = target.withGrid(arraymodel::GridConfig::parse(o.grid));
-  if (o.hopCost >= 0) target.grid.hopLatencyNs = o.hopCost;
 
   const ir::Graph* graph = &request.graph;
   ir::Graph substituted;
@@ -140,8 +136,7 @@ std::string CompileService::compileBody(
 
   std::ostringstream out;
   out << "# sherlock-serve " << target.tech.name << " " << o.targetDim
-      << "x" << o.targetDim << " " << o.strategy
-      << (o.grid.empty() ? "" : strCat(" grid=", o.grid)) << "\n";
+      << "x" << o.targetDim << " " << o.strategy << "\n";
   if (o.emit == "asm") {
     out << isa::toAssembly(compiled.program.instructions);
     return out.str();
@@ -443,29 +438,6 @@ ServiceStats CompileService::stats() const {
   s.coldP99Us = cold.p99;
   s.coldMeanUs = cold.mean;
   return s;
-}
-
-std::string ServiceStats::toJson() const {
-  std::ostringstream out;
-  out << "{\n"
-      << "  \"requests\": " << counters.requests << ",\n"
-      << "  \"hits\": " << counters.hits << ",\n"
-      << "  \"direct_hits\": " << counters.directHits << ",\n"
-      << "  \"misses\": " << counters.misses << ",\n"
-      << "  \"coalesced\": " << counters.coalesced << ",\n"
-      << "  \"errors\": " << counters.errors << ",\n"
-      << "  \"evictions\": " << counters.evictions << ",\n"
-      << "  \"hit_rate\": " << counters.hitRate() << ",\n"
-      << "  \"cache_size\": " << cacheSize << ",\n"
-      << "  \"cache_capacity\": " << cacheCapacity << ",\n"
-      << "  \"hit_p50_us\": " << hitP50Us << ",\n"
-      << "  \"hit_p99_us\": " << hitP99Us << ",\n"
-      << "  \"hit_mean_us\": " << hitMeanUs << ",\n"
-      << "  \"cold_p50_us\": " << coldP50Us << ",\n"
-      << "  \"cold_p99_us\": " << coldP99Us << ",\n"
-      << "  \"cold_mean_us\": " << coldMeanUs << "\n"
-      << "}\n";
-  return out.str();
 }
 
 }  // namespace sherlock::serve

@@ -9,8 +9,8 @@
 // ir/canonical.h) and keys the cache on
 //
 //   (canonical DAG fingerprint, mapping strategy, array dim, MRA,
-//    technology, grid + hop cost, fault policy, NAND lowering,
-//    aggressive-opt flag, emit kind)
+//    technology, fault policy, NAND lowering, aggressive-opt flag,
+//    emit kind)
 //
 // — everything the emitted program bytes depend on. The cached body is
 // compiled from the *canonical* graph, so every member of an
@@ -58,8 +58,6 @@ struct RequestOptions {
   std::string strategy = "opt";
   int mra = 2;
   double fraction = 1.0;   ///< substitution budget when mra > 2
-  std::string grid;        ///< "RxC" mesh; empty = single array
-  double hopCost = -1;     ///< per-hop bus latency ns; <0 = default
   double faultDensity = 0; ///< stuck density (+ density/2 weak)
   uint64_t faultSeed = 1;
   int spareRows = 0;
@@ -105,11 +103,6 @@ struct ServiceStats {
   double hitP50Us = 0, hitP99Us = 0;
   double coldP50Us = 0, coldP99Us = 0;
   double hitMeanUs = 0, coldMeanUs = 0;
-
-  /// Legacy flat JSON object. The serve protocol's STATS verb and
-  /// sherlockc --metrics-out emit CompileService::metricsJson() (the
-  /// unified MetricsRegistry schema) instead.
-  std::string toJson() const;
 };
 
 /// Counts accepted/rejected entries of a cache snapshot operation.

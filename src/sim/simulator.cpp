@@ -280,75 +280,24 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
   };
 
   double now = 0.0;
-  // Interconnect occupancy. A move occupies the fabric synchronously; an
-  // xfer hands the sensed bit to the transfer engine and the fabric leg
-  // plus destination write complete in the background, so compute on the
+  // Inter-array bus occupancy. Every transfer serializes through one
+  // flat bus (busFreeNs). A move occupies it synchronously; an xfer hands
+  // the sensed bit to the transfer engine and the bus leg plus
+  // destination write complete in the background, so compute on the
   // issuing array overlaps with the movement.
-  //
-  // Without a configured grid every transfer serializes through one flat
-  // bus (busFreeNs). A configured mesh instead has one directed link per
-  // neighbor pair; transfers follow XY routes and claim each link for one
-  // hop slot, so traffic on disjoint links proceeds in parallel and only
-  // genuinely shared links queue.
   double busFreeNs = 0.0;
-  std::vector<double> linkFreeNs;
-  // Per-directed-link occupancy rollup (SimResult::linkStats), kept in
-  // flat arrays parallel to linkFreeNs so claim() stays branch-free.
-  std::vector<double> linkBusyNs;
-  std::vector<long> linkTransfers;
-  if (target.grid.configured()) {
-    linkFreeNs.assign(static_cast<size_t>(target.grid.cells()) * 4, 0.0);
-    linkBusyNs.assign(linkFreeNs.size(), 0.0);
-    linkTransfers.assign(linkFreeNs.size(), 0);
-  }
-  // Per-hop transfer cost; the GridConfig defaults reproduce the
-  // pre-grid flat bus (10 ns / 0.5 pJ-per-bit, one hop per transfer).
-  const double hopLatencyNs = target.grid.hopLatencyNs;
-  const double hopEnergyPj =
-      target.grid.hopEnergyPerBitPj * target.geometry.dataWidthBits;
-  // Routes one buffered bit from srcArray to dstArray, first requested at
-  // readyNs. Returns {injectionNs, arrivalNs} and charges busWait/busBusy.
-  auto routeBit = [&](int srcArray, int dstArray,
-                      double readyNs) -> std::pair<double, double> {
-    const int meshCells = target.grid.cells();
-    if (!target.grid.configured() || srcArray >= meshCells ||
-        dstArray >= meshCells || srcArray < 0 || dstArray < 0) {
-      int hops = target.hopsBetween(srcArray, dstArray);
-      double start = std::max(readyNs, busFreeNs);
-      double end = start + hops * hopLatencyNs;
-      busFreeNs = end;
-      result.busWaitNs += start - readyNs;
-      result.busBusyNs += hops * hopLatencyNs;
-      return {start, end};
-    }
-    if (srcArray == dstArray) return {readyNs, readyNs};
-    // XY route: column direction first, then row direction. Directed
-    // links are keyed (array, direction); the bit holds each link for
-    // one hop slot as it cuts through.
-    const int C = target.grid.cols;
-    int r = srcArray / C, c = srcArray % C;
-    const int r2 = dstArray / C, c2 = dstArray % C;
-    double t = readyNs, start = -1.0;
-    auto claim = [&](int dir) {
-      size_t link = (static_cast<size_t>(r) * C + c) * 4 + dir;
-      double s = std::max(t, linkFreeNs[link]);
-      if (start < 0.0) start = s;
-      result.busWaitNs += s - t;
-      t = s + hopLatencyNs;
-      linkFreeNs[link] = t;
-      result.busBusyNs += hopLatencyNs;
-      linkBusyNs[link] += hopLatencyNs;
-      linkTransfers[link]++;
-    };
-    while (c != c2) {
-      claim(c2 > c ? 0 : 1);
-      c += c2 > c ? 1 : -1;
-    }
-    while (r != r2) {
-      claim(r2 > r ? 2 : 3);
-      r += r2 > r ? 1 : -1;
-    }
-    return {start, t};
+  // Carries one buffered bit from srcArray to dstArray, first requested
+  // at readyNs: charges busWait/busBusy and the leg's energy, and returns
+  // the arrival time. A same-array leg is free but still queues.
+  auto busLeg = [&](int srcArray, int dstArray, double readyNs) {
+    const bool crosses = srcArray != dstArray;
+    const double legNs = crosses ? cost.busLatencyNs() : 0.0;
+    double start = std::max(readyNs, busFreeNs);
+    busFreeNs = start + legNs;
+    result.busWaitNs += start - readyNs;
+    result.busBusyNs += legNs;
+    if (crosses) result.energyPj += cost.busEnergyPj();
+    return busFreeNs;
   };
   Rng faultRng(options.faultSeed);
   // Monte-Carlo fault injection: toggles each of the 64 * W lanes
@@ -739,10 +688,8 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
             uint64_t{1} << (inst.dstCol & 63);
         // A move is synchronous (the destination buffer bit is consumed
         // by the very next instructions), so the issuing controller
-        // queues behind any in-flight transfer on the links it needs.
-        int hops = target.hopsBetween(inst.arrayId, inst.dstArray);
-        now = routeBit(inst.arrayId, inst.dstArray, now).second;
-        result.energyPj += hops * hopEnergyPj;
+        // queues behind any in-flight transfer on the bus.
+        now = busLeg(inst.arrayId, inst.dstArray, now);
         break;
       }
 
@@ -819,14 +766,11 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         now += senses * cost.readLatencyNs();
         result.energyPj += senses * cost.readEnergyPj(1, 1);
 
-        // Fabric leg: the engine queues for the links on its XY route and
-        // carries the bit hop by hop. The issuing controller does NOT
-        // wait — compute overlaps with the movement; only a later
-        // consumer of the destination cell (or a transfer sharing a
-        // link) can stall on it.
-        int hops = target.hopsBetween(inst.arrayId, inst.dstArray);
-        double busEnd = routeBit(inst.arrayId, inst.dstArray, now).second;
-        result.energyPj += hops * hopEnergyPj;
+        // Bus leg: the engine queues for the bus and carries the bit.
+        // The issuing controller does NOT wait — compute overlaps with
+        // the movement; only a later consumer of the destination cell
+        // (or a later transfer) can stall on it.
+        double busEnd = busLeg(inst.arrayId, inst.dstArray, now);
 
         // Destination write: posted, completing after the bus delivers.
         ArrayState& dst = arrayAt(inst.dstArray);
@@ -880,23 +824,6 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
     }
   }
 
-  if (!linkTransfers.empty()) {
-    const int C = target.grid.cols;
-    for (size_t link = 0; link < linkTransfers.size(); ++link) {
-      if (linkTransfers[link] == 0) continue;
-      const int cell = static_cast<int>(link / 4);
-      const int dir = static_cast<int>(link % 4);
-      int r2 = cell / C, c2 = cell % C;
-      // Link direction encoding mirrors routeBit's claim(): 0 = +col,
-      // 1 = -col, 2 = +row, 3 = -row.
-      if (dir == 0) ++c2;
-      else if (dir == 1) --c2;
-      else if (dir == 2) ++r2;
-      else --r2;
-      result.linkStats.push_back(
-          {cell, r2 * C + c2, linkBusyNs[link], linkTransfers[link]});
-    }
-  }
 
   result.latencyNs = now;
   result.pApp = failures.probability();

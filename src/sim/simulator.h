@@ -129,9 +129,9 @@ struct SimResult {
   long xferCount = 0;
 
   /// Inter-array bus occupancy accounting. busBusyNs is the total time
-  /// the shared bus spent carrying bits (hop latency x hops, summed over
-  /// every move/xfer); busWaitNs is the time transfers spent queued
-  /// behind earlier traffic before the bus freed up.
+  /// the shared bus spent carrying bits (one bus leg per move/xfer
+  /// between distinct arrays); busWaitNs is the time transfers spent
+  /// queued behind earlier traffic before the bus freed up.
   double busBusyNs = 0;
   double busWaitNs = 0;
 
@@ -155,18 +155,6 @@ struct SimResult {
     double energyPj = 0;
   };
   std::array<OpcodeRollup, kOpClassCount> opcodeRollups{};
-
-  /// Mesh per-directed-link occupancy (configured grids only): one
-  /// entry per link that carried at least one hop, in link-index order.
-  /// Explains *where* bus time went on a mesh — a single saturated link
-  /// with everything else idle reads very differently from uniform load.
-  struct LinkStats {
-    int fromArray = 0;
-    int toArray = 0;
-    double busyNs = 0;   ///< time this link spent carrying bits
-    long transfers = 0;  ///< hop claims routed through this link
-  };
-  std::vector<LinkStats> linkStats;
 
   /// Outcome of the output comparison (options.verify): true iff every
   /// output lane matched the reference evaluator. Under injectFaults or a

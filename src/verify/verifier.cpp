@@ -613,21 +613,6 @@ std::optional<Violation> checkInstructionRules(const Instruction& inst,
       v.row = inst.dstRow;
       return v;
     }
-    if (target.grid.configured()) {
-      int mesh = target.grid.cells();
-      int outside = inst.arrayId >= mesh  ? inst.arrayId
-                    : inst.dstArray >= mesh ? inst.dstArray
-                                            : -1;
-      if (outside >= 0) {
-        Violation v = makeRuleViolation(
-            Rule::TransferLegality, index, inst,
-            strCat("transfer touches array ", outside, " outside the ",
-                   target.grid.toString(), " mesh (arrays [0, ", mesh,
-                   ") are bus-reachable)"));
-        v.arrayId = outside;
-        return v;
-      }
-    }
     return std::nullopt;
   }
 

@@ -39,11 +39,9 @@
 //                        stuck-at cell (fault-aware placement must have
 //                        routed around every persistent defect).
 //  * TransferLegality  — an XFER crosses arrays (same-array transfers
-//                        are shift/write territory), both endpoints sit
-//                        inside the configured mesh (out-of-grid arrays
-//                        are bus-unreachable), and the destination row is
-//                        not in the spare-reserved repair region (see
-//                        VerifyOptions::spareRows).
+//                        are shift/write territory) and the destination
+//                        row is not in the spare-reserved repair region
+//                        (see VerifyOptions::spareRows).
 //  * ValueEquivalence  — symbolic execution assigns every cell/buffer bit
 //                        a hash-consed value number; each output cell's
 //                        number must equal the number of its DAG node.

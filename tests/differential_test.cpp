@@ -16,6 +16,7 @@
 
 #include <iostream>
 #include <map>
+#include <set>
 
 #include "cpu/cpu_model.h"
 #include "dag_fuzz.h"
@@ -188,23 +189,25 @@ void runFaultSeed(uint64_t seed) {
 }
 
 // Multi-array differential level: the same fuzzed DAGs compiled onto
-// 1x1, 1x2 and 2x2 meshes with per-array column caps tight enough to
-// force genuine sharding (transfers at the cut edges), then statically
-// verified — including TransferLegality and cross-array ValueEquivalence
-// — and simulated at both lane widths against the packed reference. A
-// second pass per grid repeats the compile fault-aware against a dense
-// fault map and checks guarded execution still reproduces the reference.
-// Seed count: SHERLOCK_GRID_FUZZ_SEEDS (total across 4 shards, default
-// 200), range start SHERLOCK_GRID_FUZZ_FIRST_SEED.
-struct GridFuzzPoint {
-  int rows;
-  int cols;
+// targets of 16, 2 and 4 arrays on the shared bus, with per-array column
+// caps tight enough to force genuine sharding (moves and xfers at the
+// cut edges), then statically verified — including TransferLegality and
+// cross-array ValueEquivalence — and simulated at both lane widths
+// against the packed reference. A second pass per target repeats the
+// compile fault-aware against a dense fault map and checks guarded
+// execution still reproduces the reference. Seed count:
+// SHERLOCK_MULTI_ARRAY_FUZZ_SEEDS (total across 4 shards, default 200),
+// range start SHERLOCK_MULTI_ARRAY_FUZZ_FIRST_SEED.
+struct MultiArrayFuzzPoint {
+  int numArrays;
   int maxColumnsPerArray;  // 0 = whole array
+  uint64_t faultSeedSalt;  // offsets the guarded pass's fault-map seed
 };
 
-constexpr GridFuzzPoint kFuzzGrids[] = {{1, 1, 0}, {1, 2, 2}, {2, 2, 1}};
+constexpr MultiArrayFuzzPoint kFuzzArrayCounts[] = {
+    {16, 0, 17}, {2, 2, 18}, {4, 1, 34}};
 
-void runGridSeed(uint64_t seed, long& shardedRuns) {
+void runMultiArraySeed(uint64_t seed, long& shardedRuns) {
   workloads::RandomDagSpec spec = sampleDagSpec(seed);
   ir::Graph g = transforms::canonicalize(workloads::buildRandomDag(spec));
 
@@ -219,35 +222,43 @@ void runGridSeed(uint64_t seed, long& shardedRuns) {
     words[name] = v[0];
   }
 
-  for (const GridFuzzPoint& gp : kFuzzGrids) {
-    SCOPED_TRACE(strCat("grid ", gp.rows, "x", gp.cols, " cap ",
-                        gp.maxColumnsPerArray));
+  for (const MultiArrayFuzzPoint& point : kFuzzArrayCounts) {
+    SCOPED_TRACE(strCat(point.numArrays, " arrays, cap ",
+                        point.maxColumnsPerArray));
     isa::TargetSpec target = isa::TargetSpec::square(
         64, device::TechnologyParams::reRam(), spec.maxArity);
-    if (gp.rows * gp.cols > 1)
-      target = target.withGrid(arraymodel::GridConfig{gp.rows, gp.cols});
+    target.numArrays = point.numArrays;
 
     mapping::CompileOptions copts;
     copts.strategy = mapping::Strategy::Optimized;
     copts.verify = false;  // verified explicitly below
-    copts.optimizer.maxColumnsPerArray = gp.maxColumnsPerArray;
+    copts.optimizer.maxColumnsPerArray = point.maxColumnsPerArray;
     mapping::CompileResult compiled;
     try {
       compiled = mapping::compile(g, target, copts);
     } catch (const MappingError&) {
       // The tight cap left fewer columns than the DAG needs clusters;
-      // that seed/grid point is genuinely infeasible, not a bug.
+      // that seed/target point is genuinely infeasible, not a bug.
       continue;
     }
-    if (!compiled.partition.singleArray) {
-      shardedRuns++;
-      // Independent clusters can shard without any cut; only a real cut
-      // obliges the code generator to move values across the mesh.
-      if (!compiled.partition.transfers.empty()) {
-        EXPECT_GT(
-            compiled.program.stats.xfers + compiled.program.stats.moves, 0u)
-            << "cut placement emitted no inter-array movement";
-      }
+    // Independent clusters can shard without any cut; only an op operand
+    // executing on another array obliges the code generator to move it.
+    std::set<int> arraysUsed;
+    bool cut = false;
+    for (ir::NodeId v = g.firstId(); v < g.endId(); ++v) {
+      if (!g.node(v).isOp()) continue;
+      int arrayId = compiled.plan.opLocation[static_cast<size_t>(v)].arrayId;
+      arraysUsed.insert(arrayId);
+      for (ir::NodeId q : g.node(v).operands)
+        cut |= g.node(q).isOp() &&
+               compiled.plan.opLocation[static_cast<size_t>(q)].arrayId !=
+                   arrayId;
+    }
+    if (arraysUsed.size() > 1) shardedRuns++;
+    if (cut) {
+      EXPECT_GT(compiled.program.stats.xfers + compiled.program.stats.moves,
+                0u)
+          << "cut placement emitted no inter-array movement";
     }
 
     verify::VerifyResult vr =
@@ -274,7 +285,7 @@ void runGridSeed(uint64_t seed, long& shardedRuns) {
     // guarded Monte-Carlo execution. XFER endpoints must avoid every
     // stuck cell (the verifier proves it; the simulator re-checks).
     device::FaultMapOptions fo;
-    fo.seed = seed * 0x9e3779b9ULL + gp.rows * 16 + gp.cols;
+    fo.seed = seed * 0x9e3779b9ULL + point.faultSeedSalt;
     fo.stuckDensity = 0.02;
     fo.weakDensity = 0.01;
     device::FaultMap map = device::FaultMap::generate(
@@ -352,30 +363,32 @@ TEST_P(FaultShard, GuardedExecutionSurvivesFaultyArrays) {
 
 INSTANTIATE_TEST_SUITE_P(FaultFuzz, FaultShard, ::testing::Range(0, 4));
 
-class GridShard : public ::testing::TestWithParam<int> {};
+class MultiArrayShard : public ::testing::TestWithParam<int> {};
 
-TEST_P(GridShard, ShardedProgramsAgreeAcrossGrids) {
-  const long perShard = (envLong("SHERLOCK_GRID_FUZZ_SEEDS", 200) + 3) / 4;
-  const long first = envLong("SHERLOCK_GRID_FUZZ_FIRST_SEED", 1) +
+TEST_P(MultiArrayShard, ShardedProgramsAgreeAcrossArrayCounts) {
+  const long perShard =
+      (envLong("SHERLOCK_MULTI_ARRAY_FUZZ_SEEDS", 200) + 3) / 4;
+  const long first = envLong("SHERLOCK_MULTI_ARRAY_FUZZ_FIRST_SEED", 1) +
                      GetParam() * perShard;
   const long last = first + perShard - 1;
-  std::cout << "[grid-fuzz] shard " << GetParam() << ": seeds " << first
-            << ".." << last
-            << " (reproduce one: SHERLOCK_GRID_FUZZ_SEEDS=1 "
-               "SHERLOCK_GRID_FUZZ_FIRST_SEED=<seed> ./differential_test "
-               "--gtest_filter='*GridShard*')\n";
+  std::cout << "[multi-array-fuzz] shard " << GetParam() << ": seeds "
+            << first << ".." << last
+            << " (reproduce one: SHERLOCK_MULTI_ARRAY_FUZZ_SEEDS=1 "
+               "SHERLOCK_MULTI_ARRAY_FUZZ_FIRST_SEED=<seed> "
+               "./differential_test --gtest_filter='*MultiArrayShard*')\n";
   long shardedRuns = 0;
   for (long seed = first; seed <= last; ++seed) {
     SCOPED_TRACE(strCat("seed ", seed));
-    runGridSeed(static_cast<uint64_t>(seed), shardedRuns);
+    runMultiArraySeed(static_cast<uint64_t>(seed), shardedRuns);
     if (::testing::Test::HasFatalFailure()) return;
   }
   // The caps must force real multi-array placements, or the shard tested
-  // nothing beyond the flat path.
+  // nothing beyond the single-array path.
   EXPECT_GT(shardedRuns, 0) << "no seed sharded across arrays";
 }
 
-INSTANTIATE_TEST_SUITE_P(GridFuzz, GridShard, ::testing::Range(0, 4));
+INSTANTIATE_TEST_SUITE_P(MultiArrayFuzz, MultiArrayShard,
+                         ::testing::Range(0, 4));
 
 }  // namespace
 }  // namespace sherlock::testing

@@ -143,33 +143,6 @@ TEST(Validation, RowlessReadRequiresFullChaining) {
   EXPECT_THROW(validateInstruction(bad, 1, 16, 16), Error);
 }
 
-TEST(Target, GridHopsAreManhattanDistance) {
-  auto t = TargetSpec::square(64, device::TechnologyParams::reRam())
-               .withGrid(arraymodel::GridConfig{2, 3});
-  EXPECT_EQ(t.numArrays, 6);
-  EXPECT_EQ(t.hopsBetween(0, 0), 0);
-  EXPECT_EQ(t.hopsBetween(0, 1), 1);   // (0,0) -> (0,1)
-  EXPECT_EQ(t.hopsBetween(0, 5), 3);   // (0,0) -> (1,2)
-  EXPECT_EQ(t.hopsBetween(5, 0), 3);   // symmetric
-  // Unconfigured targets keep the historical flat-bus cost: one hop
-  // between distinct arrays, zero within one.
-  auto flat = TargetSpec::square(64, device::TechnologyParams::reRam());
-  EXPECT_EQ(flat.hopsBetween(0, 0), 0);
-  EXPECT_EQ(flat.hopsBetween(0, 1), 1);
-}
-
-TEST(Target, GridConfigParse) {
-  auto g = arraymodel::GridConfig::parse("2x3");
-  EXPECT_EQ(g.rows, 2);
-  EXPECT_EQ(g.cols, 3);
-  EXPECT_EQ(g.toString(), "2x3");
-  EXPECT_THROW(arraymodel::GridConfig::parse("22"), Error);
-  EXPECT_THROW(arraymodel::GridConfig::parse("x3"), Error);
-  EXPECT_THROW(arraymodel::GridConfig::parse("2x"), Error);
-  EXPECT_THROW(arraymodel::GridConfig::parse("0x4"), Error);
-  EXPECT_ANY_THROW(arraymodel::GridConfig::parse("axb"));
-}
-
 TEST(Target, MraLimitCappedByTechnology) {
   auto t = TargetSpec::square(512, device::TechnologyParams::reRam(), 32);
   EXPECT_EQ(t.mraLimit(), t.tech.maxActivatedRows);

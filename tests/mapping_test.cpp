@@ -442,6 +442,154 @@ TEST(OptMapper, OpsExecuteInTheirClusterColumn) {
     }
 }
 
+/// Execution column of each cluster, in cluster order (every op of a
+/// cluster runs in the same column).
+std::vector<ColumnRef> clusterColumns(const OptMapping& m) {
+  std::vector<ColumnRef> cols;
+  for (const Cluster& c : m.clustering.clusters)
+    cols.push_back(m.plan.opLocation[static_cast<size_t>(c.nodes.front())]);
+  return cols;
+}
+
+/// Sticks every cell of (arrayId, col) except row 0: one usable cell is
+/// too few to hold a cluster, so the optimizing mapper skips the column.
+void killColumn(device::FaultMap& map, int arrayId, int col) {
+  for (int row = 1; row < map.rows(); ++row)
+    map.setFault(arrayId, row, col, device::CellFault::StuckAtHrs);
+}
+
+TEST(OptMapper, KernelThatFitsGoesOnFirstArrayWithRoom) {
+  ir::Graph g = workloads::buildBitweaving({16});
+  isa::TargetSpec target = smallTarget(32);
+  target.numArrays = 4;
+  std::vector<ColumnRef> fit = clusterColumns(mapOptimized(g, target));
+  ASSERT_GT(fit.size(), 1u);
+  for (size_t ci = 0; ci < fit.size(); ++ci)
+    EXPECT_EQ(fit[ci], (ColumnRef{0, static_cast<int>(ci)}));
+
+  // Array 0 keeps one usable column, too few for the kernel: the whole
+  // kernel moves to array 1 instead of spilling across arrays.
+  device::FaultMap map(target.numArrays, target.rows(), target.cols());
+  for (int col = 1; col < target.cols(); ++col) killColumn(map, 0, col);
+  FaultPolicy faults{&map, 0};
+  std::vector<ColumnRef> moved =
+      clusterColumns(mapOptimized(g, target, {}, faults));
+  ASSERT_GT(moved.size(), 1u);
+  for (size_t ci = 0; ci < moved.size(); ++ci)
+    EXPECT_EQ(moved[ci], (ColumnRef{1, static_cast<int>(ci)}));
+}
+
+/// Checks a spilled placement against the usable columns of each array
+/// (`slots`, in column order): clusters of one array take its first
+/// usable columns in cluster order, so no array exceeds its budget and
+/// no cluster lands on a column outside `slots`. Returns the array count.
+int expectColumnsFilledPerArray(
+    const std::vector<ColumnRef>& cols,
+    const std::vector<std::vector<ColumnRef>>& slots) {
+  std::vector<size_t> cursor(slots.size(), 0);
+  std::set<int> arrays;
+  for (size_t ci = 0; ci < cols.size(); ++ci) {
+    auto a = static_cast<size_t>(cols[ci].arrayId);
+    EXPECT_LT(a, slots.size()) << "cluster " << ci;
+    if (a >= slots.size()) continue;
+    EXPECT_LT(cursor[a], slots[a].size())
+        << "cluster " << ci << " overflows array " << a;
+    if (cursor[a] < slots[a].size()) {
+      EXPECT_EQ(cols[ci], slots[a][cursor[a]]) << "cluster " << ci;
+    }
+    cursor[a]++;
+    arrays.insert(cols[ci].arrayId);
+  }
+  return static_cast<int>(arrays.size());
+}
+
+TEST(OptMapper, SpillKeepsCapsAndNoSingleMoveCutsFewerEdges) {
+  isa::TargetSpec target = smallTarget(16);
+  OptMapperOptions options;
+  options.maxColumnsPerArray = 2;
+  options.refinePasses = 1000;  // sweeps run until no cluster moves
+  std::vector<std::vector<ColumnRef>> slots(
+      static_cast<size_t>(target.numArrays));
+  for (int a = 0; a < target.numArrays; ++a)
+    slots[static_cast<size_t>(a)] = {{a, 0}, {a, 1}};
+
+  int spilled = 0;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(strCat("seed ", seed));
+    workloads::RandomDagSpec spec;
+    spec.seed = seed;
+    spec.inputs = 8;
+    spec.ops = 120;
+    ir::Graph g = transforms::canonicalize(workloads::buildRandomDag(spec));
+    OptMapping m;
+    try {
+      m = mapOptimized(g, target, options);
+    } catch (const MappingError&) {
+      continue;  // more clusters than the capped arrays hold
+    }
+    std::vector<ColumnRef> cols = clusterColumns(m);
+    if (expectColumnsFilledPerArray(cols, slots) > 1) spilled++;
+
+    // Kernighan-Lin fixpoint: moving one cluster to another array with
+    // room never lowers its operand edges to clusters on other arrays.
+    std::vector<int> load(static_cast<size_t>(target.numArrays), 0);
+    for (ColumnRef c : cols) load[static_cast<size_t>(c.arrayId)]++;
+    const auto& clusterOf = m.clustering.clusterOf;
+    for (size_t ci = 0; ci < cols.size(); ++ci) {
+      std::vector<long> crossing(static_cast<size_t>(target.numArrays), 0);
+      for (NodeId v = g.firstId(); v < g.endId(); ++v) {
+        if (!g.node(v).isOp()) continue;
+        for (NodeId u : g.node(v).users) {
+          int cv = clusterOf[static_cast<size_t>(v)];
+          int cu = clusterOf[static_cast<size_t>(u)];
+          if (cv == cu || (static_cast<size_t>(cv) != ci &&
+                           static_cast<size_t>(cu) != ci))
+            continue;
+          int other = static_cast<size_t>(cv) == ci ? cu : cv;
+          int otherArray = cols[static_cast<size_t>(other)].arrayId;
+          for (int a = 0; a < target.numArrays; ++a)
+            if (a != otherArray) crossing[static_cast<size_t>(a)]++;
+        }
+      }
+      int cur = cols[ci].arrayId;
+      for (int a = 0; a < target.numArrays; ++a)
+        if (a != cur && load[static_cast<size_t>(a)] < 2) {
+          EXPECT_GE(crossing[static_cast<size_t>(a)],
+                    crossing[static_cast<size_t>(cur)])
+              << "cluster " << ci << " cuts fewer edges on array " << a;
+        }
+    }
+  }
+  EXPECT_GT(spilled, 10) << "caps too loose: spill not exercised";
+}
+
+TEST(OptMapper, SpillSkipsColumnsTheFaultMapKills) {
+  ir::Graph g = workloads::buildBitweaving({16});
+  isa::TargetSpec target = smallTarget(32);
+  device::FaultMap map(target.numArrays, target.rows(), target.cols());
+  const std::set<ColumnRef> dead = {{0, 0}, {0, 2}, {1, 1}};
+  for (ColumnRef c : dead) killColumn(map, c.arrayId, c.col);
+  FaultPolicy faults{&map, 0};
+  OptMapperOptions options;
+  options.maxColumnsPerArray = 3;
+
+  // Usable columns per array in column order, at most three per array;
+  // the dead columns are not among them.
+  std::vector<std::vector<ColumnRef>> slots(
+      static_cast<size_t>(target.numArrays));
+  for (int a = 0; a < target.numArrays; ++a)
+    for (int col = 0; col < target.cols() &&
+                      slots[static_cast<size_t>(a)].size() < 3;
+         ++col)
+      if (!dead.count({a, col}))
+        slots[static_cast<size_t>(a)].push_back({a, col});
+
+  std::vector<ColumnRef> cols =
+      clusterColumns(mapOptimized(g, target, options, faults));
+  EXPECT_GT(expectColumnsFilledPerArray(cols, slots), 1)
+      << "kernel fits one capped array";
+}
+
 // ------------------------------------------------- Program invariants
 
 TEST(Codegen, ProgramInstructionsValidate) {

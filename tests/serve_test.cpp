@@ -118,8 +118,6 @@ TEST(CacheKey, EveryConfigDimensionSeparatesKeys) {
   differs([](RequestOptions& o) { o.targetDim = 128; }, "dim");
   differs([](RequestOptions& o) { o.tech = "stt"; }, "tech");
   differs([](RequestOptions& o) { o.mra = 4; }, "mra");
-  differs([](RequestOptions& o) { o.grid = "2x2"; }, "grid");
-  differs([](RequestOptions& o) { o.hopCost = 25; }, "hop cost");
   differs([](RequestOptions& o) { o.faultDensity = 0.01; },
           "fault density");
   differs([](RequestOptions& o) { o.faultSeed = 9; }, "fault seed");

@@ -393,16 +393,17 @@ TEST(Verifier, FaultAvoidanceAcceptsFaultAwarePlacements) {
 
 /// Two-array micro program for the transfer rules: `a` is host-written
 /// into array 0 and XFERred to array 1, where it is the output.
-struct GridMicro {
+struct TransferMicro {
   ir::Graph g;
   mapping::Program prog;
   isa::TargetSpec target;
   ir::NodeId a;
 };
 
-GridMicro makeGridMicro() {
-  GridMicro m;
-  m.target = target64().withGrid(arraymodel::GridConfig{1, 2});
+TransferMicro makeTransferMicro() {
+  TransferMicro m;
+  m.target = target64();
+  m.target.numArrays = 2;
   m.a = m.g.addInput("a");
   m.g.markOutput(m.a);
   auto& p = m.prog;
@@ -414,13 +415,13 @@ GridMicro makeGridMicro() {
 }
 
 TEST(Verifier, AcceptsCrossArrayTransfer) {
-  GridMicro m = makeGridMicro();
+  TransferMicro m = makeTransferMicro();
   VerifyResult r = verifyProgram(m.g, m.target, m.prog);
   EXPECT_TRUE(r.ok()) << r.summary();
 }
 
 TEST(Verifier, TransferLegalityRejectsSameArrayTransfer) {
-  GridMicro m = makeGridMicro();
+  TransferMicro m = makeTransferMicro();
   m.prog.instructions[1] = isa::makeXfer(0, 0, 0, 0, 1, 5);
   VerifyResult r = verifyProgram(m.g, m.target, m.prog);
   ASSERT_FALSE(r.ok());
@@ -431,24 +432,8 @@ TEST(Verifier, TransferLegalityRejectsSameArrayTransfer) {
   EXPECT_EQ(v.col, 1);
 }
 
-TEST(Verifier, TransferLegalityRejectsOutOfGridEndpoint) {
-  GridMicro m = makeGridMicro();
-  // A third array exists beyond the 1x2 mesh (spare/legacy array): it is
-  // addressable by every instruction except XFER, whose bus only reaches
-  // mesh members.
-  m.target.numArrays = 3;
-  m.prog.instructions[1] = isa::makeXfer(0, 0, 0, 2, 0, 0);
-  m.prog.outputCells[m.a] = {2, 0, 0};
-  VerifyResult r = verifyProgram(m.g, m.target, m.prog);
-  ASSERT_FALSE(r.ok());
-  const Violation& v = r.violations.front();
-  EXPECT_EQ(v.rule, Rule::TransferLegality);
-  EXPECT_EQ(v.instructionIndex, 1u);
-  EXPECT_EQ(v.arrayId, 2);
-}
-
 TEST(Verifier, TransferLegalityRejectsSpareRegionDestination) {
-  GridMicro m = makeGridMicro();
+  TransferMicro m = makeTransferMicro();
   m.prog.instructions[1] = isa::makeXfer(0, 0, 0, 1, 0, 62);
   m.prog.outputCells[m.a] = {1, 0, 62};
   VerifyOptions vopts;
@@ -466,7 +451,7 @@ TEST(Verifier, TransferLegalityRejectsSpareRegionDestination) {
 }
 
 TEST(Verifier, ReadBeforeWriteOnUnwrittenTransferSource) {
-  GridMicro m = makeGridMicro();
+  TransferMicro m = makeTransferMicro();
   m.prog.instructions[1] = isa::makeXfer(0, 0, 7, 1, 0, 0);  // row 7 empty
   VerifyResult r = verifyProgram(m.g, m.target, m.prog);
   ASSERT_FALSE(r.ok());
@@ -479,7 +464,7 @@ TEST(Verifier, ReadBeforeWriteOnUnwrittenTransferSource) {
 }
 
 TEST(Verifier, FaultAvoidanceRejectsStuckTransferDestination) {
-  GridMicro m = makeGridMicro();
+  TransferMicro m = makeTransferMicro();
   device::FaultMap map(m.target.numArrays, m.target.rows(),
                        m.target.cols());
   map.setFault(1, 0, 0, device::CellFault::StuckAtLrs);
@@ -496,7 +481,7 @@ TEST(Verifier, FaultAvoidanceRejectsStuckTransferDestination) {
 }
 
 TEST(Verifier, FaultAvoidanceRejectsStuckTransferSource) {
-  GridMicro m = makeGridMicro();
+  TransferMicro m = makeTransferMicro();
   device::FaultMap map(m.target.numArrays, m.target.rows(),
                        m.target.cols());
   map.setFault(0, 0, 0, device::CellFault::StuckAtHrs);

@@ -52,8 +52,6 @@ struct Options {
   std::vector<std::string> inputFiles;
   std::string emit = "asm";  // asm | dot | dag | stats | sim | faultmap
   int targetDim = 512;
-  std::string grid;      // --grid RxC: multi-array mesh (empty = flat)
-  double hopCost = -1;   // --hop-cost: per-hop bus latency ns (<0 = default)
   std::string tech = "reram";
   std::string strategy = "opt";
   int mra = 2;
@@ -103,12 +101,6 @@ struct Options {
          "  --emit asm|dot|dag|stats|sim|faultmap\n"
          "                             output kind (default asm)\n"
          "  --target <N>               square array dimension (default 512)\n"
-         "  --grid <RxC>               arrange R*C arrays in an RxC mesh;\n"
-         "                             cross-array movement costs the\n"
-         "                             Manhattan hop distance (default:\n"
-         "                             single array)\n"
-         "  --hop-cost <ns>            inter-array bus latency per hop\n"
-         "                             (default 10)\n"
          "  --tech reram|stt|pcm       NVM technology (default reram)\n"
          "  --strategy opt|naive       mapping algorithm (default opt)\n"
          "  --mra <k>                  max activated rows; k > 2 enables\n"
@@ -217,8 +209,6 @@ Options parseArgs(int argc, char** argv) {
     };
     if (arg == "--emit") o.emit = next();
     else if (arg == "--target") o.targetDim = nextInt();
-    else if (arg == "--grid") o.grid = next();
-    else if (arg == "--hop-cost") o.hopCost = nextDouble();
     else if (arg == "--tech") o.tech = next();
     else if (arg == "--strategy") o.strategy = next();
     else if (arg == "--mra") o.mra = nextInt();
@@ -296,9 +286,6 @@ std::string processFile(const std::string& inputFile, const Options& opts) {
 
   isa::TargetSpec target = isa::TargetSpec::square(
       opts.targetDim, techFor(opts.tech), opts.mra);
-  if (!opts.grid.empty())
-    target = target.withGrid(arraymodel::GridConfig::parse(opts.grid));
-  if (opts.hopCost >= 0) target.grid.hopLatencyNs = opts.hopCost;
 
   std::optional<device::FaultMap> faultMap;
   if (opts.faultDensity > 0.0) {
@@ -382,22 +369,10 @@ std::string processFile(const std::string& inputFile, const Options& opts) {
           << (faultMap ? faultMap->stuckCellCount() : 0) << " stuck + "
           << (faultMap ? faultMap->weakCellCount() : 0)
           << " weak cells avoided)\n";
-    if (copts.strategy == mapping::Strategy::Optimized) {
+    if (copts.strategy == mapping::Strategy::Optimized)
       out << "clusters:       " << compiled.clustering.clusters.size()
           << " (cross edges " << compiled.clustering.crossClusterEdges
           << ")\n";
-      const auto& p = compiled.partition;
-      if (target.grid.configured())
-        out << "grid:           " << target.grid.toString()
-            << (p.singleArray
-                    ? " (kernel fits one array)"
-                    : strCat(" (", p.transfers.size(), " transfers, cut ",
-                             p.cutEdges, " edges / ", p.weightedCutHops,
-                             " hop-weighted; makespan ",
-                             p.overlappedMakespanNs, " ns overlapped vs ",
-                             p.serializedMakespanNs, " ns serialized)"))
-            << "\n";
-    }
     out << "\n" << mapping::analyzeProgram(compiled.program).toString();
     return out.str();
   }
@@ -416,10 +391,6 @@ std::string processFile(const std::string& inputFile, const Options& opts) {
         << "P_app:    " << result.pApp << " over " << result.cimColumnOps
         << " CIM column-ops\n"
         << "verified: " << (result.verified ? "yes" : "no") << "\n";
-    if (target.grid.configured())
-      out << "bus:      " << result.xferCount << " xfers, "
-          << result.moveCount << " moves; " << result.busBusyNs / 1000.0
-          << " us busy, " << result.busWaitNs / 1000.0 << " us queued\n";
     if (sopts.faultMap || opts.guarded)
       out << "faults:   " << result.guardedOps << " guarded ops, "
           << result.retriedOps << " retries, " << result.degradedOps
@@ -498,8 +469,6 @@ int runServe(const Options& opts) {
   lopts.defaults.strategy = opts.strategy;
   lopts.defaults.mra = opts.mra;
   lopts.defaults.fraction = opts.fraction;
-  lopts.defaults.grid = opts.grid;
-  lopts.defaults.hopCost = opts.hopCost;
   lopts.defaults.faultDensity = opts.faultDensity;
   lopts.defaults.faultSeed = static_cast<uint64_t>(opts.faultSeed);
   lopts.defaults.spareRows = opts.spareRows;
