@@ -36,8 +36,8 @@ class ArrayCostModel {
   /// CPU-side dispatch of one CIM instruction (1 GHz in-order core).
   double dispatchLatencyNs() const { return 1.0; }
 
-  /// Inter-array bus leg of one move or xfer: every transfer between
-  /// two distinct arrays crosses the one shared bus once.
+  /// Inter-array bus leg of one xfer: every transfer between two
+  /// distinct arrays crosses the one shared bus once.
   double busLatencyNs() const { return 10.0; }
 
   /// Scouting/plain read: decode + wordline + bitline development + sense.

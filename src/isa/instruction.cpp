@@ -80,10 +80,6 @@ std::string Instruction::toString() const {
          << (shiftDirection == ShiftDirection::Right ? 'R' : 'L') << "["
          << shiftDistance << "]";
       break;
-    case InstKind::Move:
-      os << "move [" << arrayId << "][" << joinInts(columns) << "] -> ["
-         << dstArray << "][" << dstCol << "]";
-      break;
     case InstKind::Xfer:
       os << "xfer [" << arrayId << "][" << joinInts(columns) << "]["
          << joinInts(rows) << "] -> [" << dstArray << "][" << dstCol << "]["
@@ -113,16 +109,6 @@ Instruction Instruction::parse(const std::string& line) {
                               : ShiftDirection::Left;
     pos = dirPos;
     inst.shiftDistance = std::stoi(nextBracketGroup(line, pos));
-    return inst;
-  }
-
-  if (mnemonic == "move") {
-    inst.kind = InstKind::Move;
-    inst.arrayId = std::stoi(nextBracketGroup(line, pos));
-    inst.columns = splitInts(nextBracketGroup(line, pos));
-    checkArg(inst.columns.size() == 1, "move takes one source column");
-    inst.dstArray = std::stoi(nextBracketGroup(line, pos));
-    inst.dstCol = std::stoi(nextBracketGroup(line, pos));
     return inst;
   }
 
@@ -207,16 +193,6 @@ Instruction makeShift(int arrayId, ShiftDirection dir, int distance) {
   return i;
 }
 
-Instruction makeMove(int srcArray, int srcCol, int dstArray, int dstCol) {
-  Instruction i;
-  i.kind = InstKind::Move;
-  i.arrayId = srcArray;
-  i.columns = {srcCol};
-  i.dstArray = dstArray;
-  i.dstCol = dstCol;
-  return i;
-}
-
 Instruction makeXfer(int srcArray, int srcCol, int srcRow, int dstArray,
                      int dstCol, int dstRow) {
   Instruction i;
@@ -258,16 +234,6 @@ void validateInstruction(const Instruction& inst, int numArrays, int rows,
            "array id ", inst.arrayId, " out of range");
   if (inst.kind == InstKind::Shift) {
     checkArg(inst.shiftDistance >= 0, "negative shift distance");
-    return;
-  }
-  if (inst.kind == InstKind::Move) {
-    checkArg(inst.columns.size() == 1, "move takes one source column");
-    checkArg(inst.columns[0] >= 0 && inst.columns[0] < cols,
-             "move source column out of range");
-    checkArg(inst.dstArray >= 0 && inst.dstArray < numArrays,
-             "move destination array out of range");
-    checkArg(inst.dstCol >= 0 && inst.dstCol < cols,
-             "move destination column out of range");
     return;
   }
   if (inst.kind == InstKind::Xfer) {

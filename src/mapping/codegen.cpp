@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 
 #include "ir/analysis.h"
@@ -95,8 +96,7 @@ class CodeGenerator {
     if (prog_.instructions.empty()) return false;
     Instruction& prev = prog_.instructions.back();
     if (prev.kind != inst.kind || prev.arrayId != inst.arrayId) return false;
-    if (inst.kind == InstKind::Shift || inst.kind == InstKind::Move ||
-        inst.kind == InstKind::Xfer)
+    if (inst.kind == InstKind::Shift || inst.kind == InstKind::Xfer)
       return false;
     if (prev.rows != inst.rows) return false;
     bool prevIsCim = !prev.colOps.empty();
@@ -274,7 +274,7 @@ class CodeGenerator {
 
   // ----------------------------------------------------------- movement
   /// Makes sure `v` has a cell in column `xc`; returns its row. May emit
-  /// plain reads, shifts, inter-array moves and spill writes.
+  /// plain reads, shifts, XFERs and spill writes.
   int ensureInColumn(NodeId v, ColumnRef xc) {
     if (auto cell = layout_.placementIn(v, xc)) return cell->row;
 
@@ -282,72 +282,50 @@ class CodeGenerator {
     // make room up front (movement may flush one dirty buffer value here).
     reserveSpace(xc, 2);
 
-    // Stage 1: get the bit into some row buffer of the target array.
+    // Stage 1: get the bit into the target array's row buffer.
     int bufCol = findInBuffer(xc.arrayId, v);
     if (bufCol < 0) {
-      int srcArray = -1, srcCol = -1;
-      for (int a = 0; a < target_.numArrays && srcArray < 0; ++a) {
-        if (a == xc.arrayId) continue;
-        int c = findInBuffer(a, v);
-        if (c >= 0) {
-          srcArray = a;
-          srcCol = c;
+      // Load from a cell; prefer a copy in the target array. A value
+      // demanded on another array always has a cell: the eager flow
+      // writes every result, the lazy one every result with a remote
+      // consumer.
+      const auto& cells = layout_.placements(v);
+      SHERLOCK_ASSERT(!cells.empty(), "value ", v,
+                      " demanded but neither buffered nor placed");
+      CellAddress src = cells.front();
+      for (const CellAddress& c : cells)
+        if (c.arrayId == xc.arrayId) {
+          src = c;
+          break;
         }
-      }
-      if (srcArray < 0) {
-        // Load from a cell; prefer a copy in the target array.
-        const auto& cells = layout_.placements(v);
-        SHERLOCK_ASSERT(!cells.empty(), "value ", v,
-                        " demanded but neither buffered nor placed");
-        CellAddress src = cells.front();
-        for (const CellAddress& c : cells)
-          if (c.arrayId == xc.arrayId) {
-            src = c;
-            break;
-          }
-        if (src.arrayId != xc.arrayId) {
-          // Cross-array cell source: one cell-to-cell transfer replaces
-          // the buffered plain-read + move + write round trip and leaves
-          // both row buffers undisturbed. The only destination the
-          // transfer engine may not program is the spare-reserved repair
-          // region — if the allocation was repaired there, release it
-          // and fall through to the buffered path (whose write goes
-          // through the normal repair machinery).
-          CellAddress dstCell = layout_.allocate(v, xc);
-          if (dstCell.row < layout_.mainRowLimit()) {
-            emit(isa::makeXfer(src.arrayId, src.col, src.row, xc.arrayId,
-                               xc.col, dstCell.row));
-            prog_.stats.xfers++;
-            noteLanding(v);
-            touch(xc.arrayId, xc.col);
-            if (!options_.reuseMovedCopies && options_.eagerWriteback)
-              tempCopies_.insert({v, xc});
-            return dstCell.row;
-          }
-          layout_.releaseCellIn(v, xc);
+      std::optional<ColumnRef> staging;
+      if (src.arrayId != xc.arrayId) {
+        // Cross-array cell source: one cell-to-cell transfer, leaving
+        // both row buffers undisturbed.
+        CellAddress dstCell = layout_.allocate(v, xc);
+        if (dstCell.row < layout_.mainRowLimit()) {
+          emitXfer(v, src, dstCell);
+          if (!options_.reuseMovedCopies && options_.eagerWriteback)
+            tempCopies_.insert({v, xc});
+          return dstCell.row;
         }
-        // The plain read clobbers the source column's buffer slot.
-        if (buffer_[static_cast<size_t>(src.arrayId)].count(src.col) &&
-            buffer_[static_cast<size_t>(src.arrayId)][src.col] != v)
-          flushIfNeeded({src.arrayId, src.col});
-        emit(isa::makePlainRead(src.arrayId, {src.col}, src.row));
-        prog_.stats.plainReads++;
-        buffer_[static_cast<size_t>(src.arrayId)][src.col] = v;
-        srcArray = src.arrayId;
-        srcCol = src.col;
+        // The transfer engine may not program the spare-row repair
+        // region (TransferLegality): land the bit in a main-region cell
+        // of the nearest other column and finish in-array below, where
+        // the write goes through the normal repair machinery.
+        layout_.releaseCellIn(v, xc);
+        staging = stagingColumn(xc);
+        CellAddress staged = layout_.allocate(v, *staging);
+        emitXfer(v, src, staged);
+        src = staged;
       }
-      if (srcArray == xc.arrayId) {
-        bufCol = srcCol;
-      } else {
-        // Bus transfer into the target array's buffer at the target column.
-        if (buffer_[static_cast<size_t>(xc.arrayId)].count(xc.col) &&
-            buffer_[static_cast<size_t>(xc.arrayId)][xc.col] != v)
-          flushIfNeeded(xc);
-        emit(isa::makeMove(srcArray, srcCol, xc.arrayId, xc.col));
-        prog_.stats.moves++;
-        buffer_[static_cast<size_t>(xc.arrayId)][xc.col] = v;
-        bufCol = xc.col;
-      }
+      // The plain read clobbers the source column's buffer slot.
+      flushIfNeeded({src.arrayId, src.col});
+      emit(isa::makePlainRead(src.arrayId, {src.col}, src.row));
+      prog_.stats.plainReads++;
+      buffer_[static_cast<size_t>(src.arrayId)][src.col] = v;
+      if (staging) layout_.releaseCellIn(v, *staging);
+      bufCol = src.col;
     }
 
     // Stage 2: align within the array and materialize.
@@ -362,6 +340,31 @@ class CodeGenerator {
     if (!options_.reuseMovedCopies && options_.eagerWriteback)
       tempCopies_.insert({v, xc});
     return cell.row;
+  }
+
+  /// Emits the cell-to-cell XFER of `v` from `src` into `dst`, a
+  /// main-region cell just allocated for it on another array.
+  void emitXfer(NodeId v, CellAddress src, CellAddress dst) {
+    emit(isa::makeXfer(src.arrayId, src.col, src.row, dst.arrayId, dst.col,
+                       dst.row));
+    prog_.stats.xfers++;
+    noteLanding(v);
+    touch(dst.arrayId, dst.col);
+  }
+
+  /// The column nearest `xc` on its array (fewest shift steps) whose
+  /// next allocation lands in the main region.
+  ColumnRef stagingColumn(ColumnRef xc) const {
+    int n = target_.cols();
+    for (int d = 1; d <= n / 2; ++d)
+      for (int c : {xc.col + d, xc.col - d}) {
+        ColumnRef where{xc.arrayId, (c % n + n) % n};
+        if (layout_.hasFreeMainRow(where)) return where;
+      }
+    throw MappingError(strCat("array ", xc.arrayId,
+                              " has no main-region cell to stage a "
+                              "transfer into column ",
+                              xc.col));
   }
 
   /// Drops the scratch copies a no-reuse (naive) flow created for the op
@@ -415,20 +418,15 @@ class CodeGenerator {
           layout_.releaseCellIn(v, rc);  // spare region is XFER-illegal
           continue;
         }
-        emit(isa::makeXfer(src->arrayId, src->col, src->row, rc.arrayId,
-                           rc.col, dst.row));
-        prog_.stats.xfers++;
-        noteLanding(v);
-        touch(rc.arrayId, rc.col);
+        emitXfer(v, *src, dst);
       }
     }
     pendingPushes_.clear();
   }
 
   /// True when `v`'s nearest copy is a cell on a different array — no
-  /// buffer or cell copy exists in `xc`'s array, so movement crosses the
-  /// bus. ensureInColumn serves that case with a background XFER;
-  /// chaining it through a synchronous bus Move would be slower.
+  /// buffer or cell copy exists in `xc`'s array, so only ensureInColumn's
+  /// XFER can bring it over and it cannot be chained.
   bool crossArrayCellSource(NodeId v, ColumnRef xc) const {
     if (findInBuffer(xc.arrayId, v) >= 0) return false;
     const auto& cells = layout_.placements(v);
@@ -439,48 +437,25 @@ class CodeGenerator {
   }
 
   /// Brings `v` into the row buffer of `xc` WITHOUT materializing a cell —
-  /// used to chain a moved operand directly into the consuming CIM read,
+  /// used to chain an operand directly into the consuming CIM read,
   /// avoiding the write + read-after-write stall of a full movement.
   /// The caller guarantees the value is not lost (a cell copy exists
-  /// elsewhere, or this is its last use).
+  /// elsewhere, or this is its last use) and is already on `xc`'s array
+  /// (latched in its buffer or held in one of its cells).
   void bringToBuffer(NodeId v, ColumnRef xc) {
     int bufCol = findInBuffer(xc.arrayId, v);
     if (bufCol < 0) {
-      // Cross-array buffer source?
-      for (int a = 0; a < target_.numArrays; ++a) {
-        if (a == xc.arrayId) continue;
-        int c = findInBuffer(a, v);
-        if (c >= 0) {
-          flushIfNeeded(xc);
-          emit(isa::makeMove(a, c, xc.arrayId, xc.col));
-          prog_.stats.moves++;
-          buffer_[static_cast<size_t>(xc.arrayId)][xc.col] = v;
-          return;
-        }
-      }
-      // Load from a cell, preferring the target array.
       const auto& cells = layout_.placements(v);
-      SHERLOCK_ASSERT(!cells.empty(), "value ", v,
-                      " neither buffered nor placed");
-      CellAddress src = cells.front();
-      for (const CellAddress& c : cells)
-        if (c.arrayId == xc.arrayId) {
-          src = c;
-          break;
-        }
-      if (buffer_[static_cast<size_t>(src.arrayId)].count(src.col) &&
-          buffer_[static_cast<size_t>(src.arrayId)][src.col] != v)
-        flushIfNeeded({src.arrayId, src.col});
+      auto local = std::find_if(
+          cells.begin(), cells.end(),
+          [&](const CellAddress& c) { return c.arrayId == xc.arrayId; });
+      SHERLOCK_ASSERT(local != cells.end(), "chained value ", v,
+                      " has no copy on array ", xc.arrayId);
+      CellAddress src = *local;  // the flush below may reallocate `cells`
+      flushIfNeeded({src.arrayId, src.col});
       emit(isa::makePlainRead(src.arrayId, {src.col}, src.row));
       prog_.stats.plainReads++;
       buffer_[static_cast<size_t>(src.arrayId)][src.col] = v;
-      if (src.arrayId != xc.arrayId) {
-        flushIfNeeded(xc);
-        emit(isa::makeMove(src.arrayId, src.col, xc.arrayId, xc.col));
-        prog_.stats.moves++;
-        buffer_[static_cast<size_t>(xc.arrayId)][xc.col] = v;
-        return;
-      }
       bufCol = src.col;
     }
     if (bufCol != xc.col) shiftBuffer(xc.arrayId, bufCol, xc.col, v);
@@ -597,22 +572,21 @@ class CodeGenerator {
     // the bit already latched in the buffer. Either way, consuming the
     // bit must not lose the value (a cell copy exists, or last use).
     NodeId chainVal = ir::kInvalidNode;
-    bool chainViaMove = false;
+    bool chainLoaded = false;
     if (target_.bufferChaining && !options_.eagerWriteback) {
       auto safeToConsume = [&](NodeId b) {
         bool lastUse = usesLeft_[static_cast<size_t>(b)] == 1 &&
                        !isOutput_[static_cast<size_t>(b)];
         return layout_.isPlaced(b) || lastUse;
       };
-      // Moved-operand candidate. Operands whose nearest copy is a cell on
-      // another array are better served by ensureInColumn's background
-      // XFER than by a chain move.
+      // Loaded-operand candidate. Operands with no copy on this array
+      // arrive by ensureInColumn's XFER; chaining never crosses arrays.
       for (NodeId o : operands) {
         if (layout_.placementIn(o, xc)) continue;
         if (crossArrayCellSource(o, xc)) continue;
         if (safeToConsume(o)) {
           chainVal = o;
-          chainViaMove = true;
+          chainLoaded = true;
         }
       }
       if (chainVal == ir::kInvalidNode) {
@@ -635,14 +609,14 @@ class CodeGenerator {
     }
 
     // Materialize the cell operands (movement happens here), then bring a
-    // moved chain operand into the buffer last (its shift would disturb
+    // loaded chain operand into the buffer last (its shift would disturb
     // nothing any more).
     std::vector<int> rows;
     for (NodeId o : operands) {
       if (o == chainVal) continue;
       rows.push_back(ensureInColumn(o, xc));
     }
-    if (chainViaMove) bringToBuffer(chainVal, xc);
+    if (chainLoaded) bringToBuffer(chainVal, xc);
     std::sort(rows.begin(), rows.end());
     SHERLOCK_ASSERT(std::adjacent_find(rows.begin(), rows.end()) ==
                         rows.end(),
@@ -665,10 +639,9 @@ class CodeGenerator {
       flushAt(xc.arrayId, xc.col);
     } else if (needsFlush(v)) {
       // Lazy flow, but the result has consumers on other arrays: flush it
-      // to a cell now. The posted write completes during the rest of the
-      // wave, and remote consumers then fetch it with a background
-      // cell-to-cell XFER instead of a remote-buffer Move that would
-      // serialize on the shared bus.
+      // to a cell now, since XFER moves cells, not buffer bits. The
+      // posted write completes during the rest of the wave, and remote
+      // consumers then fetch it with a background cell-to-cell XFER.
       for (NodeId u : n.users)
         if (plan_.opLocation[static_cast<size_t>(u)].arrayId !=
             xc.arrayId) {

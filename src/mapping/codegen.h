@@ -7,7 +7,7 @@
 // programming latency — and emits, per op:
 //
 //   1. movement: operands not present in the op's execution column are
-//      fetched (plain read -> shift -> write, or an inter-array move),
+//      fetched (plain read -> shift -> write, or an inter-array xfer),
 //   2. the scouting CIM read (multi-row activation over the operand rows,
 //      optionally chaining the column's latched row-buffer bit), and
 //   3. lazy materialization: results stay in the row buffer and are only

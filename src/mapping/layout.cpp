@@ -100,6 +100,19 @@ int Layout::freeCells(ColumnRef where) const {
   return usableCells(where.arrayId, where.col) - column.used;
 }
 
+bool Layout::hasFreeMainRow(ColumnRef where) const {
+  // allocate() hands out the lowest free row: the released heap's top if
+  // it has one (every row below the watermark was handed out), else the
+  // first usable row at or above the watermark.
+  const Column& column = columnAt(where);
+  if (!column.released.empty())
+    return column.released.front() < mainRowLimit_;
+  for (int row = column.watermark; row < mainRowLimit_; ++row)
+    if (!faults_.map || faults_.map->isUsable(where.arrayId, row, where.col))
+      return true;
+  return false;
+}
+
 bool Layout::isPlaced(ir::NodeId value) const {
   return !placements(value).empty();
 }

@@ -83,9 +83,12 @@ class Layout {
   /// region, [mainRowLimit(), rows()) the repair region. The code
   /// generator consults this before emitting an XFER — the transfer
   /// engine may not program spare-reserved cells (verifier
-  /// TransferLegality), so a repaired destination falls back to the
-  /// buffered move path.
+  /// TransferLegality), so a repaired destination is reached through a
+  /// main-region cell of another column (see hasFreeMainRow).
   int mainRowLimit() const { return mainRowLimit_; }
+
+  /// True if the next allocation in the column lands in the main region.
+  bool hasFreeMainRow(ColumnRef where) const;
 
   /// Free cells remaining in a column.
   int freeCells(ColumnRef where) const;

@@ -19,7 +19,6 @@ struct CodegenStats {
   long plainReads = 0;       ///< movement loads
   long spillWrites = 0;      ///< intermediate materializations
   long shifts = 0;           ///< row-buffer rotations (movement)
-  long moves = 0;            ///< inter-array buffer-bit bus transfers
   long xfers = 0;            ///< inter-array cell-to-cell transfers
   long mergedInstructions = 0;  ///< instructions saved by merging
   long chainedOperands = 0;  ///< operands consumed from the row buffer
@@ -29,7 +28,7 @@ struct CodegenStats {
 
   long totalInstructions() const {
     return hostWrites + cimReads + plainReads + spillWrites + shifts +
-           moves + xfers;
+           xfers;
   }
 };
 

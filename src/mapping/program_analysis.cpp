@@ -21,8 +21,8 @@ std::string ProgramAnalysis::toString() const {
   std::ostringstream os;
   os << "instructions: " << instructions << " (reads " << reads << " ["
      << cimReads << " CIM, " << plainReads << " plain], writes " << writes
-     << ", shifts " << shifts << ", moves " << moves << ", xfers " << xfers
-     << ")\n";
+     << " [" << hostWrites << " host, " << writes - hostWrites
+     << " spill], shifts " << shifts << ", xfers " << xfers << ")\n";
   os << "activated rows:";
   for (size_t k = 0; k < activatedRowsHistogram.size(); ++k)
     if (activatedRowsHistogram[k])
@@ -49,7 +49,8 @@ ProgramAnalysis analyzeProgram(const Program& program) {
     hist[k]++;
   };
 
-  for (const auto& inst : program.instructions) {
+  for (size_t idx = 0; idx < program.instructions.size(); ++idx) {
+    const isa::Instruction& inst = program.instructions[idx];
     a.instructions++;
     a.perArray[inst.arrayId]++;
     switch (inst.kind) {
@@ -70,14 +71,12 @@ ProgramAnalysis analyzeProgram(const Program& program) {
       }
       case isa::InstKind::Write:
         a.writes++;
+        if (program.hostWriteValues.contains(idx)) a.hostWrites++;
         bump(a.columnWidthHistogram, inst.columns.size());
         break;
       case isa::InstKind::Shift:
         a.shifts++;
         a.totalShiftDistance += inst.shiftDistance;
-        break;
-      case isa::InstKind::Move:
-        a.moves++;
         break;
       case isa::InstKind::Xfer:
         a.xfers++;

@@ -18,8 +18,8 @@ struct ProgramAnalysis {
   long cimReads = 0;     ///< reads carrying column ops
   long plainReads = 0;
   long writes = 0;
+  long hostWrites = 0;   ///< writes carrying host data (hostWriteValues)
   long shifts = 0;
-  long moves = 0;
   long xfers = 0;
 
   /// histogram[k] = reads activating exactly k rows (k = 0 for pure

@@ -30,9 +30,10 @@
 
 namespace sherlock::serve {
 
-/// Bump when the snapshot framing or the cache-key/canonicalization
-/// schema changes incompatibly; old snapshots are then dropped whole.
-inline constexpr int kCacheSnapshotVersion = 2;
+/// Bump when the snapshot framing, the cache-key/canonicalization schema
+/// or the cached payloads (ISA text, stats report) change incompatibly;
+/// old snapshots are then dropped whole.
+inline constexpr int kCacheSnapshotVersion = 3;
 
 struct SnapshotStats {
   size_t written = 0;  ///< entries in the snapshot just saved

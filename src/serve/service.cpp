@@ -141,7 +141,6 @@ std::string CompileService::compileBody(
     out << isa::toAssembly(compiled.program.instructions);
     return out.str();
   }
-  const auto& s = compiled.program.stats;
   out << "DAG:          " << graph->opCount() << " ops, "
       << graph->valueCount() << " values, critical path "
       << ir::criticalPathLength(*graph) << "\n";
@@ -149,12 +148,7 @@ std::string CompileService::compileBody(
     out << "substitution: " << substitution.applied << "/"
         << substitution.candidates << " merges, " << substitution.wideOps
         << " wide ops\n";
-  out << "instructions: " << compiled.program.instructions.size()
-      << " (host writes " << s.hostWrites << ", CIM reads " << s.cimReads
-      << ", plain reads " << s.plainReads << ", spills " << s.spillWrites
-      << ", shifts " << s.shifts << ", moves " << s.moves << ", xfers "
-      << s.xfers << ")\n"
-      << "columns used: " << compiled.program.usedColumns
+  out << "columns used: " << compiled.program.usedColumns
       << ", peak live cells: " << compiled.program.peakLiveCells << "\n"
       << mapping::analyzeProgram(compiled.program).toString();
   return out.str();

@@ -143,18 +143,6 @@ long SimResult::corruptedLanes() const {
   return n;
 }
 
-const char* opClassName(int opClass) {
-  switch (opClass) {
-    case SimResult::OpCimRead: return "cim_read";
-    case SimResult::OpPlainRead: return "plain_read";
-    case SimResult::OpWrite: return "write";
-    case SimResult::OpShift: return "shift";
-    case SimResult::OpMove: return "move";
-    case SimResult::OpXfer: return "xfer";
-    default: return "unknown";
-  }
-}
-
 uint64_t defaultInputWord(const std::string& name, uint64_t seed,
                           int wordIndex) {
   checkArg(wordIndex >= 0, "wordIndex must be >= 0");
@@ -280,25 +268,11 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
   };
 
   double now = 0.0;
-  // Inter-array bus occupancy. Every transfer serializes through one
-  // flat bus (busFreeNs). A move occupies it synchronously; an xfer hands
-  // the sensed bit to the transfer engine and the bus leg plus
-  // destination write complete in the background, so compute on the
+  // Inter-array bus occupancy. Every xfer serializes through one flat
+  // bus (busFreeNs); the transfer engine carries the sensed bit and
+  // programs the destination in the background, so compute on the
   // issuing array overlaps with the movement.
   double busFreeNs = 0.0;
-  // Carries one buffered bit from srcArray to dstArray, first requested
-  // at readyNs: charges busWait/busBusy and the leg's energy, and returns
-  // the arrival time. A same-array leg is free but still queues.
-  auto busLeg = [&](int srcArray, int dstArray, double readyNs) {
-    const bool crosses = srcArray != dstArray;
-    const double legNs = crosses ? cost.busLatencyNs() : 0.0;
-    double start = std::max(readyNs, busFreeNs);
-    busFreeNs = start + legNs;
-    result.busWaitNs += start - readyNs;
-    result.busBusyNs += legNs;
-    if (crosses) result.energyPj += cost.busEnergyPj();
-    return busFreeNs;
-  };
   Rng faultRng(options.faultSeed);
   // Monte-Carlo fault injection: toggles each of the 64 * W lanes
   // independently with probability p, via batched geometric gap sampling
@@ -327,30 +301,12 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
     ArrayState& arr = arrayAt(inst.arrayId);
     const FaultMasks* fm = fmap ? &masksAt(inst.arrayId) : nullptr;
 
-    // Per-opcode-class attribution: everything this instruction adds to
-    // `now` (dispatch, stalls, execution) and to the energy total is
-    // charged to its class rollup after the switch.
-    const double instStartNs = now;
-    const double instStartPj = result.energyPj;
-    int opClass;
-    switch (inst.kind) {
-      case InstKind::Read:
-        opClass = inst.colOps.empty() ? SimResult::OpPlainRead
-                                      : SimResult::OpCimRead;
-        break;
-      case InstKind::Write: opClass = SimResult::OpWrite; break;
-      case InstKind::Shift: opClass = SimResult::OpShift; break;
-      case InstKind::Move: opClass = SimResult::OpMove; break;
-      default: opClass = SimResult::OpXfer; break;
-    }
-
     now += cost.dispatchLatencyNs();
     result.energyPj += cost.dispatchEnergyPj();
     result.instructionCount++;
 
     switch (inst.kind) {
       case InstKind::Read: {
-        result.readCount++;
         // Stall until pending writes to the sensed cells complete
         // (read-around-write for everything else).
         double ready = now;
@@ -589,7 +545,6 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
       }
 
       case InstKind::Write: {
-        result.writeCount++;
         int row = inst.rows[0];
         if (mutableMap) {
           // Endurance: one programming pulse on the row; crossing the
@@ -647,7 +602,6 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
       }
 
       case InstKind::Shift: {
-        result.shiftCount++;
         int d = inst.shiftDistance % cols;
         if (inst.shiftDirection == isa::ShiftDirection::Right)
           d = (cols - d) % cols;
@@ -675,26 +629,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         break;
       }
 
-      case InstKind::Move: {
-        result.moveCount++;
-        ArrayState& dst = arrayAt(inst.dstArray);
-        int srcCol = inst.columns[0];
-        if (!arr.bufferIsValid(srcCol))
-          throw SimulationError(strCat("instruction ", idx,
-                                       ": move from invalid buffer column ",
-                                       srcCol, " of array ", inst.arrayId));
-        std::copy_n(arr.bufferWords(srcCol), W, dst.bufferWords(inst.dstCol));
-        dst.bufferValid[static_cast<size_t>(inst.dstCol) >> 6] |=
-            uint64_t{1} << (inst.dstCol & 63);
-        // A move is synchronous (the destination buffer bit is consumed
-        // by the very next instructions), so the issuing controller
-        // queues behind any in-flight transfer on the bus.
-        now = busLeg(inst.arrayId, inst.dstArray, now);
-        break;
-      }
-
       case InstKind::Xfer: {
-        result.xferCount++;
         int srcCol = inst.columns[0];
         int srcRow = inst.rows[0];
         const ArrayState::Row* srcPage = arr.rowAt(srcRow);
@@ -769,8 +704,16 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         // Bus leg: the engine queues for the bus and carries the bit.
         // The issuing controller does NOT wait — compute overlaps with
         // the movement; only a later consumer of the destination cell
-        // (or a later transfer) can stall on it.
-        double busEnd = busLeg(inst.arrayId, inst.dstArray, now);
+        // (or a later transfer) can stall on it. A same-array leg is
+        // free but still queues.
+        const bool crosses = inst.arrayId != inst.dstArray;
+        const double legNs = crosses ? cost.busLatencyNs() : 0.0;
+        const double busStart = std::max(now, busFreeNs);
+        busFreeNs = busStart + legNs;
+        result.busWaitNs += busStart - now;
+        result.busBusyNs += legNs;
+        if (crosses) result.energyPj += cost.busEnergyPj();
+        const double busEnd = busFreeNs;
 
         // Destination write: posted, completing after the bus delivers.
         ArrayState& dst = arrayAt(inst.dstArray);
@@ -809,12 +752,6 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         break;
       }
     }
-
-    SimResult::OpcodeRollup& roll =
-        result.opcodeRollups[static_cast<size_t>(opClass)];
-    roll.count++;
-    roll.latencyNs += now - instStartNs;
-    roll.energyPj += result.energyPj - instStartPj;
 
     // Periodic time series (every 256 instructions) so long runs plot
     // latency/energy progression without per-instruction event volume.

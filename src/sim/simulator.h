@@ -21,7 +21,6 @@
 //    decision-failure probability into P_app = 1 - prod(1 - P_DFi).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -122,39 +121,13 @@ struct SimResult {
   long cimColumnOps = 0;
 
   long instructionCount = 0;
-  long readCount = 0;
-  long writeCount = 0;
-  long shiftCount = 0;
-  long moveCount = 0;
-  long xferCount = 0;
 
   /// Inter-array bus occupancy accounting. busBusyNs is the total time
-  /// the shared bus spent carrying bits (one bus leg per move/xfer
-  /// between distinct arrays); busWaitNs is the time transfers spent
-  /// queued behind earlier traffic before the bus freed up.
+  /// the shared bus spent carrying bits (one bus leg per xfer between
+  /// distinct arrays); busWaitNs is the time transfers spent queued
+  /// behind earlier traffic before the bus freed up.
   double busBusyNs = 0;
   double busWaitNs = 0;
-
-  /// Per-opcode-class attribution: foreground time (dispatch + stalls +
-  /// execution advance of `now`) and energy accumulated by each
-  /// instruction class. Indexed by OpClass; latencies sum to latencyNs
-  /// and energies to energyPj (xfer background completion is charged to
-  /// the issuing xfer).
-  enum OpClass : int {
-    OpCimRead = 0,
-    OpPlainRead,
-    OpWrite,
-    OpShift,
-    OpMove,
-    OpXfer,
-    kOpClassCount,
-  };
-  struct OpcodeRollup {
-    long count = 0;
-    double latencyNs = 0;
-    double energyPj = 0;
-  };
-  std::array<OpcodeRollup, kOpClassCount> opcodeRollups{};
 
   /// Outcome of the output comparison (options.verify): true iff every
   /// output lane matched the reference evaluator. Under injectFaults or a
@@ -194,10 +167,6 @@ struct SimResult {
 SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
                    const mapping::Program& program,
                    const SimOptions& options = {});
-
-/// Human-readable name of a SimResult::OpClass index ("cim_read",
-/// "plain_read", "write", "shift", "move", "xfer").
-const char* opClassName(int opClass);
 
 /// Deterministic input word for lane word `wordIndex` of a named input
 /// (shared by the simulator and tests so both sides agree on unspecified

@@ -270,7 +270,6 @@ class Verifier {
       case InstKind::Read: interpretRead(idx, inst, arr); break;
       case InstKind::Write: interpretWrite(idx, inst, arr); break;
       case InstKind::Shift: interpretShift(idx, inst, arr); break;
-      case InstKind::Move: interpretMove(idx, inst, arr); break;
       case InstKind::Xfer: interpretXfer(idx, inst, arr); break;
     }
   }
@@ -412,18 +411,6 @@ class Verifier {
     arr.buffer = std::move(rotated);
   }
 
-  void interpretMove(size_t idx, const Instruction& inst, ArraySym& arr) {
-    int srcCol = inst.columns[0];
-    int vn = arr.buffer[static_cast<size_t>(srcCol)];
-    if (vn < 0) {
-      report(Rule::BufferLiveness, idx, inst.arrayId, -1, srcCol,
-             strCat("move from invalid buffer column ", srcCol,
-                    " (no prior read produced it)"));
-      vn = values_.opaque();
-    }
-    arrayAt(inst.dstArray).buffer[static_cast<size_t>(inst.dstCol)] = vn;
-  }
-
   /// Xfer: cell-to-cell across arrays. The symbolic value number crosses
   /// the array boundary with the bit, which is what lets the
   /// ValueEquivalence proof follow outputs through arbitrary transfer
@@ -562,22 +549,6 @@ std::optional<Violation> checkInstructionRules(const Instruction& inst,
     if (inst.shiftDistance < 1 || inst.shiftDistance >= cols)
       return shape(strCat("shift distance ", inst.shiftDistance,
                           " outside [1, ", cols, ")"));
-    return std::nullopt;
-  }
-
-  if (inst.kind == InstKind::Move) {
-    if (inst.columns.size() != 1)
-      return shape(strCat("move takes one source column, got ",
-                          inst.columns.size()));
-    if (inst.columns[0] < 0 || inst.columns[0] >= cols)
-      return bounds(strCat("move source column ", inst.columns[0],
-                           " outside [0, ", cols, ")"));
-    if (inst.dstArray < 0 || inst.dstArray >= target.numArrays)
-      return bounds(strCat("move destination array ", inst.dstArray,
-                           " outside [0, ", target.numArrays, ")"));
-    if (inst.dstCol < 0 || inst.dstCol >= cols)
-      return bounds(strCat("move destination column ", inst.dstCol,
-                           " outside [0, ", cols, ")"));
     return std::nullopt;
   }
 

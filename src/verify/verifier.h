@@ -9,7 +9,7 @@
 // programs outright and pin the failure to one instruction.
 //
 // Rules checked (paper Sec. 2.1 / 3, Fig. 4 semantics):
-//  * AddressBounds     — array ids, rows, columns, move targets in range.
+//  * AddressBounds     — array ids, rows, columns, xfer targets in range.
 //  * InstructionShape  — sorted/unique column & row lists, parallel
 //                        colOps/chainsBuffer vectors, one destination row
 //                        per write, one activated row per plain read,
@@ -27,8 +27,8 @@
 //                        multi-operand ops at least two.
 //  * ReadBeforeWrite   — every sensed cell was written earlier.
 //  * BufferLiveness    — every consumed row-buffer bit (chained read,
-//                        buffered write, move source, shifted buffer) was
-//                        produced by a prior read.
+//                        buffered write, shifted buffer) was produced by
+//                        a prior read.
 //  * HostWriteMetadata — hostWriteValues entries reference write
 //                        instructions and leaf (input/const) nodes, one
 //                        per written column.

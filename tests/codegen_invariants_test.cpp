@@ -141,9 +141,9 @@ TEST(WaveOrder, TLevelSchedulingVerifies) {
   }
 }
 
-TEST(MultiArray, SmallArraysExerciseMoves) {
+TEST(MultiArray, SmallArraysExerciseTransfers) {
   // 6k values on 64x64 arrays (4096 cells each) force a multi-array
-  // layout; the inter-array move path must stay functionally correct.
+  // layout; the inter-array transfer path must stay functionally correct.
   workloads::BitweavingSpec spec;
   spec.bits = 16;
   spec.segments = 32;

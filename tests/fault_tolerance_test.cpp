@@ -9,6 +9,7 @@
 #include "device/reliability.h"
 #include "mapping/compiler.h"
 #include "sim/simulator.h"
+#include "support/parallel.h"
 #include "transforms/passes.h"
 #include "workloads/aes.h"
 #include "workloads/bitweaving.h"
@@ -292,6 +293,62 @@ TEST(FaultTolerance, SpareRepairsSurfaceInCodegenStats) {
   sopts.faultMap = &map;
   sim::SimResult res = sim::simulate(g, target, compiled.program, sopts);
   EXPECT_TRUE(res.verified);
+}
+
+// bench_fault_tolerance's pressure point (BitWeaving, naive, 64x64,
+// stuck density 0.5, 8 spare rows): operands fetched from another array
+// often find their destination column repaired into the spare region,
+// which XFER may not program (TransferLegality). Codegen then lands the
+// transfer in a main-row cell of a nearby column and finishes with an
+// in-array read -> shift -> write. The program must verify with the
+// repair region declared and compute the reference.
+TEST(FaultTolerance, PressureTransfersStageThroughMainRows) {
+  workloads::BitweavingSpec spec;
+  spec.bits = 16;
+  spec.segments = 32;
+  ir::Graph g = transforms::canonicalize(workloads::buildBitweaving(spec));
+  isa::TargetSpec target =
+      isa::TargetSpec::square(64, device::TechnologyParams::reRam(), 2);
+  device::FaultMapOptions fo;
+  fo.seed = deriveSeed(0xfa'017'2024ULL ^ 0xba11ad, 6);  // its first trial
+  fo.stuckDensity = 0.5;
+  fo.weakDensity = 0.25;
+  device::FaultMap map = device::FaultMap::generate(
+      target.numArrays, target.rows(), target.cols(), fo);
+  mapping::CompileOptions copts;
+  copts.strategy = mapping::Strategy::Naive;
+  copts.verify = false;  // verified explicitly below
+  copts.faults.map = &map;
+  copts.faults.spareRows = 8;
+  mapping::CompileResult compiled = mapping::compile(g, target, copts);
+
+  // A staged transfer: an XFER whose landed cell is plain-read before
+  // any instruction other than a (flush) write.
+  const auto& insts = compiled.program.instructions;
+  long staged = 0;
+  for (size_t i = 0; i < insts.size(); ++i) {
+    if (insts[i].kind != isa::InstKind::Xfer) continue;
+    size_t j = i + 1;
+    while (j < insts.size() && insts[j].kind == isa::InstKind::Write) ++j;
+    staged += j < insts.size() && insts[j].isPlainRead() &&
+              insts[j].arrayId == insts[i].dstArray &&
+              insts[j].columns[0] == insts[i].dstCol &&
+              insts[j].rows[0] == insts[i].dstRow;
+  }
+  EXPECT_GT(staged, 0);
+
+  verify::VerifyOptions vopts;
+  vopts.faultMap = &map;
+  vopts.spareRows = copts.faults.spareRows;
+  verify::VerifyResult vr =
+      verify::verifyProgram(g, target, compiled.program, vopts);
+  ASSERT_TRUE(vr.ok()) << vr.summary();
+
+  sim::SimOptions sopts;
+  sopts.faultMap = &map;
+  sim::SimResult res = sim::simulate(g, target, compiled.program, sopts);
+  EXPECT_TRUE(res.verified);
+  EXPECT_EQ(res.stuckCellReads, 0);
 }
 
 // An over-dense map that placement cannot route around must fail with a

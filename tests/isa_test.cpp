@@ -30,10 +30,6 @@ TEST(Instruction, ChainedOperandSuffix) {
   EXPECT_EQ(inst.toString(), "read [1][7][12] [OR+B]");
 }
 
-TEST(Instruction, MoveFormat) {
-  EXPECT_EQ(makeMove(0, 3, 2, 9).toString(), "move [0][3] -> [2][9]");
-}
-
 TEST(Instruction, XferFormat) {
   EXPECT_EQ(makeXfer(1, 4, 17, 3, 6, 30).toString(),
             "xfer [1][4][17] -> [3][6][30]");
@@ -53,7 +49,6 @@ TEST(Instruction, ParseRoundTripAllKinds) {
       makeCimRead(0, {4, 8}, {933, 934}, {ir::OpKind::Xor, ir::OpKind::And},
                   {true, false}),
       makeShift(1, ShiftDirection::Left, 17),
-      makeMove(0, 3, 2, 9),
       makeXfer(0, 3, 8, 2, 9, 12),
   };
   auto parsed = parseAssembly(toAssembly(program));
@@ -71,6 +66,8 @@ TEST(Instruction, ParseRejectsGarbage) {
   EXPECT_THROW(Instruction::parse("frobnicate [0][1][2]"), Error);
   EXPECT_THROW(Instruction::parse("read [0][1"), Error);
   EXPECT_THROW(Instruction::parse("read [0][1,][2]"), Error);
+  // Cross-array movement is xfer only: there is no buffer-to-buffer form.
+  EXPECT_THROW(Instruction::parse("move [0][3] -> [2][9]"), Error);
 }
 
 TEST(Validation, BoundsChecked) {

@@ -706,6 +706,8 @@ TEST(ProgramAnalysis, CountsMatchStream) {
   EXPECT_EQ(a.instructions,
             static_cast<long>(compiled.program.instructions.size()));
   EXPECT_EQ(a.reads, a.cimReads + a.plainReads);
+  EXPECT_EQ(a.hostWrites,
+            static_cast<long>(compiled.program.hostWriteValues.size()));
   long colOps = 0;
   for (const auto& [name, count] : a.opMix) colOps += count;
   EXPECT_EQ(colOps, static_cast<long>(g.opCount()));

@@ -160,14 +160,6 @@ TEST(Verifier, RejectsShiftOfEmptyBuffer) {
   EXPECT_EQ(v.instructionIndex, 0u);
 }
 
-TEST(Verifier, RejectsMoveFromInvalidBuffer) {
-  MicroProgram m = makeMicro();
-  m.prog.instructions.push_back(isa::makeMove(1, 0, 0, 5));
-  Violation v = firstViolation(std::move(m));
-  EXPECT_EQ(v.rule, Rule::BufferLiveness);
-  EXPECT_EQ(v.instructionIndex, 6u);
-}
-
 TEST(Verifier, RejectsPerColumnOpsWhenUnsupported) {
   // A two-column read with different ops on a target without per-column
   // multiplexers.

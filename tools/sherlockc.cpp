@@ -329,6 +329,7 @@ std::string processFile(const std::string& inputFile, const Options& opts) {
   if (opts.verify) {
     verify::VerifyOptions vopts;
     vopts.faultMap = copts.faults.map;
+    vopts.spareRows = copts.faults.spareRows;
     verify::VerifyResult vr =
         verify::verifyProgram(g, target, compiled.program, vopts);
     if (!vr.ok())
@@ -354,13 +355,7 @@ std::string processFile(const std::string& inputFile, const Options& opts) {
       out << "substitution:   " << substitution.applied << "/"
           << substitution.candidates << " merges, " << substitution.wideOps
           << " wide ops\n";
-    out << "instructions:   " << compiled.program.instructions.size()
-        << " (host writes " << s.hostWrites << ", CIM reads " << s.cimReads
-        << ", plain reads " << s.plainReads << ", spills " << s.spillWrites
-        << ", shifts " << s.shifts << ", moves " << s.moves << ", xfers "
-        << s.xfers << ")\n"
-        << "merged:         " << s.mergedInstructions
-        << ", chained operands: " << s.chainedOperands << "\n"
+    out << "merged:         " << s.mergedInstructions << "\n"
         << "columns used:   " << compiled.program.usedColumns
         << ", peak live cells: " << compiled.program.peakLiveCells << "\n";
     if (copts.faults.active())
