@@ -1,12 +1,15 @@
 // Micro-benchmarks (google-benchmark): compile-time scalability of the
-// Sherlock pipeline stages — b-level analysis, clustering, both mappers
-// and full compilation — on random DAGs of growing size.
+// Sherlock pipeline stages — b-level analysis, clustering, both mappers,
+// verification and full compilation — on random DAGs of growing size,
+// plus verification of one small kernel across array sizes.
 #include <benchmark/benchmark.h>
 
+#include "frontend/lowering.h"
 #include "ir/analysis.h"
 #include "mapping/compiler.h"
 #include "transforms/passes.h"
 #include "transforms/substitution.h"
+#include "verify/verifier.h"
 #include "workloads/random_dag.h"
 
 using namespace sherlock;
@@ -70,8 +73,61 @@ void BM_MapOptimized(benchmark::State& state) {
   isa::TargetSpec t = targetFor(g);
   for (auto _ : state)
     benchmark::DoNotOptimize(mapping::mapOptimized(g, t));
+  state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_MapOptimized)->Range(256, 16384);
+BENCHMARK(BM_MapOptimized)->Range(256, 16384)->Complexity();
+
+/// Verifies the optimized program once per iteration; N is its
+/// instruction count, so the fit is the cost per verified instruction.
+void verifyLoop(benchmark::State& state, const ir::Graph& g,
+                const isa::TargetSpec& t, const mapping::Program& program) {
+  for (auto _ : state)
+    benchmark::DoNotOptimize(verify::verifyProgram(g, t, program));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(program.instructions.size()));
+}
+
+mapping::Program compileUnverified(const ir::Graph& g,
+                                   const isa::TargetSpec& t) {
+  mapping::CompileOptions options;
+  options.verify = false;
+  return mapping::compile(g, t, options).program;
+}
+
+void BM_VerifyProgram(benchmark::State& state) {
+  ir::Graph g = transforms::canonicalize(
+      dagOfSize(static_cast<int>(state.range(0))));
+  isa::TargetSpec t = targetFor(g);
+  mapping::Program program = compileUnverified(g, t);
+  verifyLoop(state, g, t, program);
+  state.SetComplexityN(static_cast<int64_t>(program.instructions.size()));
+}
+BENCHMARK(BM_VerifyProgram)->Range(256, 16384)->Complexity();
+
+// examples/kernels/parity_check.sk, inlined so the bench needs no file.
+constexpr const char* kParityCheck = R"(
+input w[16];
+input p;
+output error;
+bit acc = 0;
+for (i = 0; i < 16; i = i + 1) {
+  acc = acc ^ w[i];
+}
+error = acc ^ p;
+)";
+
+/// A small kernel on a square ReRAM array of side range(0): the verifier
+/// should pay for the kernel, not for the array.
+void BM_VerifySmallKernel(benchmark::State& state) {
+  ir::Graph g =
+      transforms::canonicalize(frontend::compileKernel(kParityCheck));
+  isa::TargetSpec t = isa::TargetSpec::square(
+      static_cast<int>(state.range(0)), device::TechnologyParams::reRam(), 2);
+  mapping::Program program = compileUnverified(g, t);
+  verifyLoop(state, g, t, program);
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_VerifySmallKernel)->Arg(256)->Arg(1024)->Complexity();
 
 void BM_CompileOptimizedEndToEnd(benchmark::State& state) {
   ir::Graph g = transforms::canonicalize(

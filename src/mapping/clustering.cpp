@@ -1,8 +1,10 @@
 #include "mapping/clustering.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <map>
+#include <set>
 
 #include "ir/analysis.h"
 
@@ -13,20 +15,57 @@ using ir::NodeId;
 
 namespace {
 
+// Cell sets are ascending vectors of distinct NodeIds.
+
+bool holds(const std::vector<NodeId>& cells, NodeId v) {
+  return std::binary_search(cells.begin(), cells.end(), v);
+}
+
+void insertCell(std::vector<NodeId>& cells, NodeId v) {
+  auto it = std::lower_bound(cells.begin(), cells.end(), v);
+  if (it == cells.end() || *it != v) cells.insert(it, v);
+}
+
+/// |a ∪ b|, from the overlap counted in place.
+int unionSize(const std::vector<NodeId>& a, const std::vector<NodeId>& b) {
+  size_t overlap = 0;
+  for (size_t i = 0, j = 0; i < a.size() && j < b.size();) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      ++overlap;
+      ++i;
+      ++j;
+    }
+  }
+  return static_cast<int>(a.size() + b.size() - overlap);
+}
+
+/// dst ∪= src, through the reused buffer `scratch`.
+void mergeCells(std::vector<NodeId>& dst, const std::vector<NodeId>& src,
+                std::vector<NodeId>& scratch) {
+  scratch.clear();
+  std::set_union(dst.begin(), dst.end(), src.begin(), src.end(),
+                 std::back_inserter(scratch));
+  dst.swap(scratch);
+}
+
 /// Cells the cluster would occupy if `node` joined: current cells plus the
 /// node's operands and its own result.
 int cellsIfAdded(const Cluster& c, const Graph& g, NodeId node) {
-  int extra = c.cells.contains(node) ? 0 : 1;
+  int extra = holds(c.cells, node) ? 0 : 1;
   for (NodeId o : g.node(node).operands)
-    if (!c.cells.contains(o)) ++extra;
+    if (!holds(c.cells, o)) ++extra;
   return c.cellCount() + extra;
 }
 
 void addToCluster(Cluster& c, const Graph& g, NodeId node,
                   std::vector<int>& clusterOf, int clusterIdx) {
   c.nodes.push_back(node);
-  c.cells.insert(node);
-  for (NodeId o : g.node(node).operands) c.cells.insert(o);
+  insertCell(c.cells, node);
+  for (NodeId o : g.node(node).operands) insertCell(c.cells, o);
   clusterOf[static_cast<size_t>(node)] = clusterIdx;
 }
 
@@ -68,10 +107,14 @@ ClusteringResult findClusters(const Graph& g,
                  static_cast<int>(clusters.size()) - 1);
   };
 
+  // Scratch reused across nodes.
+  std::vector<int> predClusters;
+  std::vector<NodeId> opPreds;
+  std::vector<NodeId> unionCells, mergeBuffer;
   for (NodeId node : ir::bLevelSortedOps(g)) {
     // Distinct clusters of the already-assigned op predecessors.
-    std::vector<int> predClusters;
-    std::vector<NodeId> opPreds;
+    predClusters.clear();
+    opPreds.clear();
     for (NodeId o : g.node(node).operands) {
       if (!g.node(o).isOp()) continue;
       opPreds.push_back(o);
@@ -110,13 +153,12 @@ ClusteringResult findClusters(const Graph& g,
                         levels[static_cast<size_t>(opPreds[0])];
     if (sameSize && samePriorities) {
       // Check capacity of the union plus the node.
-      std::set<NodeId> unionCells;
-      for (int ci : predClusters) {
-        const auto& cc = clusters[static_cast<size_t>(ci)].cells;
-        unionCells.insert(cc.begin(), cc.end());
-      }
-      unionCells.insert(node);
-      for (NodeId o : g.node(node).operands) unionCells.insert(o);
+      unionCells.clear();
+      for (int ci : predClusters)
+        mergeCells(unionCells, clusters[static_cast<size_t>(ci)].cells,
+                   mergeBuffer);
+      insertCell(unionCells, node);
+      for (NodeId o : g.node(node).operands) insertCell(unionCells, o);
       if (static_cast<int>(unionCells.size()) <= options.columnCapacity) {
         // Merge everything into the first predecessor's cluster.
         int dst = predClusters[0];
@@ -127,10 +169,10 @@ ClusteringResult findClusters(const Graph& g,
             cd.nodes.push_back(nMoved);
             clusterOf[static_cast<size_t>(nMoved)] = dst;
           }
-          cd.cells.insert(cs.cells.begin(), cs.cells.end());
           cs.nodes.clear();
           cs.cells.clear();
         }
+        cd.cells.swap(unionCells);  // the union already holds the node's cells
         addToCluster(cd, g, node, clusterOf, dst);
       } else {
         // Random assignment among the predecessors' clusters that fit.
@@ -204,40 +246,75 @@ void refineClusters(const Graph& g, const ClusteringOptions& options,
   if (options.refinePasses <= 0 || clusters.size() < 2) return;
 
   // Reference counts per cluster: how many member nodes contribute each
-  // cell value (producer membership + operand occurrences). A cluster's
-  // cell set is the keys of its map.
-  std::vector<std::map<NodeId, int>> refs(clusters.size());
-  for (size_t ci = 0; ci < clusters.size(); ++ci)
+  // cell value (producer membership + operand occurrences), ascending by
+  // cell. A cluster's cell set is the cells of its list.
+  struct CellRef {
+    NodeId cell;
+    int count;
+  };
+  auto byCell = [](const CellRef& r, NodeId v) { return r.cell < v; };
+  std::vector<std::vector<CellRef>> refs(clusters.size());
+  std::vector<NodeId> members;
+  for (size_t ci = 0; ci < clusters.size(); ++ci) {
+    members.clear();
     for (NodeId v : clusters[ci].nodes) {
-      refs[ci][v]++;
-      for (NodeId o : g.node(v).operands) refs[ci][o]++;
+      members.push_back(v);
+      const auto& ops = g.node(v).operands;
+      members.insert(members.end(), ops.begin(), ops.end());
     }
+    std::sort(members.begin(), members.end());
+    for (NodeId v : members) {
+      if (refs[ci].empty() || refs[ci].back().cell != v)
+        refs[ci].push_back({v, 0});
+      refs[ci].back().count++;
+    }
+  }
+  auto holdsRef = [&](const std::vector<CellRef>& r, NodeId v) {
+    auto it = std::lower_bound(r.begin(), r.end(), v, byCell);
+    return it != r.end() && it->cell == v;
+  };
 
   auto addNode = [&](int c, NodeId v) {
     auto& r = refs[static_cast<size_t>(c)];
-    r[v]++;
-    for (NodeId o : g.node(v).operands) r[o]++;
+    auto bump = [&](NodeId x) {
+      auto it = std::lower_bound(r.begin(), r.end(), x, byCell);
+      if (it == r.end() || it->cell != x) it = r.insert(it, {x, 0});
+      it->count++;
+    };
+    bump(v);
+    for (NodeId o : g.node(v).operands) bump(o);
     clusterOf[static_cast<size_t>(v)] = c;
   };
   auto removeNode = [&](int c, NodeId v) {
     auto& r = refs[static_cast<size_t>(c)];
     auto drop = [&](NodeId x) {
-      auto it = r.find(x);
-      SHERLOCK_ASSERT(it != r.end(), "refcount underflow");
-      if (--it->second == 0) r.erase(it);
+      auto it = std::lower_bound(r.begin(), r.end(), x, byCell);
+      SHERLOCK_ASSERT(it != r.end() && it->cell == x, "refcount underflow");
+      if (--it->count == 0) r.erase(it);
     };
     drop(v);
     for (NodeId o : g.node(v).operands) drop(o);
   };
+  std::vector<NodeId> fresh;
   auto cellsIfMoved = [&](int c, NodeId v) {
     const auto& r = refs[static_cast<size_t>(c)];
-    int extra = r.contains(v) ? 0 : 1;
-    std::set<NodeId> fresh;
+    int extra = holdsRef(r, v) ? 0 : 1;
+    fresh.clear();
     for (NodeId o : g.node(v).operands)
-      if (!r.contains(o)) fresh.insert(o);
-    fresh.erase(v);
+      if (o != v && !holdsRef(r, o)) fresh.push_back(o);
+    std::sort(fresh.begin(), fresh.end());
+    fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
     return static_cast<int>(r.size()) + extra +
            static_cast<int>(fresh.size());
+  };
+
+  // Op-neighbor edges per cluster for the node being considered; zeroed
+  // again after each node through `neighbors`.
+  std::vector<int> neighborCount(clusters.size(), 0);
+  std::vector<int> neighbors;
+  auto countNeighbor = [&](NodeId x) {
+    int c = clusterOf[static_cast<size_t>(x)];
+    if (neighborCount[static_cast<size_t>(c)]++ == 0) neighbors.push_back(c);
   };
 
   for (int pass = 0; pass < options.refinePasses; ++pass) {
@@ -246,17 +323,16 @@ void refineClusters(const Graph& g, const ClusteringOptions& options,
       const ir::Node& n = g.node(v);
       if (!n.isOp()) continue;
       int cur = clusterOf[static_cast<size_t>(v)];
-      // Count op-neighbor edges per cluster.
-      std::map<int, int> neighborCount;
+      neighbors.clear();
       for (NodeId o : n.operands)
-        if (g.node(o).isOp())
-          neighborCount[clusterOf[static_cast<size_t>(o)]]++;
-      for (NodeId u : n.users)
-        neighborCount[clusterOf[static_cast<size_t>(u)]]++;
-      int curCount = neighborCount.contains(cur) ? neighborCount[cur] : 0;
+        if (g.node(o).isOp()) countNeighbor(o);
+      for (NodeId u : n.users) countNeighbor(u);
+      int curCount = neighborCount[static_cast<size_t>(cur)];
       // Strictly better destination, ties broken by lowest cluster index.
       int best = cur, bestCount = curCount;
-      for (const auto& [c, count] : neighborCount) {
+      for (int c : neighbors) {
+        int count = neighborCount[static_cast<size_t>(c)];
+        neighborCount[static_cast<size_t>(c)] = 0;
         if (c == cur) continue;
         if (count > bestCount ||
             (count == bestCount && best != cur && c < best)) {
@@ -277,11 +353,12 @@ void refineClusters(const Graph& g, const ClusteringOptions& options,
   std::vector<Cluster> rebuilt(clusters.size());
   for (NodeId v = g.firstId(); v < g.endId(); ++v) {
     if (!g.node(v).isOp()) continue;
-    int c = clusterOf[static_cast<size_t>(v)];
-    rebuilt[static_cast<size_t>(c)].nodes.push_back(v);
-    rebuilt[static_cast<size_t>(c)].cells.insert(v);
-    for (NodeId o : g.node(v).operands)
-      rebuilt[static_cast<size_t>(c)].cells.insert(o);
+    rebuilt[static_cast<size_t>(clusterOf[static_cast<size_t>(v)])]
+        .nodes.push_back(v);
+  }
+  for (size_t ci = 0; ci < rebuilt.size(); ++ci) {
+    rebuilt[ci].cells.reserve(refs[ci].size());
+    for (const CellRef& r : refs[ci]) rebuilt[ci].cells.push_back(r.cell);
   }
   // Drop emptied clusters, renumber.
   std::vector<Cluster> compact;
@@ -330,12 +407,36 @@ void mergeClusters(const Graph& g, const ClusteringOptions& options,
       return true;
     auto key = std::minmax(a, b);
     if (blocked.contains({key.first, key.second})) return false;
-    std::set<NodeId> u = ca.cells;
-    u.insert(cb.cells.begin(), cb.cells.end());
-    bool ok = static_cast<int>(u.size()) <= options.columnCapacity;
+    bool ok = unionSize(ca.cells, cb.cells) <= options.columnCapacity;
     if (!ok) blocked.insert({key.first, key.second});
     return ok;
   };
+
+  // Phase 1's candidate pairs (a < b) in a max-heap: more dependencies
+  // first, then the lowest (a, b), which is the pair a scan of every
+  // adjacency list in (a, b) order would pick. Entries are invalidated
+  // lazily: a merge pushes the new count of every pair it changes, and a
+  // popped entry whose cluster died or whose count moved is skipped.
+  struct Candidate {
+    long deps;
+    int a;
+    int b;
+  };
+  auto ranksBelow = [](const Candidate& x, const Candidate& y) {
+    if (x.deps != y.deps) return x.deps < y.deps;
+    if (x.a != y.a) return x.a > y.a;
+    return x.b > y.b;
+  };
+  std::vector<Candidate> heap;
+  auto push = [&](long deps, int x, int y) {
+    heap.push_back({deps, std::min(x, y), std::max(x, y)});
+    std::push_heap(heap.begin(), heap.end(), ranksBelow);
+  };
+  // While Phase 1 runs, mergeInto keeps the heap current.
+  bool phase1 =
+      options.targetClusters > 0 && liveCount > options.targetClusters;
+
+  std::vector<NodeId> mergeBuffer;
   auto mergeInto = [&](int dst, int src) {
     Cluster& cd = clusters[static_cast<size_t>(dst)];
     Cluster& cs = clusters[static_cast<size_t>(src)];
@@ -343,14 +444,16 @@ void mergeClusters(const Graph& g, const ClusteringOptions& options,
       cd.nodes.push_back(nMoved);
       clusterOf[static_cast<size_t>(nMoved)] = dst;
     }
-    cd.cells.insert(cs.cells.begin(), cs.cells.end());
+    mergeCells(cd.cells, cs.cells, mergeBuffer);
     cs.nodes.clear();
     cs.cells.clear();
     for (const auto& [other, count] : adj[static_cast<size_t>(src)]) {
       adj[static_cast<size_t>(other)].erase(src);
       if (other == dst) continue;
-      adj[static_cast<size_t>(dst)][other] += count;
+      long& deps = adj[static_cast<size_t>(dst)][other];
+      deps += count;
       adj[static_cast<size_t>(other)][dst] += count;
+      if (phase1) push(deps, dst, other);
     }
     adj[static_cast<size_t>(src)].clear();
     alive[static_cast<size_t>(src)] = false;
@@ -360,40 +463,54 @@ void mergeClusters(const Graph& g, const ClusteringOptions& options,
   // Phase 1 (Algorithm 2 line 30): merge the most inter-dependent
   // feasible pair while more than k clusters remain. Independent clusters
   // are never merged here.
-  while (options.targetClusters > 0 && liveCount > options.targetClusters) {
+  if (phase1) {
+    for (size_t a = 0; a < adj.size(); ++a)
+      for (const auto& [b, count] : adj[a])
+        if (static_cast<int>(a) < b)
+          heap.push_back({count, static_cast<int>(a), b});
+    std::make_heap(heap.begin(), heap.end(), ranksBelow);
+  }
+  while (phase1 && liveCount > options.targetClusters) {
     int bestA = -1, bestB = -1;
-    long bestDeps = 0;
-    for (size_t a = 0; a < adj.size(); ++a) {
-      if (!alive[a]) continue;
-      for (const auto& [b, count] : adj[a]) {
-        if (static_cast<int>(a) >= b) continue;
-        if (count > bestDeps && feasiblePair(static_cast<int>(a), b)) {
-          bestDeps = count;
-          bestA = static_cast<int>(a);
-          bestB = b;
-        }
-      }
+    while (!heap.empty() && bestA < 0) {
+      std::pop_heap(heap.begin(), heap.end(), ranksBelow);
+      Candidate c = heap.back();
+      heap.pop_back();
+      if (!alive[static_cast<size_t>(c.a)] || !alive[static_cast<size_t>(c.b)])
+        continue;
+      const auto& row = adj[static_cast<size_t>(c.a)];
+      auto it = row.find(c.b);
+      if (it == row.end() || it->second != c.deps) continue;  // stale
+      // An infeasible pair is dropped for good: clusters only grow.
+      if (!feasiblePair(c.a, c.b)) continue;
+      bestA = c.a;
+      bestB = c.b;
     }
     if (bestA < 0) break;  // no dependent feasible pair remains
     mergeInto(bestA, bestB);
   }
+  phase1 = false;
 
   // Phase 2: enforce the physical column budget, merging the smallest
-  // feasible pairs even when independent.
+  // feasible pairs even when independent. Among clusters of equal size
+  // the pick is whichever std::sort leaves first, so every iteration
+  // keeps the full sort. It sorts (cell count, index) pairs by count
+  // alone: the same comparisons on the same input as sorting indices by
+  // looked-up count, hence the same order.
+  std::vector<std::pair<int, int>> order;
   while (options.maxClusters > 0 && liveCount > options.maxClusters) {
-    std::vector<int> order;
+    order.clear();
     for (size_t i = 0; i < clusters.size(); ++i)
-      if (alive[i]) order.push_back(static_cast<int>(i));
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return clusters[static_cast<size_t>(a)].cellCount() <
-             clusters[static_cast<size_t>(b)].cellCount();
-    });
+      if (alive[i])
+        order.push_back({clusters[i].cellCount(), static_cast<int>(i)});
+    std::sort(order.begin(), order.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
     int bestA = -1, bestB = -1;
     for (size_t x = 0; x < order.size() && bestA < 0; ++x)
       for (size_t y = x + 1; y < order.size(); ++y)
-        if (feasiblePair(order[x], order[y])) {
-          bestA = order[x];
-          bestB = order[y];
+        if (feasiblePair(order[x].second, order[y].second)) {
+          bestA = order[x].second;
+          bestB = order[y].second;
           break;
         }
     if (bestA < 0)

@@ -17,7 +17,6 @@
 // realizes exactly that ordering.
 #pragma once
 
-#include <set>
 #include <vector>
 
 #include "ir/graph.h"
@@ -57,8 +56,9 @@ struct ClusteringOptions {
 };
 
 struct Cluster {
-  std::vector<ir::NodeId> nodes;       ///< op nodes, in assignment order
-  std::set<ir::NodeId> cells;          ///< distinct values the column holds
+  std::vector<ir::NodeId> nodes;  ///< op nodes, in assignment order
+  /// Distinct values the column holds, ascending.
+  std::vector<ir::NodeId> cells;
   int size() const { return static_cast<int>(nodes.size()); }
   int cellCount() const { return static_cast<int>(cells.size()); }
 };

@@ -1,9 +1,11 @@
 #include "verify/verifier.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <map>
-#include <memory>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -59,13 +61,24 @@ namespace {
 /// rewrites the mappers perform: operand order/duplication normalization
 /// of the associative-commutative ops, the Copy/Not degenerations of
 /// collapsed binary ops, and NAND/NOR/XNOR as negated AND/OR/XOR.
+///
+/// Storage is flat: every expression key (tag, then sorted operands) lives
+/// in one arena, an open-addressing table indexes the keys, and negation
+/// links are a vector indexed by value number. Each is sized once from
+/// the graph (`expected` = its node count) rather than grown by
+/// doubling, which would leave a trail of freed blocks in the heap.
 class ValueTable {
  public:
-  ValueTable() {
+  explicit ValueTable(size_t expected)
+      : slots_(std::bit_ceil(std::max(kMinSlots, 2 * expected)),
+               kEmptySlot) {
+    negation_.reserve(2 * expected);
+    exprs_.reserve(expected);
+    arena_.reserve(4 * expected);
     constFalse_ = fresh();
     constTrue_ = fresh();
-    negation_[constFalse_] = constTrue_;
-    negation_[constTrue_] = constFalse_;
+    negation_[static_cast<size_t>(constFalse_)] = constTrue_;
+    negation_[static_cast<size_t>(constTrue_)] = constFalse_;
   }
 
   int leafConst(bool value) { return value ? constTrue_ : constFalse_; }
@@ -82,7 +95,7 @@ class ValueTable {
 
   /// Canonicalized application of `op` over operand value numbers.
   /// Returns -1 if the arity is invalid for the op (reported separately).
-  int apply(OpKind op, std::vector<int> operands) {
+  int apply(OpKind op, std::span<const int> operands) {
     switch (op) {
       case OpKind::Copy:
         return operands.size() == 1 ? operands[0] : -1;
@@ -93,32 +106,33 @@ class ValueTable {
       case OpKind::Nand:
       case OpKind::Nor: {
         if (operands.empty()) return -1;
-        std::sort(operands.begin(), operands.end());
-        operands.erase(std::unique(operands.begin(), operands.end()),
-                       operands.end());
+        scratch_.assign(operands.begin(), operands.end());
+        std::sort(scratch_.begin(), scratch_.end());
+        scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
+                       scratch_.end());
         bool isOr = op == OpKind::Or || op == OpKind::Nor;
-        int base = operands.size() == 1
-                       ? operands[0]
-                       : cons(isOr ? Tag::Or : Tag::And, operands);
+        int base = scratch_.size() == 1 ? scratch_[0]
+                                        : cons(isOr ? Tag::Or : Tag::And);
         bool negated = op == OpKind::Nand || op == OpKind::Nor;
         return negated ? negate(base) : base;
       }
       case OpKind::Xor:
       case OpKind::Xnor: {
         // Parity: duplicate operands cancel pairwise.
-        std::sort(operands.begin(), operands.end());
-        std::vector<int> kept;
-        for (size_t i = 0; i < operands.size();) {
-          if (i + 1 < operands.size() && operands[i] == operands[i + 1]) {
+        scratch_.assign(operands.begin(), operands.end());
+        std::sort(scratch_.begin(), scratch_.end());
+        size_t kept = 0;
+        for (size_t i = 0; i < scratch_.size();) {
+          if (i + 1 < scratch_.size() && scratch_[i] == scratch_[i + 1]) {
             i += 2;
           } else {
-            kept.push_back(operands[i]);
-            ++i;
+            scratch_[kept++] = scratch_[i++];
           }
         }
-        int base = kept.empty() ? constFalse_
-                   : kept.size() == 1 ? kept[0]
-                                      : cons(Tag::Xor, kept);
+        scratch_.resize(kept);
+        int base = kept == 0   ? constFalse_
+                   : kept == 1 ? scratch_[0]
+                               : cons(Tag::Xor);
         return op == OpKind::Xnor ? negate(base) : base;
       }
     }
@@ -128,51 +142,155 @@ class ValueTable {
  private:
   enum class Tag { And, Or, Xor };
 
-  int fresh() { return next_++; }
+  /// One interned expression: its key is arena_[offset, offset + length).
+  struct Expr {
+    uint32_t offset;
+    uint32_t length;
+    uint32_t hash;
+    int vn;
+  };
 
-  int cons(Tag tag, const std::vector<int>& operands) {
-    std::vector<int> key;
-    key.reserve(operands.size() + 1);
-    key.push_back(static_cast<int>(tag));
-    key.insert(key.end(), operands.begin(), operands.end());
-    auto [it, inserted] = exprs_.try_emplace(std::move(key), 0);
-    if (inserted) it->second = fresh();
-    return it->second;
+  static constexpr size_t kMinSlots = 1024;
+  static constexpr int kEmptySlot = -1;
+
+  int fresh() {
+    negation_.push_back(-1);
+    return static_cast<int>(negation_.size()) - 1;
+  }
+
+  /// Interns (tag, scratch_) and returns its value number.
+  int cons(Tag tag) {
+    uint64_t mix = 0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(tag) + 1);
+    for (int v : scratch_) {
+      mix ^= static_cast<uint32_t>(v);
+      mix *= 0xff51afd7ed558ccdull;
+      mix ^= mix >> 32;
+    }
+    auto hash = static_cast<uint32_t>(mix);
+    auto length = static_cast<uint32_t>(scratch_.size() + 1);
+    size_t mask = slots_.size() - 1;
+    size_t slot = hash & mask;
+    for (; slots_[slot] != kEmptySlot; slot = (slot + 1) & mask) {
+      const Expr& e = exprs_[static_cast<size_t>(slots_[slot])];
+      if (e.hash == hash && e.length == length &&
+          arena_[e.offset] == static_cast<int>(tag) &&
+          std::equal(scratch_.begin(), scratch_.end(),
+                     arena_.begin() + static_cast<long>(e.offset) + 1))
+        return e.vn;
+    }
+    SHERLOCK_ASSERT(arena_.size() + length <= UINT32_MAX,
+                    "value table arena exceeds 32-bit offsets");
+    Expr e{static_cast<uint32_t>(arena_.size()), length, hash, fresh()};
+    arena_.push_back(static_cast<int>(tag));
+    arena_.insert(arena_.end(), scratch_.begin(), scratch_.end());
+    slots_[slot] = static_cast<int>(exprs_.size());
+    exprs_.push_back(e);
+    if (exprs_.size() * 4 > slots_.size() * 3) grow();
+    return e.vn;
+  }
+
+  void grow() {
+    slots_.assign(slots_.size() * 2, kEmptySlot);
+    size_t mask = slots_.size() - 1;
+    for (size_t i = 0; i < exprs_.size(); ++i) {
+      size_t slot = exprs_[i].hash & mask;
+      while (slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
+      slots_[slot] = static_cast<int>(i);
+    }
   }
 
   /// NOT via a bidirectional link, so Not(Not(x)) == x by construction.
   int negate(int v) {
-    auto it = negation_.find(v);
-    if (it != negation_.end()) return it->second;
-    int n = fresh();
-    negation_[v] = n;
-    negation_[n] = v;
+    int n = negation_[static_cast<size_t>(v)];
+    if (n >= 0) return n;
+    n = fresh();
+    negation_[static_cast<size_t>(v)] = n;
+    negation_[static_cast<size_t>(n)] = v;
     return n;
   }
 
-  int next_ = 0;
   int constFalse_ = -1;
   int constTrue_ = -1;
   std::map<std::string, int> inputs_;
-  std::map<std::vector<int>, int> exprs_;
-  std::map<int, int> negation_;
+  std::vector<int> arena_;
+  std::vector<Expr> exprs_;
+  std::vector<int> slots_;     ///< index into exprs_, or kEmptySlot
+  std::vector<int> negation_;  ///< per value number; -1 = none yet
+  std::vector<int> scratch_;   ///< operands being canonicalized
 };
 
 /// Symbolic state of one array: a value number per cell and per
-/// row-buffer slot; -1 = unwritten cell / invalid buffer bit.
-struct ArraySym {
+/// row-buffer slot; -1 = unwritten cell / invalid buffer bit. Cells are
+/// paged by row: a row's page is handed out of one pool on the row's
+/// first write, so a kernel that touches a few rows of a large array pays
+/// for those rows only. The pool reserves the whole array up front, so it
+/// never moves; only the pages of written rows are ever touched. The row
+/// buffer is a ring: logical column c sits in slot (c - offset) mod cols,
+/// so a shift moves the offset and no bit.
+class ArraySym {
+ public:
   ArraySym(int rows, int cols)
-      : cells(static_cast<size_t>(rows) * cols, -1),
-        buffer(static_cast<size_t>(cols), -1) {}
-  std::vector<int> cells;
-  std::vector<int> buffer;
+      : cols_(cols),
+        pageOf_(static_cast<size_t>(rows), -1),
+        buffer_(static_cast<size_t>(cols), -1) {
+    cells_.reserve(static_cast<size_t>(rows) * static_cast<size_t>(cols));
+  }
+
+  int cell(int row, int col) const {
+    int page = pageOf_[static_cast<size_t>(row)];
+    return page < 0 ? -1 : cells_[pageStart(page) + static_cast<size_t>(col)];
+  }
+
+  void setCell(int row, int col, int vn) {
+    int& page = pageOf_[static_cast<size_t>(row)];
+    if (page < 0) {
+      page = static_cast<int>(cells_.size() / static_cast<size_t>(cols_));
+      cells_.resize(cells_.size() + static_cast<size_t>(cols_), -1);
+    }
+    cells_[pageStart(page) + static_cast<size_t>(col)] = vn;
+  }
+
+  int buffer(int col) const { return buffer_[slot(col)]; }
+
+  void setBuffer(int col, int vn) {
+    int& bit = buffer_[slot(col)];
+    valid_ += (vn >= 0 ? 1 : 0) - (bit >= 0 ? 1 : 0);
+    bit = vn;
+  }
+
+  /// True when no buffer slot holds a live bit.
+  bool bufferEmpty() const { return valid_ == 0; }
+
+  /// Left rotation by d in [0, cols): column c moves to (c + d) mod cols.
+  void rotate(int d) { offset_ = (offset_ + d) % cols_; }
+
+ private:
+  size_t pageStart(int page) const {
+    return static_cast<size_t>(page) * static_cast<size_t>(cols_);
+  }
+  size_t slot(int col) const {
+    int s = col - offset_;
+    return static_cast<size_t>(s < 0 ? s + cols_ : s);
+  }
+
+  int cols_;
+  int offset_ = 0;  ///< rotation of the buffer, in [0, cols)
+  int valid_ = 0;   ///< buffer slots holding a live bit
+  std::vector<int> pageOf_;  ///< per row: page index, or -1 if unwritten
+  std::vector<int> cells_;   ///< pages of cols value numbers each
+  std::vector<int> buffer_;
 };
 
 class Verifier {
  public:
   Verifier(const ir::Graph& g, const isa::TargetSpec& target,
            const mapping::Program& program, const VerifyOptions& options)
-      : g_(g), target_(target), prog_(program), options_(options) {}
+      : g_(g),
+        target_(target),
+        prog_(program),
+        options_(options),
+        leafVn_(g.numNodes(), -1),
+        arrays_(static_cast<size_t>(target.numArrays)) {}
 
   VerifyResult run() {
     checkHostWriteTable();
@@ -212,20 +330,19 @@ class Verifier {
 
   ArraySym& arrayAt(int a) {
     auto& slot = arrays_[static_cast<size_t>(a)];
-    if (!slot)
-      slot = std::make_unique<ArraySym>(target_.rows(), target_.cols());
+    if (!slot) slot.emplace(target_.rows(), target_.cols());
     return *slot;
-  }
-
-  size_t cellIndex(int row, int col) const {
-    return static_cast<size_t>(row) * target_.cols() + col;
   }
 
   /// Value number of a leaf node, shared with the graph-side evaluation.
   int leafVn(NodeId id) {
-    const ir::Node& n = g_.node(id);
-    return n.isConst() ? values_.leafConst(n.constValue)
+    int& vn = leafVn_[static_cast<size_t>(id)];
+    if (vn < 0) {
+      const ir::Node& n = g_.node(id);
+      vn = n.isConst() ? values_.leafConst(n.constValue)
                        : values_.leafInput(n.name);
+    }
+    return vn;
   }
 
   // ------------------------------------------------- program-level checks
@@ -324,47 +441,46 @@ class Verifier {
   void interpretRead(size_t idx, const Instruction& inst, ArraySym& arr) {
     // Phase 1: evaluate every column against the pre-read state (chained
     // bits see the buffer as it was before this instruction commits).
-    std::vector<int> newBits(inst.columns.size(), -1);
+    newBits_.assign(inst.columns.size(), -1);
     for (size_t i = 0; i < inst.columns.size(); ++i) {
       int c = inst.columns[i];
-      std::vector<int> operands;
-      operands.reserve(inst.rows.size() + 1);
+      operands_.clear();
       bool bad = false;
       for (int r : inst.rows) {
-        int vn = arr.cells[cellIndex(r, c)];
+        int vn = arr.cell(r, c);
         if (vn < 0) {
           report(Rule::ReadBeforeWrite, idx, inst.arrayId, r, c,
                  strCat("read of unwritten cell (array ", inst.arrayId,
                         ", row ", r, ", col ", c, ")"));
           bad = true;
         }
-        operands.push_back(vn);
+        operands_.push_back(vn);
       }
       if (inst.colOps.empty()) {
-        newBits[i] = bad ? values_.opaque() : operands[0];
+        newBits_[i] = bad ? values_.opaque() : operands_[0];
         continue;
       }
       if (inst.chainsBuffer[i]) {
-        int vn = arr.buffer[static_cast<size_t>(c)];
+        int vn = arr.buffer(c);
         if (vn < 0) {
           report(Rule::BufferLiveness, idx, inst.arrayId, -1, c,
                  strCat("chained read of invalid buffer column ", c,
                         " (no prior read produced it)"));
           bad = true;
         }
-        operands.push_back(vn);
+        operands_.push_back(vn);
       }
-      newBits[i] =
-          bad ? values_.opaque() : values_.apply(inst.colOps[i], operands);
-      if (newBits[i] < 0) {
+      newBits_[i] =
+          bad ? values_.opaque() : values_.apply(inst.colOps[i], operands_);
+      if (newBits_[i] < 0) {
         // Arity mismatch already reported by the rule check; keep going.
-        newBits[i] = values_.opaque();
+        newBits_[i] = values_.opaque();
       }
       if (full()) return;
     }
     // Phase 2: commit the sensed bits to the row buffer.
     for (size_t i = 0; i < inst.columns.size(); ++i)
-      arr.buffer[static_cast<size_t>(inst.columns[i])] = newBits[i];
+      arr.setBuffer(inst.columns[i], newBits_[i]);
   }
 
   void interpretWrite(size_t idx, const Instruction& inst, ArraySym& arr) {
@@ -382,7 +498,7 @@ class Verifier {
                  ? leafVn(leaf)
                  : values_.opaque();
       } else {
-        vn = arr.buffer[static_cast<size_t>(c)];
+        vn = arr.buffer(c);
         if (vn < 0) {
           report(Rule::BufferLiveness, idx, inst.arrayId, row, c,
                  strCat("write from invalid buffer column ", c,
@@ -390,25 +506,18 @@ class Verifier {
           vn = values_.opaque();
         }
       }
-      arr.cells[cellIndex(row, c)] = vn;
+      arr.setCell(row, c, vn);
     }
   }
 
   void interpretShift(size_t idx, const Instruction& inst, ArraySym& arr) {
     int cols = target_.cols();
-    bool anyValid =
-        std::any_of(arr.buffer.begin(), arr.buffer.end(),
-                    [](int vn) { return vn >= 0; });
-    if (!anyValid)
+    if (arr.bufferEmpty())
       report(Rule::BufferLiveness, idx, inst.arrayId, -1, -1,
              "shift of an empty row buffer moves no live bit");
     int d = inst.shiftDistance % cols;
     if (inst.shiftDirection == isa::ShiftDirection::Right) d = (cols - d) % cols;
-    std::vector<int> rotated(arr.buffer.size(), -1);
-    for (int c = 0; c < cols; ++c)
-      rotated[static_cast<size_t>((c + d) % cols)] =
-          arr.buffer[static_cast<size_t>(c)];
-    arr.buffer = std::move(rotated);
+    arr.rotate(d);
   }
 
   /// Xfer: cell-to-cell across arrays. The symbolic value number crosses
@@ -426,14 +535,14 @@ class Verifier {
                     target_.rows(), "))"));
     }
     int srcRow = inst.rows[0], srcCol = inst.columns[0];
-    int vn = arr.cells[cellIndex(srcRow, srcCol)];
+    int vn = arr.cell(srcRow, srcCol);
     if (vn < 0) {
       report(Rule::ReadBeforeWrite, idx, inst.arrayId, srcRow, srcCol,
              strCat("transfer of unwritten cell (array ", inst.arrayId,
                     ", row ", srcRow, ", col ", srcCol, ")"));
       vn = values_.opaque();
     }
-    arrayAt(inst.dstArray).cells[cellIndex(inst.dstRow, inst.dstCol)] = vn;
+    arrayAt(inst.dstArray).setCell(inst.dstRow, inst.dstCol, vn);
   }
 
   // -------------------------------------------------------- output checks
@@ -465,7 +574,8 @@ class Verifier {
                       ") is out of bounds"));
         continue;
       }
-      int vn = arrayAt(cell.arrayId).cells[cellIndex(cell.row, cell.col)];
+      const auto& arr = arrays_[static_cast<size_t>(cell.arrayId)];
+      int vn = arr ? arr->cell(cell.row, cell.col) : -1;
       if (vn < 0) {
         report(Rule::OutputPlacement, Violation::kNoInstruction,
                cell.arrayId, cell.row, cell.col,
@@ -495,11 +605,10 @@ class Verifier {
         vn[static_cast<size_t>(i)] = leafVn(i);
         continue;
       }
-      std::vector<int> operands;
-      operands.reserve(n.operands.size());
+      operands_.clear();
       for (NodeId o : n.operands)
-        operands.push_back(vn[static_cast<size_t>(o)]);
-      int v = values_.apply(n.op, operands);
+        operands_.push_back(vn[static_cast<size_t>(o)]);
+      int v = values_.apply(n.op, operands_);
       vn[static_cast<size_t>(i)] = v < 0 ? values_.opaque() : v;
     }
     return vn;
@@ -511,8 +620,12 @@ class Verifier {
   VerifyOptions options_;
 
   VerifyResult result_;
-  ValueTable values_;
-  std::map<int, std::unique_ptr<ArraySym>> arrays_;
+  ValueTable values_{g_.numNodes()};
+  std::vector<int> leafVn_;  ///< per NodeId; -1 = not yet numbered
+  std::vector<std::optional<ArraySym>> arrays_;  ///< per array id
+  // Scratch reused across instructions and graph nodes.
+  std::vector<int> operands_;
+  std::vector<int> newBits_;
 };
 
 Violation makeRuleViolation(Rule rule, size_t idx, const Instruction& inst,

@@ -5,14 +5,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <functional>
 #include <map>
 #include <set>
+#include <string>
 
 #include "ir/analysis.h"
 #include "isa/instruction.h"
 #include "mapping/clustering.h"
+#include "mapping/opt_mapper.h"
+#include "transforms/passes.h"
+#include "transforms/substitution.h"
 #include "verify/verifier.h"
+#include "workloads/aes.h"
+#include "workloads/bitweaving.h"
 #include "workloads/random_dag.h"
+#include "workloads/sobel.h"
 
 namespace sherlock::mapping {
 namespace {
@@ -20,6 +29,16 @@ namespace {
 using ir::Graph;
 using ir::NodeId;
 using ir::OpKind;
+
+/// Puts op node n into cluster c by hand: n and its operands become
+/// cells (ascending, distinct).
+void addMember(Cluster& c, const Graph& g, NodeId n) {
+  c.nodes.push_back(n);
+  c.cells.push_back(n);
+  for (NodeId o : g.node(n).operands) c.cells.push_back(o);
+  std::sort(c.cells.begin(), c.cells.end());
+  c.cells.erase(std::unique(c.cells.begin(), c.cells.end()), c.cells.end());
+}
 
 ClusteringOptions opts(int capacity, int target = 0, int maxC = 0) {
   ClusteringOptions o;
@@ -139,10 +158,7 @@ TEST(MergeClusters, DependentPairsMergeFirst) {
   std::vector<int> clusterOf(g.numNodes(), -1);
   int idx = 0;
   for (NodeId n : {chainA, chainB, chainC}) {
-    clusters[static_cast<size_t>(idx)].nodes.push_back(n);
-    clusters[static_cast<size_t>(idx)].cells.insert(n);
-    for (NodeId o : g.node(n).operands)
-      clusters[static_cast<size_t>(idx)].cells.insert(o);
+    addMember(clusters[static_cast<size_t>(idx)], g, n);
     clusterOf[static_cast<size_t>(n)] = idx;
     ++idx;
   }
@@ -207,10 +223,7 @@ TEST(Refinement, MovesNodeToNeighborCluster) {
   std::vector<Cluster> clusters(2);
   std::vector<int> clusterOf(g.numNodes(), -1);
   auto seed = [&](int ci, NodeId n) {
-    clusters[static_cast<size_t>(ci)].nodes.push_back(n);
-    clusters[static_cast<size_t>(ci)].cells.insert(n);
-    for (NodeId o : g.node(n).operands)
-      clusters[static_cast<size_t>(ci)].cells.insert(o);
+    addMember(clusters[static_cast<size_t>(ci)], g, n);
     clusterOf[static_cast<size_t>(n)] = ci;
   };
   seed(0, t1);
@@ -305,6 +318,121 @@ TEST(ClusterProperties, ClustersEncodableUnderIsaRules) {
         }
       }
     }
+  }
+}
+
+uint64_t clusterDigest(const ClusteringResult& r) {
+  uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](int64_t v) {
+    for (int byte = 0; byte < 8; ++byte)
+      h = (h ^ static_cast<uint8_t>(v >> (8 * byte))) * 1099511628211ULL;
+  };
+  for (int c : r.clusterOf) mix(c);
+  for (const Cluster& c : r.clusters) {
+    mix(-2);
+    for (NodeId n : c.nodes) mix(n);
+  }
+  return h;
+}
+
+/// The random DAG and target bench_micro_mapper times (same spec).
+Graph microBenchDag(int ops) {
+  workloads::RandomDagSpec spec;
+  spec.inputs = std::max(8, ops / 16);
+  spec.ops = ops;
+  spec.maxArity = 3;
+  spec.locality = 0.4;
+  spec.seed = 1234;
+  return transforms::canonicalize(workloads::buildRandomDag(spec));
+}
+
+isa::TargetSpec microBenchTarget(const Graph& g) {
+  isa::TargetSpec t =
+      isa::TargetSpec::square(512, device::TechnologyParams::reRam(), 3);
+  t.numArrays = 1 + static_cast<int>(g.valueCount()) / (512 * 400);
+  return t;
+}
+
+/// Clusters of the paper trio under the optimizing flows of golden_test
+/// (ReRAM 1024² MRA 2, and 512² MRA 4 after affinity-ordered
+/// substitution) and of bench_micro_mapper's random DAGs, whose 4,096-
+/// and 16,384-op instances pass through Phase 2's column cap.
+std::vector<std::pair<std::string, uint64_t>> currentClusterDigests() {
+  std::vector<std::pair<std::string, std::function<Graph()>>> kernels{
+      {"Bitweaving",
+       [] {
+         workloads::BitweavingSpec s;
+         s.bits = 16;
+         s.segments = 32;
+         return workloads::buildBitweaving(s);
+       }},
+      {"Sobel",
+       [] {
+         workloads::SobelSpec s;
+         s.width = 16;
+         return workloads::buildSobel(s);
+       }},
+      {"AES", [] { return workloads::buildAes({10}); }},
+  };
+  const auto reram = device::TechnologyParams::reRam();
+  std::vector<std::pair<std::string, uint64_t>> digests;
+  for (const auto& [name, build] : kernels) {
+    Graph canonical = transforms::canonicalize(build());
+    digests.emplace_back(
+        strCat(name, " 1024-mra2"),
+        clusterDigest(mapOptimized(canonical,
+                                   isa::TargetSpec::square(1024, reram, 2))
+                          .clustering));
+    transforms::SubstitutionOptions sopt;
+    sopt.maxOperands = 4;
+    sopt.order = transforms::MergeOrder::ByAffinity;
+    Graph merged = transforms::substituteNodes(canonical, sopt).graph;
+    digests.emplace_back(
+        strCat(name, " 512-mra4"),
+        clusterDigest(
+            mapOptimized(merged, isa::TargetSpec::square(512, reram, 4))
+                .clustering));
+  }
+  for (int ops : {1024, 4096, 16384}) {
+    Graph g = microBenchDag(ops);
+    digests.emplace_back(
+        strCat("random-", ops),
+        clusterDigest(mapOptimized(g, microBenchTarget(g)).clustering));
+  }
+  return digests;
+}
+
+// Recorded from the clustering before its cell sets, refcounts and
+// Phase 1 pick became flat; every cluster must stay the same.
+// clang-format off
+const std::pair<const char*, uint64_t> kClusterDigests[] = {
+  {"Bitweaving 1024-mra2", 0x76dda2d86735bda1ULL},
+  {"Bitweaving 512-mra4", 0x9d3b3af3c02659aeULL},
+  {"Sobel 1024-mra2", 0x34a812c5b88a5f7dULL},
+  {"Sobel 512-mra4", 0x99c9b52a9cdf61b2ULL},
+  {"AES 1024-mra2", 0xa87cfbf60626834aULL},
+  {"AES 512-mra4", 0xdd3209c7423789d3ULL},
+  {"random-1024", 0xb88d3cd059ed820eULL},
+  {"random-4096", 0x5302783b93257f89ULL},
+  {"random-16384", 0x67ecb6c2df7e144dULL},
+};
+// clang-format on
+
+TEST(ClusterDigests, MatchTheRecordedClusters) {
+  auto digests = currentClusterDigests();
+  std::string table;
+  for (const auto& [name, digest] : digests) {
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(digest));
+    table += strCat("  {\"", name, "\", 0x", hex, "ULL},\n");
+  }
+  ASSERT_EQ(digests.size(), std::size(kClusterDigests))
+      << "current table:\n" << table;
+  for (size_t i = 0; i < digests.size(); ++i) {
+    EXPECT_EQ(digests[i].first, kClusterDigests[i].first);
+    EXPECT_EQ(digests[i].second, kClusterDigests[i].second)
+        << digests[i].first << ": clusters changed\n" << table;
   }
 }
 
