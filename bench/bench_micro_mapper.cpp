@@ -1,12 +1,16 @@
 // Micro-benchmarks (google-benchmark): compile-time scalability of the
 // Sherlock pipeline stages — b-level analysis, clustering, both mappers,
-// verification and full compilation — on random DAGs of growing size,
-// plus verification of one small kernel across array sizes.
+// verification, simulation and full compilation — on random DAGs of
+// growing size, plus verification of one small kernel and row-buffer
+// shifts across array sizes.
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "frontend/lowering.h"
 #include "ir/analysis.h"
 #include "mapping/compiler.h"
+#include "sim/simulator.h"
 #include "transforms/passes.h"
 #include "transforms/substitution.h"
 #include "verify/verifier.h"
@@ -128,6 +132,73 @@ void BM_VerifySmallKernel(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_VerifySmallKernel)->Arg(256)->Arg(1024)->Complexity();
+
+/// Simulates the optimized program once per iteration; N is its
+/// instruction count, so the fit is the cost per simulated instruction.
+/// Static verification is off: BM_VerifyProgram times it.
+void BM_SimulateProgram(benchmark::State& state) {
+  ir::Graph g = transforms::canonicalize(
+      dagOfSize(static_cast<int>(state.range(0))));
+  isa::TargetSpec t = targetFor(g);
+  mapping::Program program = compileUnverified(g, t);
+  sim::SimOptions options;
+  options.staticVerify = false;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(sim::simulate(g, t, program, options));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(program.instructions.size()));
+  state.SetComplexityN(static_cast<int64_t>(program.instructions.size()));
+}
+BENCHMARK(BM_SimulateProgram)->Range(256, 16384)->Complexity();
+
+/// Row-buffer shifts with every column of a square ReRAM array of side
+/// range(0) latched: the time of a shift should not depend on the width.
+/// Each iteration simulates the fill program alone and the fill program
+/// followed by the shifts; the reported time is the difference.
+void BM_SimulateShifts(benchmark::State& state) {
+  constexpr int kShifts = 200000;
+  const int cols = static_cast<int>(state.range(0));
+  isa::TargetSpec t =
+      isa::TargetSpec::square(cols, device::TechnologyParams::reRam(), 2);
+  ir::Graph g;
+  ir::NodeId a = g.addInput("a");
+  g.markOutput(a);
+  std::vector<int> all(static_cast<size_t>(cols));
+  for (int c = 0; c < cols; ++c) all[static_cast<size_t>(c)] = c;
+  auto program = [&](int shifts) {
+    mapping::Program p;
+    p.instructions.push_back(isa::makeWrite(0, all, 0));
+    p.hostWriteValues[0].assign(all.size(), a);
+    p.instructions.push_back(isa::makePlainRead(0, all, 0));
+    for (int i = 0; i < shifts; ++i)
+      p.instructions.push_back(
+          isa::makeShift(0, isa::ShiftDirection::Left, 1));
+    p.instructions.push_back(isa::makeWrite(0, all, 1));
+    p.outputCells[a] = {0, 0, 1};
+    return p;
+  };
+  const mapping::Program fill = program(0);
+  const mapping::Program shifted = program(kShifts);
+  sim::SimOptions options;
+  options.staticVerify = false;
+  using Clock = std::chrono::steady_clock;
+  auto seconds = [&](const mapping::Program& p) {
+    auto start = Clock::now();
+    benchmark::DoNotOptimize(sim::simulate(g, t, p, options));
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  };
+  for (auto _ : state) {
+    double base = seconds(fill);
+    state.SetIterationTime(std::max(0.0, seconds(shifted) - base));
+  }
+  state.SetItemsProcessed(state.iterations() * kShifts);
+  state.SetComplexityN(cols);
+}
+BENCHMARK(BM_SimulateShifts)
+    ->Arg(256)
+    ->Arg(1024)
+    ->UseManualTime()
+    ->Complexity();
 
 void BM_CompileOptimizedEndToEnd(benchmark::State& state) {
   ir::Graph g = transforms::canonicalize(

@@ -41,9 +41,13 @@ class CodeGenerator {
  private:
   // ---------------------------------------------------------------- state
   void initState() {
-    // The paper kernels emit 2-6 instructions per DAG node; reserving
-    // up front spares most regrowth copies of the instruction vector.
-    prog_.instructions.reserve(4 * g_.numNodes());
+    // The paper kernels emit 2-6 instructions per DAG node: up to 5.7
+    // with eager write-back, which stores every result, and under 3
+    // without. Reserving past that up front spares the regrowth copy of
+    // the instruction vector, whose old and new blocks would both be
+    // live.
+    prog_.instructions.reserve((options_.eagerWriteback ? 6 : 4) *
+                               g_.numNodes());
     usesLeft_.assign(g_.numNodes(), 0);
     lastLanding_.assign(g_.numNodes(), -1);
     isOutput_.assign(g_.numNodes(), false);

@@ -32,7 +32,9 @@ constexpr double kBufferOpLatencyNs = 0.5;   // rowless row-buffer logic
 /// and combine loops. Cell state is paged by row: a row's page is
 /// allocated on the row's first write, so a program that writes a few
 /// rows of a large array pays for those rows only. A row without a page
-/// holds no written cell and no pending write.
+/// holds no written cell and no pending write. The row buffer is a ring:
+/// logical column c sits in slot (c - offset) mod cols, so a shift moves
+/// the offset and no bit.
 struct ArrayState {
   /// Cell state of one written row.
   struct Row {
@@ -82,15 +84,26 @@ struct ArrayState {
   const uint64_t* cellWords(const Row& row, int col) const {
     return row.cells.data() + static_cast<size_t>(col) * W_;
   }
-  uint64_t* bufferWords(int col) {
-    return buffer.data() + static_cast<size_t>(col) * W_;
-  }
+  uint64_t* bufferWords(int col) { return buffer.data() + slot(col) * W_; }
   bool bufferIsValid(int col) const {
-    return (bufferValid[static_cast<size_t>(col) >> 6] >> (col & 63)) & 1;
+    size_t s = slot(col);
+    return (bufferValid[s >> 6] >> (s & 63)) & 1;
+  }
+  void markBufferValid(int col) {
+    size_t s = slot(col);
+    bufferValid[s >> 6] |= uint64_t{1} << (s & 63);
+  }
+  /// Left rotation by d in [0, cols): column c moves to (c + d) mod cols.
+  void rotate(int d) { offset_ = (offset_ + d) % cols_; }
+
+  size_t slot(int col) const {
+    int s = col - offset_;
+    return static_cast<size_t>(s < 0 ? s + cols_ : s);
   }
 
   int cols_;
   size_t W_;
+  int offset_ = 0;  ///< rotation of the buffer, in [0, cols)
   std::vector<std::unique_ptr<Row>> rowPages;  ///< one slot per row
   std::vector<uint64_t> buffer;       ///< cols * W lane words
   std::vector<uint64_t> bufferValid;  ///< packed bitmap over columns
@@ -254,18 +267,26 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
   SimResult result;
   result.corruptedLaneWords.assign(W, 0);
   device::AppFailureAccumulator failures;
-  std::map<std::pair<device::SenseKind, int>, double> pdfCache;
+  // P_DF per (sense kind, activated rows), filled on first use. Row
+  // counts outside [1, cap] go to decisionFailureProbability, which
+  // rejects them.
+  const int pdfRows = std::max(target.tech.maxActivatedRows, 0) + 1;
+  constexpr size_t kSenseKinds =
+      static_cast<size_t>(device::SenseKind::PlainRead) + 1;
+  std::vector<double> pdfTable(kSenseKinds * static_cast<size_t>(pdfRows),
+                               -1.0);
   auto pdfOf = [&](device::SenseKind kind, int r) {
-    auto key = std::make_pair(kind, r);
-    auto it = pdfCache.find(key);
-    if (it == pdfCache.end())
-      it = pdfCache
-               .emplace(key,
-                        device::decisionFailureProbability(target.tech, kind,
-                                                           r))
-               .first;
-    return it->second;
+    if (r < 1 || r >= pdfRows)
+      return device::decisionFailureProbability(target.tech, kind, r);
+    double& pdf = pdfTable[static_cast<size_t>(kind) * pdfRows +
+                           static_cast<size_t>(r)];
+    if (pdf < 0.0)
+      pdf = device::decisionFailureProbability(target.tech, kind, r);
+    return pdf;
   };
+  const double readNs = cost.readLatencyNs();
+  const double writeIssueNs = cost.writeIssueLatencyNs();
+  const double writeDoneNs = cost.writeCompletionNs();
 
   double now = 0.0;
   // Inter-array bus occupancy. Every xfer serializes through one flat
@@ -286,13 +307,17 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
   std::vector<uint64_t> newBits;              // columns * W result words
   std::vector<uint64_t> truth(W), check(W);   // per-column sense scratch
   std::vector<uint64_t> splitWords;           // degrade: per-row samples
-  std::vector<uint64_t> shiftBuf, shiftValid; // rotate scratch
   std::vector<int> weakPerCol;
   std::vector<uint8_t> plainStuck;            // plain read of a stuck cell
   std::vector<const uint64_t*> opPtrs, splitPtrs;
   std::vector<uint8_t> opStuck;
   const std::vector<uint64_t> onesW(W, ~uint64_t{0});
   const std::vector<uint64_t> zerosW(W, 0);
+
+  // Host-write entries in instruction order: a cursor that follows the
+  // loop, so a write looks at one entry instead of searching the map.
+  auto hostNext = program.hostWriteValues.begin();
+  const auto hostEnd = program.hostWriteValues.end();
 
   trace::Tracer& tracer = trace::Tracer::instance();
   for (size_t idx = 0; idx < program.instructions.size(); ++idx) {
@@ -335,7 +360,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
               0.005 * target.geometry.dataWidthBits *
               static_cast<double>(inst.columns.size());
         } else {
-          now += cost.readLatencyNs();
+          now += readNs;
           result.energyPj += cost.readEnergyPj(
               static_cast<int>(inst.rows.size()),
               static_cast<int>(inst.columns.size()));
@@ -522,15 +547,14 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         // activated row as a single-row read and combines in the buffer.
         if (maxSenses > 1) {
           double extra = maxSenses - 1;
-          now += extra * cost.readLatencyNs();
+          now += extra * readNs;
           result.energyPj +=
               extra * cost.readEnergyPj(
                           static_cast<int>(inst.rows.size()),
                           static_cast<int>(inst.columns.size()));
         }
         if (degradedCols > 0) {
-          now += static_cast<double>(inst.rows.size()) *
-                     cost.readLatencyNs() +
+          now += static_cast<double>(inst.rows.size()) * readNs +
                  kBufferOpLatencyNs;
           result.energyPj += static_cast<double>(inst.rows.size()) *
                              cost.readEnergyPj(1, degradedCols);
@@ -538,8 +562,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         for (size_t i = 0; i < nCols; ++i) {
           int c = inst.columns[i];
           std::copy_n(newBits.data() + i * W, W, arr.bufferWords(c));
-          arr.bufferValid[static_cast<size_t>(c) >> 6] |=
-              uint64_t{1} << (c & 63);
+          arr.markBufferValid(c);
         }
         break;
       }
@@ -565,13 +588,16 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
           }
         }
         const FaultMasks* wfm = fmap ? &masksAt(inst.arrayId) : nullptr;
-        auto hostIt = program.hostWriteValues.find(idx);
+        while (hostNext != hostEnd && hostNext->first < idx) ++hostNext;
+        const std::vector<NodeId>* host =
+            hostNext != hostEnd && hostNext->first == idx ? &hostNext->second
+                                                          : nullptr;
         ArrayState::Row& page = arr.writableRow(row);
         for (size_t i = 0; i < inst.columns.size(); ++i) {
           int c = inst.columns[i];
           uint64_t* dst = arr.cellWords(page, c);
-          if (hostIt != program.hostWriteValues.end()) {
-            std::copy_n(leafWords(hostIt->second[i]), W, dst);
+          if (host) {
+            std::copy_n(leafWords((*host)[i]), W, dst);
           } else {
             if (!arr.bufferIsValid(c))
               throw SimulationError(
@@ -591,11 +617,10 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         }
         // Posted write: issue cost now, programming completes later.
         for (int col : inst.columns) {
-          page.writeReadyNs[static_cast<size_t>(col)] =
-              now + cost.writeCompletionNs();
+          page.writeReadyNs[static_cast<size_t>(col)] = now + writeDoneNs;
           page.writeIndex[static_cast<size_t>(col)] = static_cast<long>(idx);
         }
-        now += cost.writeIssueLatencyNs();
+        now += writeIssueNs;
         result.energyPj +=
             cost.writeEnergyPj(static_cast<int>(inst.columns.size()));
         break;
@@ -605,25 +630,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         int d = inst.shiftDistance % cols;
         if (inst.shiftDirection == isa::ShiftDirection::Right)
           d = (cols - d) % cols;
-        // Rotate left by d: bits at column c move to (c + d) % cols. The
-        // lane words rotate as two block copies; the valid bits move one
-        // set bit at a time.
-        const auto split =
-            static_cast<std::ptrdiff_t>(static_cast<size_t>(cols - d) * W);
-        shiftBuf.resize(arr.buffer.size());
-        std::rotate_copy(arr.buffer.begin(), arr.buffer.begin() + split,
-                         arr.buffer.end(), shiftBuf.begin());
-        shiftValid.assign(arr.bufferValid.size(), 0);
-        for (size_t w = 0; w < arr.bufferValid.size(); ++w)
-          for (uint64_t valid = arr.bufferValid[w]; valid;
-               valid &= valid - 1) {
-            int c = static_cast<int>(w * 64) + std::countr_zero(valid);
-            int dst = c < cols - d ? c + d : c + d - cols;
-            shiftValid[static_cast<size_t>(dst) >> 6] |=
-                uint64_t{1} << (dst & 63);
-          }
-        arr.buffer.swap(shiftBuf);
-        arr.bufferValid.swap(shiftValid);
+        arr.rotate(d);  // bits at column c move to (c + d) % cols
         now += cost.shiftLatencyNs(inst.shiftDistance);
         result.energyPj += cost.shiftEnergyPj(inst.shiftDistance);
         break;
@@ -698,7 +705,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
             }
           }
         }
-        now += senses * cost.readLatencyNs();
+        now += senses * readNs;
         result.energyPj += senses * cost.readEnergyPj(1, 1);
 
         // Bus leg: the engine queues for the bus and carries the bit.
@@ -745,7 +752,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         }
         dstPage.markWritten(inst.dstCol);
         dstPage.writeReadyNs[static_cast<size_t>(inst.dstCol)] =
-            busEnd + cost.writeCompletionNs();
+            busEnd + writeDoneNs;
         dstPage.writeIndex[static_cast<size_t>(inst.dstCol)] =
             static_cast<long>(idx);
         result.energyPj += cost.writeEnergyPj(1);

@@ -3,14 +3,17 @@
 // array size / MRA, technology flow and DAG pipeline (the default one,
 // or -O's inverter folding). Refactors that must keep every program
 // byte-identical (the IR builder, codegen's data structures) keep this
-// test green. A change that moves a digest on purpose regenerates the
-// table and explains the difference:
+// test green. A second table pins every simulated number of the same
+// programs, plus two fault-tolerant runs, to the last bit: refactors of
+// the simulator keep it green. A change that moves a digest on purpose
+// regenerates the tables and explains the difference:
 //
-//   SHERLOCK_GOLDEN_PRINT=1 ./golden_test   # prints the current table
+//   SHERLOCK_GOLDEN_PRINT=1 ./golden_test   # prints the current tables
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -19,7 +22,9 @@
 
 #include "frontend/lowering.h"
 #include "isa/instruction.h"
+#include "device/faultmap.h"
 #include "mapping/compiler.h"
+#include "sim/simulator.h"
 #include "transforms/nand_lowering.h"
 #include "transforms/passes.h"
 #include "transforms/substitution.h"
@@ -100,6 +105,75 @@ const Golden kGolden[] = {
 };
 // clang-format on
 
+// Digest of every SimResult field (simFields) of the same configs at one
+// lane word with default inputs, then two fault-tolerant runs.
+// clang-format off
+const Golden kGoldenSim[] = {
+  {"Bitweaving reram-1024-mra2 naive", 0xee1ab7d4ab2c70ceULL},
+  {"Bitweaving reram-1024-mra2 opt", 0x7e8548e27ef21d2dULL},
+  {"Bitweaving reram-512-mra4 naive", 0xe5ca6e67de568a52ULL},
+  {"Bitweaving reram-512-mra4 opt", 0x3c3a07e7b9574ceeULL},
+  {"Bitweaving stt-512-nand naive", 0x4063b858aebc7938ULL},
+  {"Bitweaving stt-512-nand opt", 0x66612f0d137bc9e1ULL},
+  {"Bitweaving reram-1024-mra2-O naive", 0xee1ab7d4ab2c70ceULL},
+  {"Bitweaving reram-1024-mra2-O opt", 0x7e8548e27ef21d2dULL},
+  {"Bitweaving reram-512-mra4-O naive", 0xe5ca6e67de568a52ULL},
+  {"Bitweaving reram-512-mra4-O opt", 0x3c3a07e7b9574ceeULL},
+  {"Sobel reram-1024-mra2 naive", 0xc3fbe43fa55a5352ULL},
+  {"Sobel reram-1024-mra2 opt", 0x2c2b10c087440aa6ULL},
+  {"Sobel reram-512-mra4 naive", 0x6f7b364b0ebfb958ULL},
+  {"Sobel reram-512-mra4 opt", 0xd50a486bc94885a8ULL},
+  {"Sobel stt-512-nand naive", 0xcee5e88c5a5eafc6ULL},
+  {"Sobel stt-512-nand opt", 0x993cbd6d6a7bacd2ULL},
+  {"Sobel reram-1024-mra2-O naive", 0x18913953058c6acdULL},
+  {"Sobel reram-1024-mra2-O opt", 0xf4cec05bd6d9af0bULL},
+  {"Sobel reram-512-mra4-O naive", 0x04f8d3b44de2b2edULL},
+  {"Sobel reram-512-mra4-O opt", 0x78f42b8892214de5ULL},
+  {"AES reram-1024-mra2 naive", 0xf3a20f80b8c91f37ULL},
+  {"AES reram-1024-mra2 opt", 0x97447339c959845cULL},
+  {"AES reram-512-mra4 naive", 0x0d5114bd190296feULL},
+  {"AES reram-512-mra4 opt", 0x362e44e4f6934cf5ULL},
+  {"AES stt-512-nand naive", 0xc3d9e5b3505d2dbfULL},
+  {"AES stt-512-nand opt", 0x6d8f40f17e15313bULL},
+  {"AES reram-1024-mra2-O naive", 0xf8f9e705f654ecf1ULL},
+  {"AES reram-1024-mra2-O opt", 0x78ccf71d8e82430cULL},
+  {"AES reram-512-mra4-O naive", 0xd68037bd3a39292cULL},
+  {"AES reram-512-mra4-O opt", 0x73aab64abf1833c8ULL},
+  {"bitweaving_between reram-1024-mra2 naive", 0x460dc6bf26c9f201ULL},
+  {"bitweaving_between reram-1024-mra2 opt", 0xbac50768f97d1ca2ULL},
+  {"bitweaving_between reram-512-mra4 naive", 0xa826ec73bab8dc65ULL},
+  {"bitweaving_between reram-512-mra4 opt", 0x027effa83aa2b205ULL},
+  {"bitweaving_between stt-512-nand naive", 0x095eacb26e13c5f0ULL},
+  {"bitweaving_between stt-512-nand opt", 0xc6d5c8bff9ada120ULL},
+  {"bitweaving_between reram-1024-mra2-O naive", 0x26d526f26f722414ULL},
+  {"bitweaving_between reram-1024-mra2-O opt", 0xd0c5dd9c2a6185beULL},
+  {"bitweaving_between reram-512-mra4-O naive", 0x29fd67117b16836eULL},
+  {"bitweaving_between reram-512-mra4-O opt", 0x5c0e2d5e55987211ULL},
+  {"parity_check reram-1024-mra2 naive", 0x821614b30d856266ULL},
+  {"parity_check reram-1024-mra2 opt", 0xfdc87fa4e5504693ULL},
+  {"parity_check reram-512-mra4 naive", 0x921bb19b9593bff6ULL},
+  {"parity_check reram-512-mra4 opt", 0xd741ec19cb4734f2ULL},
+  {"parity_check stt-512-nand naive", 0xe3931341ca498c58ULL},
+  {"parity_check stt-512-nand opt", 0xd5b11f4351527ed5ULL},
+  {"parity_check reram-1024-mra2-O naive", 0x821614b30d856266ULL},
+  {"parity_check reram-1024-mra2-O opt", 0xfdc87fa4e5504693ULL},
+  {"parity_check reram-512-mra4-O naive", 0x921bb19b9593bff6ULL},
+  {"parity_check reram-512-mra4-O opt", 0xd741ec19cb4734f2ULL},
+  {"popcount_threshold reram-1024-mra2 naive", 0xaff28cffdff156e4ULL},
+  {"popcount_threshold reram-1024-mra2 opt", 0x0c0a7af24778e7c7ULL},
+  {"popcount_threshold reram-512-mra4 naive", 0x08022c86a5846159ULL},
+  {"popcount_threshold reram-512-mra4 opt", 0x236a25dce99fc126ULL},
+  {"popcount_threshold stt-512-nand naive", 0x643cdbabe05773deULL},
+  {"popcount_threshold stt-512-nand opt", 0x5c432d270c78111aULL},
+  {"popcount_threshold reram-1024-mra2-O naive", 0xaff28cffdff156e4ULL},
+  {"popcount_threshold reram-1024-mra2-O opt", 0x0c0a7af24778e7c7ULL},
+  {"popcount_threshold reram-512-mra4-O naive", 0x08022c86a5846159ULL},
+  {"popcount_threshold reram-512-mra4-O opt", 0x236a25dce99fc126ULL},
+  {"Bitweaving stt-512-faulty-guarded opt", 0x45f81979cbd6eb68ULL},
+  {"Sobel stt-512-faulty-guarded opt", 0xc2ed7c3bc3d05747ULL},
+};
+// clang-format on
+
 uint64_t fnv1a(const std::string& text) {
   uint64_t h = 14695981039346656037ULL;
   for (unsigned char c : text) h = (h ^ c) * 1099511628211ULL;
@@ -145,8 +219,53 @@ std::vector<Kernel> kernels() {
   return out;
 }
 
-/// Digest of the program for every (kernel, flow, strategy) config.
-std::vector<std::pair<std::string, uint64_t>> currentDigests() {
+/// Every SimResult field as text. Doubles print in %a, so a digest of
+/// the text pins them to the last bit.
+std::string simFields(const sim::SimResult& r) {
+  auto exact = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return std::string(buf);
+  };
+  return strCat("latencyNs=", exact(r.latencyNs),
+                " energyPj=", exact(r.energyPj),
+                " stallNs=", exact(r.stallNs), " pApp=", exact(r.pApp),
+                " instructionCount=", r.instructionCount,
+                " cimColumnOps=", r.cimColumnOps,
+                " busBusyNs=", exact(r.busBusyNs),
+                " busWaitNs=", exact(r.busWaitNs),
+                " verified=", r.verified, " guardedOps=", r.guardedOps,
+                " retriedOps=", r.retriedOps,
+                " degradedOps=", r.degradedOps,
+                " stuckCellReads=", r.stuckCellReads,
+                " wornRows=", r.wornRows,
+                " injectedFaults=", r.injectedFaults,
+                " corruptedLanes=", r.corruptedLanes());
+}
+
+/// simFields of one run, or the error it threw: a simulator failure
+/// fails the simulated-result table only, not the program table.
+std::string simulated(const ir::Graph& g, const isa::TargetSpec& target,
+                      const mapping::Program& program,
+                      const sim::SimOptions& options) {
+  try {
+    return simFields(sim::simulate(g, target, program, options));
+  } catch (const std::exception& e) {
+    return strCat("error: ", e.what());
+  }
+}
+
+struct GoldenRuns {
+  /// Config -> digest of its emitted assembly.
+  std::vector<std::pair<std::string, uint64_t>> programs;
+  /// Config -> simFields of its simulation.
+  std::vector<std::pair<std::string, std::string>> sims;
+};
+
+/// Compiles every (kernel, flow, strategy) config and simulates it at
+/// one lane word with default inputs; then compiles Bitweaving and Sobel
+/// around a seeded STT-MRAM fault map and runs them guarded.
+GoldenRuns computeRuns() {
   struct Flow {
     const char* name;
     device::TechnologyParams tech;
@@ -164,7 +283,11 @@ std::vector<std::pair<std::string, uint64_t>> currentDigests() {
       {"reram-1024-mra2-O", reram, 1024, 2, false, true},
       {"reram-512-mra4-O", reram, 512, 4, false, true},
   };
-  std::vector<std::pair<std::string, uint64_t>> digests;
+  // Compilation is verified under ctest (SHERLOCK_VERIFY=1); the
+  // simulator's own static pass would only repeat it.
+  sim::SimOptions plain;
+  plain.staticVerify = false;
+  GoldenRuns runs;
   for (const Kernel& kernel : kernels()) {
     ir::Graph canonical = transforms::canonicalize(kernel.build());
     ir::Graph folded = transforms::foldInverters(canonical);
@@ -185,32 +308,83 @@ std::vector<std::pair<std::string, uint64_t>> currentDigests() {
         mapping::CompileOptions copts;
         copts.strategy = optimized ? mapping::Strategy::Optimized
                                    : mapping::Strategy::Naive;
-        auto compiled = mapping::compile(
-            g, isa::TargetSpec::square(flow.dim, flow.tech, flow.mra), copts);
-        digests.emplace_back(
-            strCat(kernel.name, " ", flow.name, optimized ? " opt" : " naive"),
-            fnv1a(isa::toAssembly(compiled.program.instructions)));
+        auto target = isa::TargetSpec::square(flow.dim, flow.tech, flow.mra);
+        auto compiled = mapping::compile(g, target, copts);
+        std::string config =
+            strCat(kernel.name, " ", flow.name, optimized ? " opt" : " naive");
+        runs.programs.emplace_back(
+            config, fnv1a(isa::toAssembly(compiled.program.instructions)));
+        runs.sims.emplace_back(
+            config, simulated(g, target, compiled.program, plain));
       }
     }
   }
-  return digests;
+  // Fault-tolerant runs: placement around a seeded map (1% stuck, 0.5%
+  // weak) with 16 spare rows, guarded injection at 8 lane words.
+  auto target = isa::TargetSpec::square(512, stt, 2);
+  device::FaultMapOptions fo;
+  fo.seed = 7;
+  fo.stuckDensity = 0.01;
+  fo.weakDensity = 0.005;
+  auto map = device::FaultMap::generate(target.numArrays, target.rows(),
+                                        target.cols(), fo);
+  for (const Kernel& kernel : kernels()) {
+    if (kernel.name != "Bitweaving" && kernel.name != "Sobel") continue;
+    ir::Graph g = transforms::canonicalize(kernel.build());
+    mapping::CompileOptions copts;
+    copts.faults = {&map, 16};
+    auto compiled = mapping::compile(g, target, copts);
+    sim::SimOptions guarded = plain;
+    guarded.laneWords = 8;
+    guarded.faultMap = &map;
+    guarded.guardedExecution = true;
+    guarded.injectFaults = true;
+    runs.sims.emplace_back(strCat(kernel.name, " stt-512-faulty-guarded opt"),
+                           simulated(g, target, compiled.program, guarded));
+  }
+  return runs;
+}
+
+const GoldenRuns& goldenRuns() {
+  static const GoldenRuns runs = computeRuns();
+  return runs;
+}
+
+void printTable(const char* name,
+                const std::vector<std::pair<std::string, uint64_t>>& rows) {
+  std::printf("%s:\n", name);
+  for (const auto& [config, digest] : rows) {
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(digest));
+    std::printf("  {\"%s\", 0x%sULL},\n", config.c_str(), hex);
+  }
 }
 
 TEST(Golden, EmittedProgramsMatchTheTable) {
-  auto digests = currentDigests();
-  if (std::getenv("SHERLOCK_GOLDEN_PRINT")) {
-    for (const auto& [config, digest] : digests) {
-      char hex[17];
-      std::snprintf(hex, sizeof hex, "%016llx",
-                    static_cast<unsigned long long>(digest));
-      std::printf("  {\"%s\", 0x%sULL},\n", config.c_str(), hex);
-    }
-  }
+  const auto& digests = goldenRuns().programs;
+  if (std::getenv("SHERLOCK_GOLDEN_PRINT")) printTable("kGolden", digests);
   ASSERT_EQ(digests.size(), std::size(kGolden));
   for (size_t i = 0; i < digests.size(); ++i) {
     EXPECT_EQ(digests[i].first, kGolden[i].config);
     EXPECT_EQ(digests[i].second, kGolden[i].digest)
         << digests[i].first << ": emitted program changed";
+  }
+}
+
+TEST(Golden, SimulatedResultsMatchTheTable) {
+  const auto& sims = goldenRuns().sims;
+  std::vector<std::pair<std::string, uint64_t>> digests;
+  for (const auto& [config, fields] : sims)
+    digests.emplace_back(config, fnv1a(fields));
+  if (std::getenv("SHERLOCK_GOLDEN_PRINT"))
+    printTable("kGoldenSim", digests);
+  ASSERT_EQ(digests.size(), std::size(kGoldenSim));
+  for (size_t i = 0; i < digests.size(); ++i) {
+    EXPECT_EQ(digests[i].first, kGoldenSim[i].config);
+    EXPECT_EQ(digests[i].second, kGoldenSim[i].digest)
+        << digests[i].first << ": simulated result changed; it now reads\n  "
+        << sims[i].second;
   }
 }
 

@@ -126,6 +126,46 @@ TEST(Simulator, UnwrittenRowErrorsNameInstructionAndCell) {
             "instruction 3: transfer of unwritten cell (0,9,2)");
 }
 
+TEST(Simulator, HostValuesOnANonWriteAreIgnoredWithoutStaticVerify) {
+  // A plain read between the host writes carries a host-value entry: the
+  // verifier rejects the table, the raw simulator skips the entry and
+  // still loads every later host write from its own entry.
+  MicroProgram m = makeMicro();
+  m.prog.instructions.insert(m.prog.instructions.begin() + 1,
+                             isa::makePlainRead(0, {0}, 0));
+  m.prog.hostWriteValues = {{0, {m.a}}, {1, {m.c}}, {2, {m.b}}, {3, {m.c}}};
+  SimOptions opts;
+  opts.inputs = {{"a", 0b1100}, {"b", 0b1010}, {"c", 0b0110}};
+  try {
+    simulate(m.g, target64(), m.prog, opts);
+    FAIL() << "expected VerificationError";
+  } catch (const VerificationError& e) {
+    EXPECT_EQ(e.instructionIndex(), 1);
+    EXPECT_STREQ(e.rule().c_str(), "host-write-metadata");
+  }
+  opts.staticVerify = false;
+  EXPECT_TRUE(simulate(m.g, target64(), m.prog, opts).verified);
+}
+
+TEST(Simulator, BufferWriteBeforeAHostWriteLeavesItsValueAlone) {
+  // A write from the buffer sits between two host writes; it must not
+  // take the next host write's value.
+  ir::Graph g;
+  ir::NodeId a = g.addInput("a");
+  ir::NodeId b = g.addInput("b");
+  g.markOutput(a);
+  g.markOutput(b);
+  mapping::Program p;
+  p.instructions.push_back(isa::makeWrite(0, {0}, 0));
+  p.instructions.push_back(isa::makePlainRead(0, {0}, 0));
+  p.instructions.push_back(isa::makeWrite(0, {0}, 1));
+  p.instructions.push_back(isa::makeWrite(0, {0}, 2));
+  p.hostWriteValues = {{0, {a}}, {3, {b}}};
+  p.outputCells[a] = {0, 0, 1};
+  p.outputCells[b] = {0, 0, 2};
+  EXPECT_TRUE(simulate(g, target64(), p).verified);
+}
+
 TEST(Simulator, ChainOfInvalidBufferThrows) {
   MicroProgram m = makeMicro();
   // Make the chained XOR the first read: buffer invalid.
@@ -171,6 +211,111 @@ TEST(Simulator, RightShiftWrapsAround) {
   p.instructions.push_back(isa::makeWrite(0, {61}, 1));
   p.outputCells[a] = {0, 61, 1};
   EXPECT_TRUE(simulate(g, target64(), p).verified);
+}
+
+// ------------------------------------------- row buffer under rotation
+
+/// `a` host-written to (row 0, column `col`) of array 0 and latched into
+/// the buffer by a plain read.
+mapping::Program latched(ir::NodeId a, int col) {
+  mapping::Program p;
+  p.instructions.push_back(isa::makeWrite(0, {col}, 0));
+  p.hostWriteValues[0] = {a};
+  p.instructions.push_back(isa::makePlainRead(0, {col}, 0));
+  return p;
+}
+
+TEST(BufferRotation, ShiftsComposePastTheWidth) {
+  // 40 + 30 = 70 positions on 64 columns: column 5 lands on 11.
+  ir::Graph g;
+  ir::NodeId a = g.addInput("a");
+  g.markOutput(a);
+  mapping::Program p = latched(a, 5);
+  p.instructions.push_back(isa::makeShift(0, ShiftDirection::Left, 40));
+  p.instructions.push_back(isa::makeShift(0, ShiftDirection::Left, 30));
+  p.instructions.push_back(isa::makeWrite(0, {11}, 1));
+  p.outputCells[a] = {0, 11, 1};
+  EXPECT_TRUE(simulate(g, target64(), p).verified);
+}
+
+TEST(BufferRotation, ChainedReadConsumesARotatedBit) {
+  // a moves from column 2 to 6, where a chained XOR with b (row 1,
+  // column 6) consumes it.
+  ir::Graph g;
+  ir::NodeId a = g.addInput("a");
+  ir::NodeId b = g.addInput("b");
+  ir::NodeId x = g.addOp(ir::OpKind::Xor, {a, b});
+  g.markOutput(x);
+  mapping::Program p = latched(a, 2);
+  p.instructions.push_back(isa::makeWrite(0, {6}, 1));
+  p.hostWriteValues[2] = {b};
+  p.instructions.push_back(isa::makeShift(0, ShiftDirection::Left, 4));
+  p.instructions.push_back(
+      isa::makeCimRead(0, {6}, {1}, {ir::OpKind::Xor}, {true}));
+  p.instructions.push_back(isa::makeWrite(0, {6}, 2));
+  p.outputCells[x] = {0, 6, 2};
+  SimOptions opts;
+  opts.inputs = {{"a", 0b1100}, {"b", 0b1010}};
+  EXPECT_TRUE(simulate(g, target64(), p, opts).verified);
+}
+
+TEST(BufferRotation, ChainedReadOfAColumnTheShiftVacatedThrows) {
+  // After the shift, a sits in column 6 and column 2 holds no bit.
+  ir::Graph g;
+  ir::NodeId a = g.addInput("a");
+  ir::NodeId x = g.addOp(ir::OpKind::Not, {a});
+  g.markOutput(x);
+  mapping::Program p = latched(a, 2);
+  p.instructions.push_back(isa::makeShift(0, ShiftDirection::Left, 4));
+  p.instructions.push_back(
+      isa::makeCimRead(0, {2}, {0}, {ir::OpKind::And}, {true}));
+  SimOptions raw;
+  raw.staticVerify = false;
+  raw.verify = false;
+  try {
+    simulate(g, target64(), p, raw);
+    FAIL() << "expected SimulationError";
+  } catch (const SimulationError& e) {
+    EXPECT_STREQ(e.what(),
+                 "instruction 3: chained read of invalid buffer column 2 "
+                 "of array 0");
+  }
+}
+
+TEST(BufferRotation, ShiftLeavesOtherArraysInPlace) {
+  // Both arrays latch a bit in column 1; only array 0 shifts.
+  ir::Graph g;
+  ir::NodeId a = g.addInput("a");
+  ir::NodeId b = g.addInput("b");
+  g.markOutput(a);
+  g.markOutput(b);
+  mapping::Program p = latched(a, 1);
+  p.instructions.push_back(isa::makeWrite(1, {1}, 0));
+  p.hostWriteValues[2] = {b};
+  p.instructions.push_back(isa::makePlainRead(1, {1}, 0));
+  p.instructions.push_back(isa::makeShift(0, ShiftDirection::Left, 3));
+  p.instructions.push_back(isa::makeWrite(1, {1}, 1));
+  p.instructions.push_back(isa::makeWrite(0, {4}, 1));
+  p.outputCells[a] = {0, 4, 1};
+  p.outputCells[b] = {1, 1, 1};
+  isa::TargetSpec t = target64();
+  t.numArrays = 2;
+  EXPECT_TRUE(simulate(g, t, p).verified);
+}
+
+TEST(BufferRotation, DistanceOfTheWidthOrMoreWrapsWithoutStaticVerify) {
+  // The verifier rejects L[cols + 3]; the raw simulator runs it as L[3].
+  ir::Graph g;
+  ir::NodeId a = g.addInput("a");
+  g.markOutput(a);
+  mapping::Program p = latched(a, 0);
+  p.instructions.push_back(isa::makeShift(0, ShiftDirection::Left, 64 + 3));
+  p.instructions.push_back(isa::makeWrite(0, {3}, 1));
+  p.outputCells[a] = {0, 3, 1};
+  EXPECT_THROW(simulate(g, target64(), p), VerificationError);
+  SimOptions raw;
+  raw.staticVerify = false;
+  EXPECT_TRUE(simulate(g, target64(), p, raw).verified);
 }
 
 TEST(Simulator, XfersShareTheBus) {
