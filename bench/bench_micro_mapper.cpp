@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark): compile-time scalability of the
 // Sherlock pipeline stages — b-level analysis, clustering, both mappers,
-// verification, simulation and full compilation — on random DAGs of
-// growing size, plus verification of one small kernel and row-buffer
-// shifts across array sizes.
+// code generation, verification, simulation and full compilation — on
+// random DAGs of growing size, plus verification of one small kernel and
+// row-buffer shifts across array sizes.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -80,6 +80,28 @@ void BM_MapOptimized(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_MapOptimized)->Range(256, 16384)->Complexity();
+
+/// Generates code for the optimized plan once per iteration; the plan is
+/// computed once, outside the timed loop. N is the emitted instruction
+/// count, so the fit is the cost per instruction.
+void BM_GenerateCode(benchmark::State& state) {
+  ir::Graph g = transforms::canonicalize(
+      dagOfSize(static_cast<int>(state.range(0))));
+  isa::TargetSpec t = targetFor(g);
+  mapping::PlacementPlan plan = mapping::mapOptimized(g, t).plan;
+  // The defaults are the optimized pairing: merging, lazy write-back and
+  // reuse of moved copies.
+  mapping::CodegenOptions options;
+  int64_t instructions = 0;
+  for (auto _ : state) {
+    mapping::Program program = mapping::generateCode(g, t, plan, options);
+    instructions = static_cast<int64_t>(program.instructions.size());
+    benchmark::DoNotOptimize(program);
+  }
+  state.SetItemsProcessed(state.iterations() * instructions);
+  state.SetComplexityN(instructions);
+}
+BENCHMARK(BM_GenerateCode)->Range(256, 16384)->Complexity();
 
 /// Verifies the optimized program once per iteration; N is its
 /// instruction count, so the fit is the cost per verified instruction.

@@ -1,7 +1,10 @@
 #include "isa/instruction.h"
 
 #include <algorithm>
+#include <charconv>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "support/diagnostics.h"
 
@@ -9,7 +12,7 @@ namespace sherlock::isa {
 
 namespace {
 
-std::string joinInts(const std::vector<int>& xs) {
+std::string joinInts(std::span<const int> xs) {
   std::string s;
   for (size_t i = 0; i < xs.size(); ++i) {
     if (i) s += ',';
@@ -18,21 +21,36 @@ std::string joinInts(const std::vector<int>& xs) {
   return s;
 }
 
-/// Parses "a,b,c" into integers.
-std::vector<int> splitInts(const std::string& text) {
+/// Parses one decimal integer field: `text`, bar surrounding blanks, must
+/// be a whole number that fits an int. Throws Error naming `field`.
+int parseNumber(std::string_view text, const char* field) {
+  auto blank = [](char c) { return c == ' ' || c == '\t'; };
+  while (!text.empty() && blank(text.front())) text.remove_prefix(1);
+  while (!text.empty() && blank(text.back())) text.remove_suffix(1);
+  int value = 0;
+  const char* end = text.data() + text.size();
+  auto [stop, ec] = std::from_chars(text.data(), end, value);
+  checkArg(ec != std::errc::result_out_of_range, field, " '", text,
+           "' is out of range");
+  checkArg(!text.empty() && ec == std::errc() && stop == end, field, " '",
+           text, "' is not an integer");
+  return value;
+}
+
+/// Parses "a,b,c" into `out`, each element a `field`.
+template <typename List>
+void parseList(const std::string& text, const char* field, List& out) {
   checkArg(text.empty() || text.back() != ',',
            "trailing comma in list '", text, "'");
-  std::vector<int> out;
-  std::string cur;
-  std::istringstream is(text);
-  while (std::getline(is, cur, ',')) {
-    checkArg(!cur.empty(), "empty element in list '", text, "'");
-    size_t pos = 0;
-    int v = std::stoi(cur, &pos);
-    checkArg(pos == cur.size(), "trailing junk in number '", cur, "'");
-    out.push_back(v);
+  out.clear();
+  std::string_view rest = text;
+  while (!rest.empty()) {
+    size_t comma = std::min(rest.find(','), rest.size());
+    std::string_view element = rest.substr(0, comma);
+    checkArg(!element.empty(), "empty element in list '", text, "'");
+    out.push_back(parseNumber(element, field));
+    rest.remove_prefix(std::min(comma + 1, rest.size()));
   }
-  return out;
 }
 
 /// Extracts the next "[...]" group starting at or after `pos`; advances
@@ -99,8 +117,7 @@ Instruction Instruction::parse(const std::string& line) {
   size_t pos = 0;
   if (mnemonic == "shift") {
     inst.kind = InstKind::Shift;
-    std::string arr = nextBracketGroup(line, pos);
-    inst.arrayId = std::stoi(arr);
+    inst.arrayId = parseNumber(nextBracketGroup(line, pos), "array id");
     size_t dirPos = line.find_first_of("LRlr", pos);
     checkArg(dirPos != std::string::npos,
              "missing shift direction in: ", line);
@@ -108,29 +125,33 @@ Instruction Instruction::parse(const std::string& line) {
                               ? ShiftDirection::Right
                               : ShiftDirection::Left;
     pos = dirPos;
-    inst.shiftDistance = std::stoi(nextBracketGroup(line, pos));
+    inst.shiftDistance =
+        parseNumber(nextBracketGroup(line, pos), "shift distance");
     return inst;
   }
 
   if (mnemonic == "xfer") {
     inst.kind = InstKind::Xfer;
-    inst.arrayId = std::stoi(nextBracketGroup(line, pos));
-    inst.columns = splitInts(nextBracketGroup(line, pos));
+    inst.arrayId = parseNumber(nextBracketGroup(line, pos), "array id");
+    parseList(nextBracketGroup(line, pos), "column", inst.columns);
     checkArg(inst.columns.size() == 1, "xfer takes one source column");
-    inst.rows = splitInts(nextBracketGroup(line, pos));
+    parseList(nextBracketGroup(line, pos), "row", inst.rows);
     checkArg(inst.rows.size() == 1, "xfer takes one source row");
-    inst.dstArray = std::stoi(nextBracketGroup(line, pos));
-    inst.dstCol = std::stoi(nextBracketGroup(line, pos));
-    inst.dstRow = std::stoi(nextBracketGroup(line, pos));
+    inst.dstArray =
+        parseNumber(nextBracketGroup(line, pos), "xfer destination array");
+    inst.dstCol =
+        parseNumber(nextBracketGroup(line, pos), "xfer destination column");
+    inst.dstRow =
+        parseNumber(nextBracketGroup(line, pos), "xfer destination row");
     return inst;
   }
 
   checkArg(mnemonic == "read" || mnemonic == "write",
            "unknown mnemonic in: ", line);
   inst.kind = mnemonic == "read" ? InstKind::Read : InstKind::Write;
-  inst.arrayId = std::stoi(nextBracketGroup(line, pos));
-  inst.columns = splitInts(nextBracketGroup(line, pos));
-  inst.rows = splitInts(nextBracketGroup(line, pos));
+  inst.arrayId = parseNumber(nextBracketGroup(line, pos), "array id");
+  parseList(nextBracketGroup(line, pos), "column", inst.columns);
+  parseList(nextBracketGroup(line, pos), "row", inst.rows);
 
   // Optional CIM op group.
   size_t open = line.find('[', pos);
@@ -151,7 +172,7 @@ Instruction Instruction::parse(const std::string& line) {
   return inst;
 }
 
-Instruction makePlainRead(int arrayId, std::vector<int> columns, int row) {
+Instruction makePlainRead(int arrayId, ColumnList columns, int row) {
   Instruction i;
   i.kind = InstKind::Read;
   i.arrayId = arrayId;
@@ -160,9 +181,8 @@ Instruction makePlainRead(int arrayId, std::vector<int> columns, int row) {
   return i;
 }
 
-Instruction makeCimRead(int arrayId, std::vector<int> columns,
-                        std::vector<int> rows, std::vector<ir::OpKind> ops,
-                        std::vector<bool> chains) {
+Instruction makeCimRead(int arrayId, ColumnList columns, RowList rows,
+                        OpList ops, ChainList chains) {
   Instruction i;
   i.kind = InstKind::Read;
   i.arrayId = arrayId;
@@ -175,7 +195,7 @@ Instruction makeCimRead(int arrayId, std::vector<int> columns,
   return i;
 }
 
-Instruction makeWrite(int arrayId, std::vector<int> columns, int row) {
+Instruction makeWrite(int arrayId, ColumnList columns, int row) {
   Instruction i;
   i.kind = InstKind::Write;
   i.arrayId = arrayId;

@@ -1,10 +1,8 @@
 #include "mapping/codegen.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 #include <optional>
-#include <set>
 
 #include "ir/analysis.h"
 
@@ -27,7 +25,7 @@ class CodeGenerator {
         plan_(plan),
         options_(options),
         layout_(target, options.faults),
-        buffer_(static_cast<size_t>(target.numArrays)) {}
+        buffers_(static_cast<size_t>(target.numArrays)) {}
 
   Program run() {
     initState();
@@ -70,25 +68,56 @@ class CodeGenerator {
 
   /// Column of array `arrayId`'s row buffer currently latching `v`, or -1.
   int findInBuffer(int arrayId, NodeId v) const {
-    for (const auto& [col, val] : buffer_[static_cast<size_t>(arrayId)])
-      if (val == v) return col;
-    return -1;
+    const RowBuffer& buf = buffers_[static_cast<size_t>(arrayId)];
+    return buf.columnOf.empty() ? -1
+                                : buf.columnOf[static_cast<size_t>(v)];
+  }
+
+  /// Value latched in column `col` of array `arrayId`'s row buffer, or
+  /// kInvalidNode.
+  NodeId latchedAt(int arrayId, int col) const {
+    const RowBuffer& buf = buffers_[static_cast<size_t>(arrayId)];
+    return buf.slot.empty() ? ir::kInvalidNode
+                            : buf.slot[static_cast<size_t>(col)];
+  }
+
+  /// Latches `v` in column `col` of array `arrayId`'s row buffer,
+  /// replacing the value that slot held.
+  void latch(int arrayId, int col, NodeId v) {
+    RowBuffer& buf = buffers_[static_cast<size_t>(arrayId)];
+    if (buf.slot.empty()) {
+      buf.slot.assign(static_cast<size_t>(target_.cols()), ir::kInvalidNode);
+      buf.columnOf.assign(g_.numNodes(), -1);
+    }
+    NodeId& held = buf.slot[static_cast<size_t>(col)];
+    if (held == ir::kInvalidNode)
+      buf.latched.push_back(col);
+    else
+      buf.columnOf[static_cast<size_t>(held)] = -1;
+    int& column = buf.columnOf[static_cast<size_t>(v)];
+    SHERLOCK_ASSERT(column < 0, "value ", v, " is latched in columns ",
+                    column, " and ", col, " of array ", arrayId);
+    held = v;
+    column = col;
   }
 
   // ----------------------------------------------------------- emission
   /// Appends `inst`, folding it into the previous instruction when the
-  /// adjacent-merge legality conditions hold.
-  void emit(Instruction inst, std::vector<NodeId> hostValues = {}) {
+  /// adjacent-merge legality conditions hold. `hostValue` is the leaf
+  /// whose host data a one-column write carries.
+  void emit(Instruction inst, NodeId hostValue = ir::kInvalidNode) {
     isa::validateInstruction(inst, target_.numArrays, target_.rows(),
                              target_.cols());
-    if (options_.mergeInstructions && tryMerge(inst, hostValues)) {
+    if (options_.mergeInstructions && tryMerge(inst, hostValue)) {
       prog_.stats.mergedInstructions++;
       return;
     }
     prog_.instructions.push_back(std::move(inst));
-    if (!hostValues.empty())
-      prog_.hostWriteValues[prog_.instructions.size() - 1] =
-          std::move(hostValues);
+    lastHostValues_ = nullptr;
+    if (hostValue != ir::kInvalidNode) {
+      lastHostValues_ = &prog_.hostWriteValues[prog_.instructions.size() - 1];
+      lastHostValues_->push_back(hostValue);
+    }
   }
 
   /// Attempts to fold `inst` into the last emitted instruction. Only
@@ -96,7 +125,7 @@ class CodeGenerator {
   /// (reads) or the same destination row (writes) and disjoint columns are
   /// folded — with no instruction in between, buffer and cell effects of
   /// such pairs commute, so this is always legal.
-  bool tryMerge(const Instruction& inst, std::vector<NodeId>& hostValues) {
+  bool tryMerge(const Instruction& inst, NodeId hostValue) {
     if (prog_.instructions.empty()) return false;
     Instruction& prev = prog_.instructions.back();
     if (prev.kind != inst.kind || prev.arrayId != inst.arrayId) return false;
@@ -107,10 +136,8 @@ class CodeGenerator {
     bool instIsCim = !inst.colOps.empty();
     if (prevIsCim != instIsCim) return false;
 
-    size_t prevIdx = prog_.instructions.size() - 1;
-    bool prevIsHost = prog_.hostWriteValues.contains(prevIdx);
-    bool instIsHost = !hostValues.empty();
-    if (prevIsHost != instIsHost) return false;
+    bool instIsHost = hostValue != ir::kInvalidNode;
+    if ((lastHostValues_ != nullptr) != instIsHost) return false;
 
     // Columns must be disjoint.
     for (int c : inst.columns)
@@ -123,44 +150,21 @@ class CodeGenerator {
         if (op != prev.colOps.front()) return false;
     }
 
-    // Fold: rebuild the column-sorted parallel vectors.
-    struct Entry {
-      int col;
-      ir::OpKind op;
-      bool chain;
-      NodeId host;
-    };
-    std::vector<Entry> entries;
-    auto gather = [&](const Instruction& src, const std::vector<NodeId>* hv) {
-      for (size_t i = 0; i < src.columns.size(); ++i) {
-        Entry e;
-        e.col = src.columns[i];
-        e.op = src.colOps.empty() ? ir::OpKind::And : src.colOps[i];
-        e.chain = src.chainsBuffer.empty() ? false : src.chainsBuffer[i];
-        e.host = hv ? (*hv)[i] : ir::kInvalidNode;
-        entries.push_back(e);
-      }
-    };
-    const std::vector<NodeId>* prevHost =
-        prevIsHost ? &prog_.hostWriteValues[prevIdx] : nullptr;
-    gather(prev, prevHost);
-    gather(inst, instIsHost ? &hostValues : nullptr);
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.col < b.col; });
-
-    prev.columns.clear();
-    prev.colOps.clear();
-    prev.chainsBuffer.clear();
-    std::vector<NodeId> mergedHost;
-    for (const Entry& e : entries) {
-      prev.columns.push_back(e.col);
+    // Fold: insert each column, with its op, chain flag and host value,
+    // at its place in the column-sorted parallel lists.
+    for (size_t i = 0; i < inst.columns.size(); ++i) {
+      auto at = std::lower_bound(prev.columns.begin(), prev.columns.end(),
+                                 inst.columns[i]) -
+                prev.columns.begin();
+      prev.columns.insert(prev.columns.begin() + at, inst.columns[i]);
       if (instIsCim) {
-        prev.colOps.push_back(e.op);
-        prev.chainsBuffer.push_back(e.chain);
+        prev.colOps.insert(prev.colOps.begin() + at, inst.colOps[i]);
+        prev.chainsBuffer.insert(prev.chainsBuffer.begin() + at,
+                                 inst.chainsBuffer[i]);
       }
-      mergedHost.push_back(e.host);
+      if (instIsHost)
+        lastHostValues_->insert(lastHostValues_->begin() + at, hostValue);
     }
-    if (prevIsHost) prog_.hostWriteValues[prevIdx] = std::move(mergedHost);
     return true;
   }
 
@@ -182,7 +186,9 @@ class CodeGenerator {
   /// Writes the buffer bit of (arrayId, col) into a freshly allocated cell
   /// of that column (dropping a replica if the column is full).
   void flushAt(int arrayId, int col) {
-    NodeId v = buffer_[static_cast<size_t>(arrayId)].at(col);
+    NodeId v = latchedAt(arrayId, col);
+    SHERLOCK_ASSERT(v != ir::kInvalidNode, "flush of empty buffer column ",
+                    col, " of array ", arrayId);
     ColumnRef where{arrayId, col};
     if (layout_.freeCells(where) == 0 && !tryDropReplica(where))
       throw MappingError(
@@ -233,12 +239,10 @@ class CodeGenerator {
                                 " has no free column to evict into"));
     // Relocate: plain read -> shift -> write, then drop the old cell.
     CellAddress src = *layout_.placementIn(victim, where);
-    if (buffer_[static_cast<size_t>(where.arrayId)].count(where.col) &&
-        buffer_[static_cast<size_t>(where.arrayId)][where.col] != victim)
-      flushIfNeeded(where);
+    if (latchedAt(where.arrayId, where.col) != victim) flushIfNeeded(where);
     emit(isa::makePlainRead(where.arrayId, {where.col}, src.row));
     prog_.stats.plainReads++;
-    buffer_[static_cast<size_t>(where.arrayId)][where.col] = victim;
+    latch(where.arrayId, where.col, victim);
     shiftBuffer(where.arrayId, where.col, bestCol, victim);
     CellAddress cell = layout_.allocate(victim, {where.arrayId, bestCol});
     emit(isa::makeWrite(where.arrayId, {bestCol}, cell.row));
@@ -250,19 +254,22 @@ class CodeGenerator {
 
   /// Flushes the buffer slot of `where` if losing it would drop a value.
   void flushIfNeeded(ColumnRef where) {
-    auto& buf = buffer_[static_cast<size_t>(where.arrayId)];
-    auto it = buf.find(where.col);
-    if (it == buf.end()) return;
-    if (needsFlush(it->second)) flushAt(where.arrayId, where.col);
+    NodeId v = latchedAt(where.arrayId, where.col);
+    if (v != ir::kInvalidNode && needsFlush(v))
+      flushAt(where.arrayId, where.col);
   }
 
   /// Rotates array `arrayId`'s row buffer so the bit at `from` lands on
-  /// `to`. All other latched values are flushed first (the rotation
-  /// invalidates their column alignment) and dropped from tracking.
+  /// `to`. All other latched values are flushed first, in ascending
+  /// column order (the rotation invalidates their column alignment), and
+  /// dropped from tracking.
   void shiftBuffer(int arrayId, int from, int to, NodeId moved) {
-    auto& buf = buffer_[static_cast<size_t>(arrayId)];
-    for (const auto& [col, val] : buf)
+    RowBuffer& buf = buffers_[static_cast<size_t>(arrayId)];
+    std::sort(buf.latched.begin(), buf.latched.end());
+    for (int col : buf.latched) {
+      NodeId val = buf.slot[static_cast<size_t>(col)];
       if (val != moved && needsFlush(val)) flushAt(arrayId, col);
+    }
 
     int n = target_.cols();
     int left = ((to - from) % n + n) % n;
@@ -272,8 +279,13 @@ class CodeGenerator {
     else
       emit(isa::makeShift(arrayId, isa::ShiftDirection::Right, right));
     prog_.stats.shifts++;
-    buf.clear();
-    buf[to] = moved;
+    for (int col : buf.latched) {
+      NodeId& held = buf.slot[static_cast<size_t>(col)];
+      buf.columnOf[static_cast<size_t>(held)] = -1;
+      held = ir::kInvalidNode;
+    }
+    buf.latched.clear();
+    latch(arrayId, to, moved);
   }
 
   // ----------------------------------------------------------- movement
@@ -310,7 +322,7 @@ class CodeGenerator {
         if (dstCell.row < layout_.mainRowLimit()) {
           emitXfer(v, src, dstCell);
           if (!options_.reuseMovedCopies && options_.eagerWriteback)
-            tempCopies_.insert({v, xc});
+            tempCopies_.push_back({v, xc});
           return dstCell.row;
         }
         // The transfer engine may not program the spare-row repair
@@ -327,7 +339,7 @@ class CodeGenerator {
       flushIfNeeded({src.arrayId, src.col});
       emit(isa::makePlainRead(src.arrayId, {src.col}, src.row));
       prog_.stats.plainReads++;
-      buffer_[static_cast<size_t>(src.arrayId)][src.col] = v;
+      latch(src.arrayId, src.col, v);
       if (staging) layout_.releaseCellIn(v, *staging);
       bufCol = src.col;
     }
@@ -342,7 +354,7 @@ class CodeGenerator {
     // Scratch-copy tracking only applies to the single-pass (eager) flow;
     // the two-pass flow prepares a whole wave before reading.
     if (!options_.reuseMovedCopies && options_.eagerWriteback)
-      tempCopies_.insert({v, xc});
+      tempCopies_.push_back({v, xc});
     return cell.row;
   }
 
@@ -372,7 +384,8 @@ class CodeGenerator {
   }
 
   /// Drops the scratch copies a no-reuse (naive) flow created for the op
-  /// that was just emitted. Values that already died were fully released.
+  /// that was just emitted. Values that already died were fully released,
+  /// and a pair listed twice is released once.
   void dropTempCopies() {
     for (const auto& [value, where] : tempCopies_)
       if (usesLeft_[static_cast<size_t>(value)] > 0 &&
@@ -407,14 +420,15 @@ class CodeGenerator {
       if (usesLeft_[static_cast<size_t>(v)] == 0) continue;
       auto src = layout_.placementIn(v, xc);
       if (!src) continue;
-      std::vector<ColumnRef> remote;
+      remoteColumns_.clear();
       for (NodeId u : g_.node(v).users) {
         ColumnRef uc = plan_.opLocation[static_cast<size_t>(u)];
         if (uc.arrayId == xc.arrayId) continue;
-        if (std::find(remote.begin(), remote.end(), uc) == remote.end())
-          remote.push_back(uc);
+        if (std::find(remoteColumns_.begin(), remoteColumns_.end(), uc) ==
+            remoteColumns_.end())
+          remoteColumns_.push_back(uc);
       }
-      for (ColumnRef rc : remote) {
+      for (ColumnRef rc : remoteColumns_) {
         if (layout_.placementIn(v, rc)) continue;
         if (layout_.freeCells(rc) == 0) continue;
         CellAddress dst = layout_.allocate(v, rc);
@@ -459,7 +473,7 @@ class CodeGenerator {
       flushIfNeeded({src.arrayId, src.col});
       emit(isa::makePlainRead(src.arrayId, {src.col}, src.row));
       prog_.stats.plainReads++;
-      buffer_[static_cast<size_t>(src.arrayId)][src.col] = v;
+      latch(src.arrayId, src.col, v);
       bufCol = src.col;
     }
     if (bufCol != xc.col) shiftBuffer(xc.arrayId, bufCol, xc.col, v);
@@ -472,8 +486,7 @@ class CodeGenerator {
       if (n.isOp()) continue;
       for (ColumnRef where : plan_.leafColumns[static_cast<size_t>(i)]) {
         CellAddress cell = layout_.allocate(i, where);
-        Instruction w = isa::makeWrite(where.arrayId, {where.col}, cell.row);
-        emit(std::move(w), {i});
+        emit(isa::makeWrite(where.arrayId, {where.col}, cell.row), i);
         prog_.stats.hostWrites++;
         noteLanding(i);
         touch(where.arrayId, where.col);
@@ -596,10 +609,8 @@ class CodeGenerator {
       if (chainVal == ir::kInvalidNode) {
         // Buffer-resident candidate; only valid if no other operand needs
         // movement (movement shifts would rotate the bit away).
-        auto& buf = buffer_[static_cast<size_t>(xc.arrayId)];
-        auto it = buf.find(xc.col);
-        if (it != buf.end()) {
-          NodeId b = it->second;
+        NodeId b = latchedAt(xc.arrayId, xc.col);
+        if (b != ir::kInvalidNode) {
           bool othersResident = true;
           for (NodeId o : operands)
             if (o != b && !layout_.placementIn(o, xc))
@@ -615,7 +626,7 @@ class CodeGenerator {
     // Materialize the cell operands (movement happens here), then bring a
     // loaded chain operand into the buffer last (its shift would disturb
     // nothing any more).
-    std::vector<int> rows;
+    isa::RowList rows;
     for (NodeId o : operands) {
       if (o == chainVal) continue;
       rows.push_back(ensureInColumn(o, xc));
@@ -636,7 +647,7 @@ class CodeGenerator {
                           {chainVal != ir::kInvalidNode}));
     prog_.stats.cimReads++;
     if (chainVal != ir::kInvalidNode) prog_.stats.chainedOperands++;
-    buffer_[static_cast<size_t>(xc.arrayId)][xc.col] = v;
+    latch(xc.arrayId, xc.col, v);
     touch(xc.arrayId, xc.col);
 
     if (options_.eagerWriteback && needsFlush(v)) {
@@ -736,18 +747,31 @@ class CodeGenerator {
   Program prog_;
   std::vector<int> usesLeft_;
   std::vector<bool> isOutput_;
-  /// Per array: column -> value currently latched in the row buffer.
-  std::vector<std::map<int, NodeId>> buffer_;
+
+  /// One array's row buffer, sized on its first latch: the value in each
+  /// column, the columns holding one (in latch order), and each value's
+  /// column. A value is latched in at most one column of an array.
+  struct RowBuffer {
+    std::vector<NodeId> slot;   ///< column -> value, kInvalidNode if none
+    std::vector<int> latched;   ///< columns whose slot holds a value
+    std::vector<int> columnOf;  ///< value -> column, -1 if not latched
+  };
+  std::vector<RowBuffer> buffers_;  ///< per array
+  /// The host-value list of the last emitted instruction, or nullptr when
+  /// it carries no host data.
+  std::vector<NodeId>* lastHostValues_ = nullptr;
   /// Per column index (arrayId * cols + col): written or computed in.
   std::vector<bool> touched_;
   int usedColumns_ = 0;
   /// The op being emitted and its operands; exempt from eviction.
   std::vector<NodeId> pinned_;
   /// Movement scratch copies of the op being emitted (no-reuse flow).
-  std::set<std::pair<NodeId, ColumnRef>> tempCopies_;
+  std::vector<std::pair<NodeId, ColumnRef>> tempCopies_;
   /// Results with remote consumers, queued for the next wave's
   /// transfer-push drain (lazy flow only).
   std::vector<std::pair<NodeId, ColumnRef>> pendingPushes_;
+  /// Scratch for drainTransferPushes: one value's remote consumer columns.
+  std::vector<ColumnRef> remoteColumns_;
   /// Per value: emission index of its latest cell-landing instruction.
   std::vector<long> lastLanding_;
 };

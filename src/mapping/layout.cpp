@@ -130,8 +130,8 @@ std::optional<CellAddress> Layout::anyPlacement(ir::NodeId value) const {
   return cells.front();
 }
 
-const std::vector<CellAddress>& Layout::placements(ir::NodeId value) const {
-  static const std::vector<CellAddress> kNone;
+const PlacementList& Layout::placements(ir::NodeId value) const {
+  static const PlacementList kNone;
   if (value < 0 || static_cast<size_t>(value) >= placements_.size())
     return kNone;
   return placements_[static_cast<size_t>(value)];

@@ -11,6 +11,7 @@
 #include "device/faultmap.h"
 #include "ir/graph.h"
 #include "isa/target.h"
+#include "support/inline_vector.h"
 
 namespace sherlock::mapping {
 
@@ -38,6 +39,10 @@ struct CellAddress {
   bool operator==(const CellAddress&) const = default;
   auto operator<=>(const CellAddress&) const = default;
 };
+
+/// The cells one value holds, in allocation order. Two (a home cell and
+/// one replica) sit inline; more move the list to the heap.
+using PlacementList = InlineVector<CellAddress, 2>;
 
 /// Column coordinate (array + column) without a row.
 struct ColumnRef {
@@ -105,7 +110,7 @@ class Layout {
 
   /// All placements of `value`, in allocation order. The reference is
   /// valid until the next allocation or release.
-  const std::vector<CellAddress>& placements(ir::NodeId value) const;
+  const PlacementList& placements(ir::NodeId value) const;
 
   /// Releases every cell held by `value` (the value died).
   void release(ir::NodeId value);
@@ -168,7 +173,7 @@ class Layout {
   // array's first use (fault maps only).
   mutable std::vector<std::vector<int>> usableByArray_;
   // NodeId -> its placements.
-  std::vector<std::vector<CellAddress>> placements_;
+  std::vector<PlacementList> placements_;
   int liveCells_ = 0;
   int peakLiveCells_ = 0;
 };

@@ -68,6 +68,18 @@ TEST(Instruction, ParseRejectsGarbage) {
   EXPECT_THROW(Instruction::parse("read [0][1,][2]"), Error);
   // Cross-array movement is xfer only: there is no buffer-to-buffer form.
   EXPECT_THROW(Instruction::parse("move [0][3] -> [2][9]"), Error);
+  // Numbers that do not fit an int, or are not numbers at all.
+  EXPECT_THROW(Instruction::parse("read [0][99999999999][1]"), Error);
+  EXPECT_THROW(Instruction::parse("xfer [0][1][2] -> [0][3][99999999999]"),
+               Error);
+  EXPECT_THROW(Instruction::parse("shift [0] L[x]"), Error);
+  EXPECT_THROW(Instruction::parse("read [x][1][1]"), Error);
+  try {
+    Instruction::parse("xfer [0][1][2] -> [0][3][99999999999]");
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "xfer destination row '99999999999' is out of range");
+  }
 }
 
 TEST(Validation, BoundsChecked) {

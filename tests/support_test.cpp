@@ -1,5 +1,5 @@
-// Unit tests for the support library: bit vectors, RNG, statistics,
-// tables, and the thread pool.
+// Unit tests for the support library: bit vectors, inline vectors, RNG,
+// statistics, tables, and the thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 
 #include "support/bitvector.h"
 #include "support/diagnostics.h"
+#include "support/inline_vector.h"
 #include "support/parallel.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -96,6 +97,118 @@ TEST(BitVector, SliceAndRoundTrip) {
 TEST(BitVector, FromStringRejectsBadChars) {
   EXPECT_THROW(BitVector::fromString("10x1"), Error);
 }
+
+/// Two elements inline, like an instruction's column list.
+using SmallList = InlineVector<int, 2>;
+
+/// The list {0, 10, 20, ...} of `n` elements, built by push_back.
+SmallList tens(int n) {
+  SmallList v;
+  for (int i = 0; i < n; ++i) v.push_back(10 * i);
+  return v;
+}
+
+TEST(InlineVector, PushBackKeepsContentsPastTheInlineSize) {
+  for (int n : {1, 2, 3, 9}) {  // N - 1, N, N + 1 and 4N + 1
+    SmallList v = tens(n);
+    ASSERT_EQ(v.size(), static_cast<size_t>(n));
+    EXPECT_EQ(v.isInline(), n <= 2) << n;
+    for (int i = 0; i < n; ++i) EXPECT_EQ(v[static_cast<size_t>(i)], 10 * i);
+    EXPECT_EQ(v.front(), 0);
+    EXPECT_EQ(v.back(), 10 * (n - 1));
+  }
+}
+
+TEST(InlineVector, CopyAndMoveFromInlineAndHeapSources) {
+  for (int n : {2, 5}) {
+    const SmallList expected = tens(n);
+    SmallList source = tens(n);
+    SmallList copy(source);
+    EXPECT_EQ(copy, expected);
+    EXPECT_EQ(source, expected);
+
+    SmallList moved(std::move(source));
+    EXPECT_EQ(moved, expected);
+    // A moved-from list is empty, holds no heap block, and is reusable.
+    EXPECT_TRUE(source.empty());
+    EXPECT_TRUE(source.isInline());
+    source.push_back(7);
+    EXPECT_EQ(source, SmallList({7}));
+
+    SmallList assigned{1};
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned, expected);
+    EXPECT_TRUE(moved.empty());
+    EXPECT_TRUE(moved.isInline());
+    moved = tens(3);
+    EXPECT_EQ(moved, tens(3));
+  }
+}
+
+TEST(InlineVector, CopyAssignment) {
+  SmallList v = tens(5);
+  const SmallList& alias = v;
+  v = alias;
+  EXPECT_EQ(v, tens(5));
+
+  SmallList heap = tens(5);
+  SmallList inlined = tens(1);
+  inlined = heap;  // heap source into an inline list
+  EXPECT_EQ(inlined, tens(5));
+  EXPECT_EQ(heap, tens(5));
+  const SmallList small = tens(2);
+  heap = small;  // inline source into a heap list
+  EXPECT_EQ(heap, tens(2));
+  EXPECT_EQ(small, tens(2));
+}
+
+TEST(InlineVector, AssignClearAndReuse) {
+  SmallList v;
+  v.assign(3, 7);
+  EXPECT_EQ(v, std::vector<int>({7, 7, 7}));
+  v.assign(1, 4);
+  EXPECT_EQ(v, std::vector<int>({4}));
+  v.clear();
+  EXPECT_TRUE(v.empty());
+  v.push_back(5);
+  v.push_back(6);
+  v.push_back(8);
+  EXPECT_EQ(v, std::vector<int>({5, 6, 8}));
+  v.pop_back();
+  EXPECT_EQ(v, std::vector<int>({5, 6}));
+}
+
+TEST(InlineVector, InsertAndEraseKeepOrder) {
+  SmallList v{10, 30};
+  v.insert(v.begin() + 1, 20);  // grows past the inline size
+  v.insert(v.begin(), 0);
+  v.insert(v.end(), 40);
+  EXPECT_EQ(v, std::vector<int>({0, 10, 20, 30, 40}));
+  v.erase(v.begin() + 2);
+  v.erase(v.begin());
+  EXPECT_EQ(v, std::vector<int>({10, 30, 40}));
+}
+
+TEST(InlineVector, EqualityIgnoresWhereTheElementsLive) {
+  SmallList inlined{1, 2};
+  SmallList heap = inlined;
+  heap.push_back(3);
+  heap.pop_back();
+  ASSERT_TRUE(inlined.isInline());
+  ASSERT_FALSE(heap.isInline());
+  EXPECT_EQ(inlined, heap);
+  EXPECT_EQ(heap, std::vector<int>({1, 2}));
+  EXPECT_EQ(std::vector<int>({1, 2}), inlined);
+  EXPECT_NE(inlined, tens(2));
+  EXPECT_NE(inlined, std::vector<int>({1, 2, 3}));
+}
+
+#ifdef _GLIBCXX_ASSERTIONS
+TEST(InlineVectorDeathTest, IndexPastSizeAborts) {
+  SmallList v{1};
+  EXPECT_DEATH(v[v.size()], "out of range");
+}
+#endif
 
 TEST(Rng, DeterministicAndDistinctSeeds) {
   Rng a(1), b(1), c(2);
