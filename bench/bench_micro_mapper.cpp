@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): compile-time scalability of the
-// Sherlock pipeline stages — b-level analysis, clustering, both mappers,
-// code generation, verification, simulation and full compilation — on
-// random DAGs of growing size, plus verification of one small kernel and
+// Sherlock pipeline stages — b-level analysis, canonicalization, node
+// substitution, clustering, both mappers, code generation, verification,
+// simulation and full compilation — on random DAGs of growing size, plus
+// building the AES-128 DAG, verification of one small kernel and
 // row-buffer shifts across array sizes.
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include "transforms/passes.h"
 #include "transforms/substitution.h"
 #include "verify/verifier.h"
+#include "workloads/aes.h"
 #include "workloads/random_dag.h"
 
 using namespace sherlock;
@@ -49,8 +51,9 @@ void BM_Canonicalize(benchmark::State& state) {
   ir::Graph g = dagOfSize(static_cast<int>(state.range(0)));
   for (auto _ : state)
     benchmark::DoNotOptimize(transforms::canonicalize(g));
+  state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_Canonicalize)->Range(256, 16384);
+BENCHMARK(BM_Canonicalize)->Range(256, 16384)->Complexity();
 
 void BM_Substitution(benchmark::State& state) {
   ir::Graph g = transforms::canonicalize(
@@ -59,8 +62,19 @@ void BM_Substitution(benchmark::State& state) {
   opt.maxOperands = 4;
   for (auto _ : state)
     benchmark::DoNotOptimize(transforms::substituteNodes(g, opt));
+  state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_Substitution)->Range(256, 16384);
+BENCHMARK(BM_Substitution)->Range(256, 16384)->Complexity();
+
+/// Builds the AES-128 DAG of range(0) rounds, as paper-batch's set-up
+/// does at 10: every request, hit or new node, goes through the graph's
+/// hash-consing index.
+void BM_BuildAes(benchmark::State& state) {
+  workloads::AesSpec spec;
+  spec.rounds = static_cast<int>(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(workloads::buildAes(spec));
+}
+BENCHMARK(BM_BuildAes)->Arg(10)->Unit(benchmark::kMillisecond);
 
 void BM_MapNaive(benchmark::State& state) {
   ir::Graph g = transforms::canonicalize(

@@ -1,7 +1,8 @@
 #include "ir/canonical.h"
 
 #include <algorithm>
-#include <set>
+#include <functional>
+#include <queue>
 
 #include "ir/serialize.h"
 #include "support/parallel.h"
@@ -110,8 +111,13 @@ CanonicalForm canonicalForm(const Graph& g) {
   // id-independent, and genuinely automorphic twins share a color, so
   // either emission order serializes to the same bytes. Operands are
   // distinct (ir::Graph folds repeats), so each one releases its user once.
+  // The ready set is a min-heap; its pairs are distinct (ids are), so it
+  // pops in exactly the ascending order of a sorted set.
   std::vector<size_t> pendingOperands(n, 0);
-  std::set<std::pair<uint64_t, NodeId>> ready;
+  std::priority_queue<std::pair<uint64_t, NodeId>,
+                      std::vector<std::pair<uint64_t, NodeId>>,
+                      std::greater<>>
+      ready;
   for (NodeId id = g.firstId(); id < g.endId(); ++id) {
     pendingOperands[static_cast<size_t>(id)] = g.node(id).operands.size();
     if (g.node(id).operands.empty())
@@ -119,11 +125,12 @@ CanonicalForm canonicalForm(const Graph& g) {
   }
 
   CanonicalForm out;
+  out.graph.reserve(n);
   std::vector<NodeId> remap(n, kInvalidNode);
   size_t nextInput = 0;
   while (!ready.empty()) {
-    NodeId id = ready.begin()->second;
-    ready.erase(ready.begin());
+    NodeId id = ready.top().second;
+    ready.pop();
     const Node& node = g.node(id);
     NodeId mapped = kInvalidNode;
     switch (node.kind) {

@@ -9,12 +9,12 @@ namespace sherlock::ir {
 
 namespace {
 
-/// Hash of (kind, operand set). Operands combine by a commutative sum so
-/// that operand order does not matter.
-uint64_t structuralHash(OpKind op, const std::vector<NodeId>& operands) {
+/// Hash of (kind, operand set), the index's key. Operands combine by a
+/// commutative sum so that operand order does not matter.
+uint32_t structuralHash(OpKind op, const std::vector<NodeId>& operands) {
   uint64_t h = splitmix64(static_cast<uint64_t>(op) + 1);
   for (NodeId o : operands) h += splitmix64(static_cast<uint64_t>(o) + 17);
-  return splitmix64(h);
+  return static_cast<uint32_t>(splitmix64(h));
 }
 
 /// `n` is an op of kind `op` over the same operand set. Both operand
@@ -125,22 +125,26 @@ NodeId Graph::negate(NodeId x) {
 }
 
 NodeId Graph::intern(OpKind op, std::vector<NodeId> operands) {
-  const uint64_t hash = structuralHash(op, operands);
-  auto [first, last] = index_.equal_range(hash);
-  for (auto it = first; it != last; ++it)
-    if (sameOp(nodes_[static_cast<size_t>(it->second)], op, operands))
-      return it->second;
+  auto same = [&](NodeId id) {
+    return sameOp(nodes_[static_cast<size_t>(id)], op, operands);
+  };
+  auto make = [&] {
+    Node n;
+    n.kind = Node::Kind::Op;
+    n.op = op;
+    n.operands = std::move(operands);
+    NodeId id = append(std::move(n));
+    // Operands are distinct, so each producer gains this user once.
+    for (NodeId o : nodes_.back().operands)
+      nodes_[static_cast<size_t>(o)].users.push_back(id);
+    return id;
+  };
+  return index_.findOrInsert(structuralHash(op, operands), same, make);
+}
 
-  Node n;
-  n.kind = Node::Kind::Op;
-  n.op = op;
-  n.operands = std::move(operands);
-  NodeId id = append(std::move(n));
-  index_.emplace(hash, id);
-  // Operands are distinct, so each producer gains this user once.
-  for (NodeId o : nodes_.back().operands)
-    nodes_[static_cast<size_t>(o)].users.push_back(id);
-  return id;
+void Graph::reserve(size_t nodes) {
+  nodes_.reserve(nodes);
+  index_.reserve(nodes);
 }
 
 void Graph::markOutput(NodeId id) {
@@ -173,9 +177,11 @@ std::vector<NodeId> Graph::inputNodes() const {
 }
 
 void Graph::validate() const {
+  size_t ops = 0;
   for (NodeId i = 0; i < endId(); ++i) {
     const Node& n = nodes_[static_cast<size_t>(i)];
     if (n.isOp()) {
+      ++ops;
       if (isUnary(n.op) && n.operands.size() != 1)
         throw IRError(strCat("node ", i, ": ", opName(n.op),
                              " must have one operand"));
@@ -198,6 +204,12 @@ void Graph::validate() const {
           throw IRError(
               strCat("node ", o, ": missing user entry for node ", i));
       }
+      auto same = [&](NodeId id) {
+        return sameOp(nodes_[static_cast<size_t>(id)], n.op, n.operands);
+      };
+      if (index_.find(structuralHash(n.op, n.operands), same) != i)
+        throw IRError(strCat("node ", i, ": ", opName(n.op),
+                             " is not the indexed node for its operands"));
     } else {
       if (!n.operands.empty())
         throw IRError(strCat("leaf node ", i, " has operands"));
@@ -213,6 +225,9 @@ void Graph::validate() const {
             strCat("node ", i, ": stale user entry for node ", u));
     }
   }
+  if (ops != index_.size())
+    throw IRError(strCat("index holds ", index_.size(), " op nodes, graph ",
+                         ops));
   for (NodeId out : outputs_)
     if (out < 0 || out >= endId())
       throw IRError(strCat("invalid output id ", out));

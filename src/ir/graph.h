@@ -28,11 +28,12 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/ops.h"
 #include "support/diagnostics.h"
+#include "support/hash_index.h"
+#include "support/inline_vector.h"
 
 namespace sherlock::ir {
 
@@ -46,7 +47,9 @@ struct Node {
   Kind kind = Kind::Input;
   OpKind op = OpKind::And;          ///< valid iff kind == Op
   std::vector<NodeId> operands;     ///< producers, in operand order
-  std::vector<NodeId> users;        ///< consumer op nodes
+  /// Consumer op nodes, in the order they were added. Most nodes have
+  /// at most two, which the list holds without a heap block.
+  InlineVector<NodeId, 2> users;
   std::string name;                 ///< input name; "ones"/"zeros" if Const
   bool constValue = false;          ///< valid iff kind == Const
 
@@ -79,6 +82,11 @@ class Graph {
   /// The list preserves position and multiplicity.
   void markOutput(NodeId id);
 
+  /// Makes room for `nodes` nodes in the node list and the op index, so a
+  /// graph rebuilt from one of that size neither reallocates nor rehashes.
+  /// Ids and every later result are the same as without it.
+  void reserve(size_t nodes);
+
   const Node& node(NodeId id) const {
     SHERLOCK_ASSERT(id >= 0 && static_cast<size_t>(id) < nodes_.size(),
                     "node id ", id, " out of range");
@@ -101,8 +109,9 @@ class Graph {
   std::vector<NodeId> inputNodes() const;
 
   /// Verifies structural invariants (operand ordering, arity, user lists,
-  /// output validity, and the canonical-form guarantees above). Throws
-  /// IRError on violation.
+  /// output validity, and the canonical-form guarantees above, sharing
+  /// included: every op node is the one the index holds for its kind and
+  /// operand set). Throws IRError on violation.
   void validate() const;
 
   /// Ids are assigned contiguously, so iteration is by index.
@@ -120,8 +129,8 @@ class Graph {
   std::vector<Node> nodes_;
   std::vector<NodeId> outputs_;
   NodeId consts_[2] = {kInvalidNode, kInvalidNode};
-  /// Every op node, keyed by a hash of (kind, operand set).
-  std::unordered_multimap<uint64_t, NodeId> index_;
+  /// Every op node, filed under a hash of (kind, operand set).
+  HashIndex index_;
 };
 
 }  // namespace sherlock::ir

@@ -1,6 +1,8 @@
 #include "ir/serialize.h"
 
+#include <charconv>
 #include <sstream>
+#include <system_error>
 
 #include "support/diagnostics.h"
 #include "support/trace.h"
@@ -47,13 +49,18 @@ Graph graphFromText(const std::string& text) {
     std::string kind;
     if (!(ls >> kind)) continue;
 
+    // Every id goes through here: a token that is not a decimal number,
+    // or names no declared line (an overflowing number included), throws
+    // Error naming the line and the token.
     auto parseId = [&](const std::string& token) {
-      size_t pos = 0;
-      long id = std::stol(token, &pos);
-      checkArg(pos == token.size(),
+      const char* end = token.data() + token.size();
+      long id = -1;
+      auto [stop, ec] = std::from_chars(token.data(), end, id);
+      checkArg(stop == end && ec != std::errc::invalid_argument,
                "line ", lineNo, ": bad node id '", token, "'");
-      checkArg(id >= 0 && id < static_cast<long>(declared.size()),
-               "line ", lineNo, ": node id ", id,
+      checkArg(ec == std::errc() && id >= 0 &&
+                   id < static_cast<long>(declared.size()),
+               "line ", lineNo, ": node id ", token,
                " references an undeclared node");
       return declared[static_cast<size_t>(id)];
     };

@@ -12,11 +12,15 @@ namespace sherlock::transforms {
 /// Incrementally clones nodes of a source graph into a destination graph.
 /// Passes decide per node whether to copy it (`cloneNode`) or to emit
 /// replacement nodes and record the mapping (`mapTo`). The destination is
-/// an ir::Graph, so whatever a pass emits comes out folded and shared.
+/// an ir::Graph, so whatever a pass emits comes out folded and shared. It
+/// is reserved for the source's node count, which bounds what the
+/// copying and merging passes emit.
 class Rewriter {
  public:
-  explicit Rewriter(const ir::Graph& source) noexcept
-      : source_(source), mapping_(source.numNodes(), ir::kInvalidNode) {}
+  explicit Rewriter(const ir::Graph& source)
+      : source_(source), mapping_(source.numNodes(), ir::kInvalidNode) {
+    dest_.reserve(source.numNodes());
+  }
 
   /// Copies `id` (with operands remapped) into the destination graph and
   /// records the mapping. Operands must already be mapped.

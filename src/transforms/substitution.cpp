@@ -127,6 +127,7 @@ SubstitutionResult substituteNodes(const Graph& g,
   // operand; the graph folds repeats exactly (AND/OR keep one, XOR
   // cancels pairs).
   Rewriter rw(g);
+  std::vector<NodeId> stack;
   for (NodeId i = g.firstId(); i < g.endId(); ++i) {
     const Node& n = g.node(i);
     if (!n.isOp() || ir::isUnary(n.op)) {
@@ -136,9 +137,11 @@ SubstitutionResult substituteNodes(const Graph& g,
     }
     if (forest.isAbsorbed(i)) continue;  // spliced into its consumer
 
-    // Flatten the component rooted at i in source-operand order.
+    // Flatten the component rooted at i in source-operand order. Its
+    // effective size is exactly the number of operands that come out.
     std::vector<NodeId> flat;
-    std::vector<NodeId> stack(n.operands.rbegin(), n.operands.rend());
+    flat.reserve(static_cast<size_t>(forest.effectiveSize(i)));
+    stack.assign(n.operands.rbegin(), n.operands.rend());
     while (!stack.empty()) {
       NodeId o = stack.back();
       stack.pop_back();

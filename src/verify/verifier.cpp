@@ -1,7 +1,6 @@
 #include "verify/verifier.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -10,6 +9,7 @@
 #include <utility>
 
 #include "support/diagnostics.h"
+#include "support/hash_index.h"
 
 namespace sherlock::verify {
 
@@ -63,15 +63,14 @@ namespace {
 /// collapsed binary ops, and NAND/NOR/XNOR as negated AND/OR/XOR.
 ///
 /// Storage is flat: every expression key (tag, then sorted operands) lives
-/// in one arena, an open-addressing table indexes the keys, and negation
-/// links are a vector indexed by value number. Each is sized once from
-/// the graph (`expected` = its node count) rather than grown by
+/// in one arena, a HashIndex (the one ir::Graph uses) indexes the keys,
+/// and negation links are a vector indexed by value number. Each is sized
+/// once from the graph (`expected` = its node count) rather than grown by
 /// doubling, which would leave a trail of freed blocks in the heap.
 class ValueTable {
  public:
-  explicit ValueTable(size_t expected)
-      : slots_(std::bit_ceil(std::max(kMinSlots, 2 * expected)),
-               kEmptySlot) {
+  explicit ValueTable(size_t expected) {
+    index_.reserve(expected);
     negation_.reserve(2 * expected);
     exprs_.reserve(expected);
     arena_.reserve(4 * expected);
@@ -146,12 +145,8 @@ class ValueTable {
   struct Expr {
     uint32_t offset;
     uint32_t length;
-    uint32_t hash;
     int vn;
   };
-
-  static constexpr size_t kMinSlots = 1024;
-  static constexpr int kEmptySlot = -1;
 
   int fresh() {
     negation_.push_back(-1);
@@ -166,37 +161,24 @@ class ValueTable {
       mix *= 0xff51afd7ed558ccdull;
       mix ^= mix >> 32;
     }
-    auto hash = static_cast<uint32_t>(mix);
     auto length = static_cast<uint32_t>(scratch_.size() + 1);
-    size_t mask = slots_.size() - 1;
-    size_t slot = hash & mask;
-    for (; slots_[slot] != kEmptySlot; slot = (slot + 1) & mask) {
-      const Expr& e = exprs_[static_cast<size_t>(slots_[slot])];
-      if (e.hash == hash && e.length == length &&
-          arena_[e.offset] == static_cast<int>(tag) &&
-          std::equal(scratch_.begin(), scratch_.end(),
-                     arena_.begin() + static_cast<long>(e.offset) + 1))
-        return e.vn;
-    }
-    SHERLOCK_ASSERT(arena_.size() + length <= UINT32_MAX,
-                    "value table arena exceeds 32-bit offsets");
-    Expr e{static_cast<uint32_t>(arena_.size()), length, hash, fresh()};
-    arena_.push_back(static_cast<int>(tag));
-    arena_.insert(arena_.end(), scratch_.begin(), scratch_.end());
-    slots_[slot] = static_cast<int>(exprs_.size());
-    exprs_.push_back(e);
-    if (exprs_.size() * 4 > slots_.size() * 3) grow();
-    return e.vn;
-  }
-
-  void grow() {
-    slots_.assign(slots_.size() * 2, kEmptySlot);
-    size_t mask = slots_.size() - 1;
-    for (size_t i = 0; i < exprs_.size(); ++i) {
-      size_t slot = exprs_[i].hash & mask;
-      while (slots_[slot] != kEmptySlot) slot = (slot + 1) & mask;
-      slots_[slot] = static_cast<int>(i);
-    }
+    auto same = [&](int32_t expr) {
+      const Expr& e = exprs_[static_cast<size_t>(expr)];
+      return e.length == length && arena_[e.offset] == static_cast<int>(tag) &&
+             std::equal(scratch_.begin(), scratch_.end(),
+                        arena_.begin() + static_cast<long>(e.offset) + 1);
+    };
+    auto make = [&] {
+      SHERLOCK_ASSERT(arena_.size() + length <= UINT32_MAX,
+                      "value table arena exceeds 32-bit offsets");
+      exprs_.push_back({static_cast<uint32_t>(arena_.size()), length, fresh()});
+      arena_.push_back(static_cast<int>(tag));
+      arena_.insert(arena_.end(), scratch_.begin(), scratch_.end());
+      return static_cast<int32_t>(exprs_.size() - 1);
+    };
+    int32_t expr =
+        index_.findOrInsert(static_cast<uint32_t>(mix), same, make);
+    return exprs_[static_cast<size_t>(expr)].vn;
   }
 
   /// NOT via a bidirectional link, so Not(Not(x)) == x by construction.
@@ -214,7 +196,7 @@ class ValueTable {
   std::map<std::string, int> inputs_;
   std::vector<int> arena_;
   std::vector<Expr> exprs_;
-  std::vector<int> slots_;     ///< index into exprs_, or kEmptySlot
+  HashIndex index_;            ///< hash of each key -> index into exprs_
   std::vector<int> negation_;  ///< per value number; -1 = none yet
   std::vector<int> scratch_;   ///< operands being canonicalized
 };

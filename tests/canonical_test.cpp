@@ -1,14 +1,19 @@
 // Cache-key canonicalization tests (ir/canonical.h): alpha-renamed,
 // renumbered, and commuted-operand DAGs must share a fingerprint;
-// structurally different DAGs must not; and the canonical graph must
+// structurally different DAGs must not; the canonical graph must
 // compute the same function as the original under the input-name
 // remapping — the property the compile service's content-addressed
-// cache stands on.
+// cache stands on; and the fingerprints themselves must not move between
+// builds, because cache keys and persisted snapshots store them.
 #include "ir/canonical.h"
 
 #include <algorithm>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <sstream>
 
+#include "dag_fuzz.h"
+#include "frontend/lowering.h"
 #include "ir/evaluator.h"
 #include "ir/serialize.h"
 #include "support/rng.h"
@@ -235,4 +240,99 @@ TEST(Canonical, FuzzScrambledGraphsShareFingerprintAndFunction) {
                 can[static_cast<size_t>(a.graph.outputs()[i])])
           << "seed " << seed << " output " << i;
   }
+}
+
+namespace {
+
+/// The compile service's fingerprint of `g`: dead nodes dropped, then the
+/// canonical form.
+std::string serviceFingerprint(const Graph& g) {
+  return canonicalForm(transforms::canonicalize(g)).fingerprint();
+}
+
+/// One "<name> <fingerprint>" line per example kernel and per fuzz DAG
+/// of seeds 1-50 (the differential harness's DAG for each seed).
+std::string fingerprintTable() {
+  std::string table;
+  for (const char* kernel :
+       {"bitweaving_between", "parity_check", "popcount_threshold"}) {
+    std::ifstream in(strCat(SHERLOCK_KERNEL_DIR, "/", kernel, ".sk"));
+    std::ostringstream source;
+    source << in.rdbuf();
+    EXPECT_TRUE(in.good()) << "cannot read kernel " << kernel;
+    table += strCat(kernel, " ",
+                    serviceFingerprint(frontend::compileKernel(source.str())),
+                    "\n");
+  }
+  for (uint64_t seed = 1; seed <= 50; ++seed)
+    table += strCat("fuzz", seed, " ",
+                    serviceFingerprint(workloads::buildRandomDag(
+                        sherlock::testing::sampleDagSpec(seed))),
+                    "\n");
+  return table;
+}
+
+/// Recorded from the build before the op index, the inline user lists
+/// and the heap-ordered emission; a change to any fingerprint invalidates
+/// every cache key and snapshot built on it.
+const char* const kRecordedFingerprints = R"(
+bitweaving_between 77739570d4f1a0e2.05a3d70301aa6741
+parity_check e15b7fc0ca00d439.de17706315e340e1
+popcount_threshold a95ed0d4d2e9ae13.caeedbb7d727a9ea
+fuzz1 4c3ed89fd691d703.de9f0524167bc2aa
+fuzz2 b0448b8ccc4555f5.e3f9ce015d9281b9
+fuzz3 47768e8f24fbba8e.d7b0a6947cb87095
+fuzz4 3a0e02fa4dca41f3.160cd3b3bc431742
+fuzz5 cc645c4f80064f59.9fcb465e69421d56
+fuzz6 d67a39ba17c982a7.dd6bd48e5c3ddc6f
+fuzz7 8c3150800c682c02.c464f3096e2fb909
+fuzz8 1811163238cd087d.42745dba745f2de5
+fuzz9 bd84fd7b204e610d.cdf969ed4bff13bb
+fuzz10 aa6b0334bd8ea98c.fc9ad3e454db0904
+fuzz11 668da938e7623b79.b7b7eb449894ebcd
+fuzz12 2db5e84f2c83e8a9.c09bef3bda727e8e
+fuzz13 ebfe115bd8198bd9.d2b8d8216735b900
+fuzz14 e186f253f8d984ab.9f8eca2a0c5e7f51
+fuzz15 07fb88020965bab6.7475d8ee83690885
+fuzz16 ea7a38dac76d2e5c.3be9e92e179389b2
+fuzz17 498954aaa444e196.96f5bfde7f0b9aab
+fuzz18 8e8ada9a8a8b716c.7b7c49c9ccc839a5
+fuzz19 244b04b966cc94cb.7fe4253191f3ba47
+fuzz20 59866c157807808e.ac61b4efdce372e2
+fuzz21 b7fceefcddf78ae8.cf3b9bf7c20397a2
+fuzz22 cf15d7b3b93554be.fa8ce596e0ea8425
+fuzz23 60173a4c77e7a46d.a2621068d71e2498
+fuzz24 4f06983582758647.a5865d8cb98b212c
+fuzz25 42c4a6e1f2a722a1.bec5ab467d4382d6
+fuzz26 7c94ae600f5859dd.cb45d13827fb883f
+fuzz27 c7d6bdeb855ae4b6.f226d730b11397de
+fuzz28 a1060eaacda4b087.76bcb23a401d2378
+fuzz29 e1ef33c8b1ce8a27.1128392c3c241caa
+fuzz30 e68e06217597d0f7.ba7e9df382cbee17
+fuzz31 7947c320ab79101f.17e0a782f6fab67a
+fuzz32 4104398c2b283232.ad5aa6a8ba4d5e2a
+fuzz33 e89a3c21b70e6ce9.2d8952178564fa50
+fuzz34 e0d08e12abed8edc.fedfe5934c0863f7
+fuzz35 112063a5a6e5c9ef.c707dab759ce6759
+fuzz36 ce6f8e1ba5d4ac86.7349fdb70297edc5
+fuzz37 2c61cf3432cb1f34.c2a62256d49eda56
+fuzz38 39234c26fded2036.6232b075f11d7b07
+fuzz39 cdb73b938db7f01f.d17e7c90078af01c
+fuzz40 82cdb18c61091206.63c20930f2ed6500
+fuzz41 06723e2713f35577.fbb7217c6e0b43f7
+fuzz42 802169a41cc908c3.b40223b67833bfbe
+fuzz43 393ed20ba6ec2b68.d96e20a9b8c4bf16
+fuzz44 cf1b84b960ebc32e.2430c7ea149b8ed2
+fuzz45 b497f8176e6927bb.cd5f41e1299b3a0d
+fuzz46 d4a02bb42aa8880e.f5f2d89c18d0d8d7
+fuzz47 f9fc5d96179793d0.0174e8e51c91d918
+fuzz48 4cc51194b569d507.92df4647bdadf8c0
+fuzz49 a930186b77077179.23e9989ab7a4b5db
+fuzz50 1460c815f0f55b1e.eb6bb08ea38a7f17
+)";
+
+}  // namespace
+
+TEST(Canonical, FingerprintsMatchTheRecordedTable) {
+  EXPECT_EQ("\n" + fingerprintTable(), kRecordedFingerprints);
 }

@@ -1,8 +1,13 @@
-// Pins code generation's heap traffic. Over the paper-batch configs (the
-// paper trio, both mappers, 1024^2 at MRA 2 and 512^2 at MRA 4, built
-// as perfbench builds them), generateCode may make at most 0.25
-// operator-new calls per emitted instruction: instruction fields,
-// placement lists and row buffers must not allocate per instruction.
+// Pins the heap traffic of code generation and of the front end. Over
+// the paper-batch configs (the paper trio, both mappers, 1024^2 at MRA 2
+// and 512^2 at MRA 4, built as perfbench builds them):
+//  * generateCode may make at most 0.25 operator-new calls per emitted
+//    instruction: instruction fields, placement lists and row buffers
+//    must not allocate per instruction;
+//  * canonicalize and substituteNodes may each make at most 1.5 calls per
+//    node of the graph they return: an op's operand list is the one
+//    allocation a node needs, and the graph's index, user lists and node
+//    list must not add one per node.
 //
 // This test has its own binary because it replaces the global
 // allocation functions with counting ones.
@@ -69,6 +74,7 @@ namespace sherlock {
 namespace {
 
 constexpr double kAllocationsPerInstruction = 0.25;
+constexpr double kAllocationsPerNode = 1.5;
 
 ir::Graph buildKernel(const std::string& kernel) {
   if (kernel == "Bitweaving") {
@@ -136,6 +142,64 @@ TEST(CodegenAllocations, PaperBatchStaysWithinBudget) {
       << totalAllocations << " allocations for " << totalInstructions
       << " instructions\n"
       << perConfig.str();
+}
+
+/// Allocations one front-end layer made, against the nodes it returned.
+struct LayerCount {
+  long allocations = 0;
+  long nodes = 0;
+  std::ostringstream perConfig;
+
+  void add(const std::string& config, long count, size_t outputNodes) {
+    allocations += count;
+    nodes += static_cast<long>(outputNodes);
+    perConfig << config << ": " << count << " allocations, " << outputNodes
+              << " nodes, "
+              << static_cast<double>(count) /
+                     static_cast<double>(outputNodes)
+              << " per node\n";
+  }
+  void expectWithinBudget(const char* layer) const {
+    ASSERT_GT(nodes, 0);
+    EXPECT_LE(static_cast<double>(allocations) / static_cast<double>(nodes),
+              kAllocationsPerNode)
+        << layer << ": " << allocations << " allocations for " << nodes
+        << " nodes\n"
+        << perConfig.str();
+  }
+};
+
+TEST(TransformAllocations, PaperBatchStaysWithinBudget) {
+  LayerCount canonicalize, substitute;
+  for (const char* kernel : {"Bitweaving", "Sobel", "AES"}) {
+    const ir::Graph raw = buildKernel(kernel);
+    for (bool optimized : {false, true}) {
+      for (auto [dim, mra] : {std::pair{1024, 2}, std::pair{512, 4}}) {
+        std::string config = strCat(kernel, "/",
+                                    optimized ? "opt" : "naive", "/", dim,
+                                    "/mra", mra);
+        allocations = 0;
+        counting = true;
+        ir::Graph g = transforms::canonicalize(raw);
+        counting = false;
+        canonicalize.add(config, allocations, g.numNodes());
+        if (mra <= 2) continue;
+
+        transforms::SubstitutionOptions sopt;
+        sopt.maxOperands = mra;
+        sopt.order = optimized ? transforms::MergeOrder::ByAffinity
+                               : transforms::MergeOrder::ByPriority;
+        allocations = 0;
+        counting = true;
+        transforms::SubstitutionResult merged =
+            transforms::substituteNodes(g, sopt);
+        counting = false;
+        substitute.add(config, allocations, merged.graph.numNodes());
+      }
+    }
+  }
+  canonicalize.expectWithinBudget("canonicalize");
+  substitute.expectWithinBudget("substituteNodes");
 }
 
 }  // namespace

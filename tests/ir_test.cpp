@@ -200,6 +200,72 @@ TEST(GraphRules, FuzzedRequestsStayCanonicalAndExact) {
     ASSERT_EQ(got[static_cast<size_t>(pool[k])], expect[k]) << "request " << k;
 }
 
+/// Adds `count` random requests (every kind, arity up to 4, operands
+/// anywhere in the graph, constants and repeats included) to `g`.
+void addRandomOps(Graph& g, Rng& rng, int count) {
+  const OpKind kinds[] = {OpKind::And, OpKind::Or, OpKind::Xor,
+                          OpKind::Nand, OpKind::Nor, OpKind::Xnor,
+                          OpKind::Not, OpKind::Copy};
+  for (int step = 0; step < count; ++step) {
+    OpKind op = kinds[rng.below(8)];
+    size_t arity = isUnary(op) ? 1 : 2 + rng.below(3);
+    std::vector<NodeId> operands;
+    for (size_t k = 0; k < arity; ++k)
+      operands.push_back(static_cast<NodeId>(rng.below(g.numNodes())));
+    g.addOp(op, std::move(operands));
+  }
+}
+
+/// A graph of 64 inputs, both constants and 20k random requests: enough
+/// op nodes to take the index through a dozen rehashes, unless
+/// `reserve` sizes it for every request up front.
+Graph randomGraph(bool reserve) {
+  constexpr int kInputs = 64, kRequests = 20000;
+  Graph g;
+  if (reserve) g.reserve(kInputs + 2 + kRequests);
+  for (int i = 0; i < kInputs; ++i) g.addInput(strCat("x", i));
+  g.addConst(false);
+  g.addConst(true);
+  Rng rng(19);
+  addRandomOps(g, rng, kRequests);
+  g.markOutput(g.endId() - 1);
+  return g;
+}
+
+/// Every op node of `g`, requested again with its operands reversed, is
+/// found, and nothing is added; opCount() is the number of op nodes.
+void expectEveryOpFound(Graph& g) {
+  const size_t nodes = g.numNodes();
+  size_t ops = 0;
+  for (NodeId id = g.firstId(); id < g.endId(); ++id) {
+    const Node& n = g.node(id);
+    if (!n.isOp()) continue;
+    ++ops;
+    std::vector<NodeId> reversed(n.operands.rbegin(), n.operands.rend());
+    ASSERT_EQ(g.addOp(n.op, std::move(reversed)), id) << "node " << id;
+  }
+  EXPECT_EQ(g.numNodes(), nodes);
+  EXPECT_EQ(g.opCount(), ops);
+  g.validate();
+}
+
+TEST(Graph, InternFindsEveryOpAcrossRehashes) {
+  Graph g = randomGraph(/*reserve=*/false);
+  ASSERT_GT(g.opCount(), 10000u);
+  expectEveryOpFound(g);
+  Graph copy = g;
+  expectEveryOpFound(copy);
+  Graph moved = std::move(copy);
+  expectEveryOpFound(moved);
+  // The original is untouched by requests to its copies.
+  EXPECT_EQ(graphToText(g), graphToText(moved));
+}
+
+TEST(Graph, ReserveKeepsIds) {
+  EXPECT_EQ(graphToText(randomGraph(/*reserve=*/true)),
+            graphToText(randomGraph(/*reserve=*/false)));
+}
+
 // Paper Fig. 3(b)-style chain: b-level counts op nodes on the longest
 // path to an exit.
 TEST(Analysis, BLevelChain) {
@@ -418,6 +484,21 @@ TEST(Serialize, RejectsMalformedInput) {
   EXPECT_THROW(graphFromText("const 2\n"), Error);
   EXPECT_THROW(graphFromText("input a\noutput 5\n"), Error);
   EXPECT_THROW(graphFromText("input a\nop NOT 0 0\n"), Error);  // arity
+  // Ids that are not numbers, or overflow one, name their line and token.
+  const char* badIds[][2] = {
+      {"input a\nop AND a 1\n", "line 2: bad node id 'a'"},
+      {"input a\noutput x\n", "line 2: bad node id 'x'"},
+      {"input a\noutput 99999999999999999999\n",
+       "line 2: node id 99999999999999999999 references an undeclared"}};
+  for (const auto& [text, message] : badIds) {
+    try {
+      graphFromText(text);
+      ADD_FAILURE() << "no error for " << text;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Serialize, NonCanonicalTextParsesCanonical) {

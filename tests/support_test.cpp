@@ -1,5 +1,5 @@
-// Unit tests for the support library: bit vectors, inline vectors, RNG,
-// statistics, tables, and the thread pool.
+// Unit tests for the support library: bit vectors, inline vectors, the
+// hash index, RNG, statistics, tables, and the thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 
 #include "support/bitvector.h"
 #include "support/diagnostics.h"
+#include "support/hash_index.h"
 #include "support/inline_vector.h"
 #include "support/parallel.h"
 #include "support/rng.h"
@@ -209,6 +210,80 @@ TEST(InlineVectorDeathTest, IndexPastSizeAborts) {
   EXPECT_DEATH(v[v.size()], "out of range");
 }
 #endif
+
+/// Keys held outside the index, as ir::Graph holds its nodes: id i is
+/// keys[i], filed under hashOf(keys[i]).
+struct KeyTable {
+  uint32_t (*hashOf)(uint64_t);
+  std::vector<uint64_t> keys;
+  HashIndex index;
+
+  int32_t find(uint64_t key) const {
+    return index.find(hashOf(key), [&](int32_t id) {
+      return keys[static_cast<size_t>(id)] == key;
+    });
+  }
+  int32_t intern(uint64_t key) {
+    return index.findOrInsert(
+        hashOf(key),
+        [&](int32_t id) { return keys[static_cast<size_t>(id)] == key; },
+        [&] {
+          keys.push_back(key);
+          return static_cast<int32_t>(keys.size() - 1);
+        });
+  }
+};
+
+uint32_t oneHash(uint64_t) { return 7; }
+uint32_t mixedHash(uint64_t key) {
+  return static_cast<uint32_t>(splitmix64(key));
+}
+
+/// Every key of `t` is found under its own id, and a key it never held
+/// is not.
+void expectAllFound(const KeyTable& t) {
+  EXPECT_EQ(t.index.size(), t.keys.size());
+  for (size_t i = 0; i < t.keys.size(); ++i)
+    ASSERT_EQ(t.find(t.keys[i]), static_cast<int32_t>(i)) << "key " << i;
+  EXPECT_EQ(t.find(~uint64_t{0}), HashIndex::kNone);
+}
+
+TEST(HashIndex, FindsEveryKeyWhenAllShareOneHash) {
+  // One probe chain through 16 -> 1024 slots: only the equality test
+  // tells the entries apart.
+  KeyTable t{oneHash, {}, {}};
+  EXPECT_EQ(t.find(3), HashIndex::kNone);  // empty, no slots yet
+  for (uint64_t k = 0; k < 400; ++k) {
+    ASSERT_EQ(t.intern(k * 3), static_cast<int32_t>(k));
+    ASSERT_EQ(t.intern(k * 3), static_cast<int32_t>(k));  // a hit adds none
+  }
+  expectAllFound(t);
+
+  KeyTable copy = t;
+  expectAllFound(copy);
+  copy.intern(1);  // a copy owns its slots
+  EXPECT_EQ(copy.index.size(), 401u);
+  EXPECT_EQ(t.index.size(), 400u);
+  EXPECT_EQ(t.find(1), HashIndex::kNone);
+
+  KeyTable moved = std::move(copy);
+  expectAllFound(moved);
+  EXPECT_EQ(moved.find(1), 400);
+}
+
+TEST(HashIndex, FindsEveryKeyAcrossGrowthAndReserve) {
+  KeyTable grown{mixedHash, {}, {}};
+  KeyTable reserved{mixedHash, {}, {}};
+  reserved.index.reserve(5000);
+  for (uint64_t k = 0; k < 5000; ++k) {
+    ASSERT_EQ(grown.intern(k * 0x9e37), static_cast<int32_t>(k));
+    ASSERT_EQ(reserved.intern(k * 0x9e37), static_cast<int32_t>(k));
+  }
+  expectAllFound(grown);
+  expectAllFound(reserved);
+  reserved.index.reserve(10);  // never shrinks
+  expectAllFound(reserved);
+}
 
 TEST(Rng, DeterministicAndDistinctSeeds) {
   Rng a(1), b(1), c(2);
