@@ -144,7 +144,10 @@ int main(int argc, char** argv) {
                k.strategy == mapping::Strategy::Naive ? "naive" : "opt")
           .set("mra", k.mra)
           .set("latency_ns", r.sim.latencyNs)
-          .set("energy_pj", r.sim.energyPj);
+          .set("energy_pj", r.sim.energyPj)
+          .set("p_app", r.sim.pApp)
+          .set("cim_reads", r.cimReadInstructions)
+          .set("round_floor", r.stats.roundFloor);
       configs.push(std::move(c));
     }
     Json root = Json::object();

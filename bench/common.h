@@ -18,6 +18,7 @@
 #include "device/faultmap.h"
 #include "ir/analysis.h"
 #include "mapping/compiler.h"
+#include "mapping/program_analysis.h"
 #include "sim/simulator.h"
 #include "transforms/nand_lowering.h"
 #include "transforms/passes.h"
@@ -87,6 +88,7 @@ struct RunResult {
   sim::SimResult sim;
   mapping::CodegenStats stats;
   size_t instructionCount = 0;
+  long cimReadInstructions = 0;  ///< CIM-read instructions emitted
   size_t opCount = 0;
   transforms::SubstitutionStats substitution;
 };
@@ -149,6 +151,7 @@ inline RunResult runPipeline(const ir::Graph& canonical,
   out.sim = sim::simulate(*final, target, compiled.program, sopts);
   out.stats = compiled.program.stats;
   out.instructionCount = compiled.program.instructions.size();
+  out.cimReadInstructions = mapping::analyzeProgram(compiled.program).cimReads;
   out.opCount = final->opCount();
   return out;
 }

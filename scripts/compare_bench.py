@@ -1,19 +1,25 @@
 #!/usr/bin/env python3
 """Regression gate between two bench JSON artifacts.
 
-Usage: compare_bench.py BASELINE.json CURRENT.json [--threshold 0.05]
+Usage: compare_bench.py BASELINE.json CURRENT.json
 
 Both artifacts may carry a "configs" array whose entries describe one
 benchmark point each; entries are matched on (workload, tech,
-array_dim, strategy, mra, cache_size) and gated two ways:
+array_dim, strategy, mra, cache_size) and gated exactly: on every
+shared config, each of
 
-  * latency_ns — geometric-mean regression over the shared configs must
-    stay within --threshold (wall-clock-free analytic/simulated
-    latencies only; benches report machine-dependent wall-clock under
-    other names precisely so it is never gated here).
-  * hit_rate — deterministic cache-replay hit rates must match the
-    baseline exactly (within 1e-9): any drift means the cache keying or
-    eviction behavior changed, which is a correctness signal, not noise.
+  * latency_ns and energy_pj — the modeled latency and energy
+    (wall-clock-free analytic/simulated values; benches report
+    machine-dependent wall-clock under other names precisely so it is
+    never gated here), and
+  * hit_rate — deterministic cache-replay hit rates,
+
+must match the baseline within 1e-9 relative (absolute below 1), in
+either direction. These values are bit-reproducible: the model uses
+only +, *, /, log2 of a power of two and sqrt. Any drift means the
+emitted programs, the model or the cache keying changed — regenerate
+the baseline in the change that explains it. The geometric-mean
+latency ratio is printed for reference.
 
 A pair with nothing to gate — one side has no gateable configs, e.g.
 BENCH_6.json's Monte-Carlo wall-clock record — fails: a gate that
@@ -54,61 +60,54 @@ def key_name(key):
     return "/".join(str(k) for k in key if k is not None)
 
 
-def gate_latency(base, cur, threshold):
-    """Geomean latency_ns regression gate. Returns (failed, gateable)."""
+TOLERANCE = 1e-9
+GATED_METRICS = ("latency_ns", "energy_pj", "hit_rate")
+
+
+def print_latency_geomean(base, cur):
+    """Reference line: geometric-mean latency ratio over shared configs."""
     base_lat = metric_configs(base, "latency_ns")
     cur_lat = metric_configs(cur, "latency_ns")
     shared = sorted(set(base_lat) & set(cur_lat))
     if not shared:
-        return False, (len(base_lat), len(cur_lat))
-
-    log_sum = 0.0
-    print(f"{'config':<52} {'base us':>10} {'cur us':>10} {'ratio':>7}")
-    for key in shared:
-        ratio = cur_lat[key] / base_lat[key]
-        log_sum += math.log(ratio)
-        print(f"{key_name(key):<52} {base_lat[key] / 1e3:>10.2f} "
-              f"{cur_lat[key] / 1e3:>10.2f} {ratio:>7.3f}")
+        return
+    log_sum = sum(math.log(cur_lat[k] / base_lat[k]) for k in shared)
     geomean = math.exp(log_sum / len(shared))
     print(f"geomean latency ratio over {len(shared)} shared configs: "
-          f"{geomean:.4f} (threshold {1 + threshold:.2f})")
-    if geomean > 1 + threshold:
-        print("compare_bench: FAIL — latency regressed beyond threshold")
-        return True, (len(base_lat), len(cur_lat))
-    return False, (len(base_lat), len(cur_lat))
+          f"{geomean:.4f}")
 
 
-def gate_hit_rate(base, cur):
-    """Exact-match gate on deterministic hit rates."""
-    base_hr = metric_configs(base, "hit_rate", positive=False)
-    cur_hr = metric_configs(cur, "hit_rate", positive=False)
-    shared = sorted(set(base_hr) & set(cur_hr))
+def gate_exact(base, cur, metric):
+    """Exact gate on one deterministic metric.
+
+    Returns (failed, (baseline config count, current config count)).
+    """
+    base_val = metric_configs(base, metric, positive=False)
+    cur_val = metric_configs(cur, metric, positive=False)
+    shared = sorted(set(base_val) & set(cur_val))
     if not shared:
-        return False, (len(base_hr), len(cur_hr))
+        return False, (len(base_val), len(cur_val))
 
     failed = False
-    print(f"{'config':<52} {'base hit':>9} {'cur hit':>9}")
+    print(f"{'config':<52} {'base ' + metric:>18} {'cur ' + metric:>18}")
     for key in shared:
-        drift = abs(cur_hr[key] - base_hr[key])
-        mark = "" if drift <= 1e-9 else "  <-- DRIFT"
-        print(f"{key_name(key):<52} {base_hr[key]:>9.4f} "
-              f"{cur_hr[key]:>9.4f}{mark}")
-        if drift > 1e-9:
-            failed = True
+        b, c = base_val[key], cur_val[key]
+        drifted = abs(c - b) > TOLERANCE * max(1.0, abs(b))
+        mark = "  <-- DRIFT" if drifted else ""
+        print(f"{key_name(key):<52} {b:>18.10g} {c:>18.10g}{mark}")
+        failed |= drifted
     if failed:
-        print("compare_bench: FAIL — deterministic hit_rate drifted from "
-              "baseline (cache keying/eviction behavior changed)")
+        print(f"compare_bench: FAIL — deterministic {metric} drifted from "
+              f"the baseline")
     else:
-        print(f"hit_rate exact over {len(shared)} shared configs")
-    return failed, (len(base_hr), len(cur_hr))
+        print(f"{metric} exact over {len(shared)} shared configs")
+    return failed, (len(base_val), len(cur_val))
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline")
     ap.add_argument("current")
-    ap.add_argument("--threshold", type=float, default=0.05,
-                    help="max allowed geomean latency regression (default 5%%)")
     args = ap.parse_args()
 
     with open(args.baseline) as f:
@@ -128,17 +127,19 @@ def main():
               f"emitter (or vice versa) before gating")
         return 1
 
-    lat_failed, (lat_base, lat_cur) = gate_latency(base, cur,
-                                                   args.threshold)
-    hr_failed, (hr_base, hr_cur) = gate_hit_rate(base, cur)
-    if lat_failed or hr_failed:
+    counts = {}
+    failed = False
+    for metric in GATED_METRICS:
+        metric_failed, counts[metric] = gate_exact(base, cur, metric)
+        failed |= metric_failed
+    print_latency_geomean(base, cur)
+    if failed:
         return 1
 
     # Loud failure on a key-schema mismatch: both sides carry gateable
     # configs for a metric, yet none matched.
     compared = False
-    for metric, n_base, n_cur in (("latency_ns", lat_base, lat_cur),
-                                  ("hit_rate", hr_base, hr_cur)):
+    for metric, (n_base, n_cur) in counts.items():
         if n_base == 0 or n_cur == 0:
             continue
         base_keys = set(metric_configs(base, metric, positive=False))

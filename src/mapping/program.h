@@ -25,6 +25,11 @@ struct CodegenStats {
   /// Allocations repaired into the spare-row region (fault-aware
   /// placement only; not an instruction count).
   long spareRowAllocations = 0;
+  /// Optimized flow: the sum over b-level waves of the busiest execution
+  /// column's op count. One instruction holds at most one op per column,
+  /// so no emission of these waves needs fewer CIM-read instructions
+  /// (not an instruction count; 0 for the naive flow).
+  long roundFloor = 0;
 
   long totalInstructions() const {
     return hostWrites + cimReads + plainReads + spillWrites + shifts +

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <fstream>
@@ -13,11 +14,8 @@
 
 namespace sherlock::serve {
 
-namespace {
-
-uint64_t fnv1a(const std::string& s,
-               uint64_t h = 1469598103934665603ULL) {
-  for (unsigned char c : s) {
+uint64_t fnv1a(std::string_view bytes, uint64_t h) {
+  for (unsigned char c : bytes) {
     h ^= c;
     h *= 1099511628211ULL;
   }
@@ -30,6 +28,8 @@ std::string hex64(uint64_t v) {
                 static_cast<unsigned long long>(v));
   return buf;
 }
+
+namespace {
 
 uint64_t entrySum(const std::string& key, const std::string& body) {
   return fnv1a(body, fnv1a(key));
@@ -68,15 +68,16 @@ bool writeAtomically(const std::string& path, const std::string& data) {
 }  // namespace
 
 SnapshotStats saveCacheSnapshot(
-    const std::string& path,
+    const std::string& path, const std::string& compiler,
     const std::vector<std::pair<std::string, std::string>>& entries) {
   SnapshotStats stats;
   try {
     failpoint::check("persist");
     std::ostringstream out;
     out << "sherlock-cache v" << kCacheSnapshotVersion
-        << " entries=" << entries.size() << "\n";
-    uint64_t chain = 1469598103934665603ULL;
+        << " compiler=" << compiler << " entries=" << entries.size()
+        << "\n";
+    uint64_t chain = kFnv1aOffset;
     for (const auto& [key, body] : entries) {
       uint64_t sum = entrySum(key, body);
       chain = fnv1a(hex64(sum), chain);
@@ -95,7 +96,7 @@ SnapshotStats saveCacheSnapshot(
 }
 
 SnapshotStats loadCacheSnapshot(
-    const std::string& path,
+    const std::string& path, const std::string& compiler,
     const std::function<void(std::string key, std::string body)>& sink) {
   SnapshotStats stats;
   try {
@@ -110,13 +111,12 @@ SnapshotStats loadCacheSnapshot(
     std::string header;
     if (!std::getline(in, header)) return stats;
     std::istringstream hs(header);
-    std::string magic, version;
+    std::string magic, version, compilerField, entriesField;
     size_t declared = 0;
-    hs >> magic >> version;
-    std::string entriesField;
-    hs >> entriesField;
+    hs >> magic >> version >> compilerField >> entriesField;
     if (magic != "sherlock-cache" ||
         version != strCat("v", kCacheSnapshotVersion) ||
+        compilerField.rfind("compiler=", 0) != 0 ||
         entriesField.rfind("entries=", 0) != 0) {
       // Unknown or stale snapshot schema: drop it whole.
       stats.dropped = 1;
@@ -128,8 +128,14 @@ SnapshotStats loadCacheSnapshot(
       stats.dropped = 1;
       return stats;
     }
+    if (compilerField.substr(9) != compiler) {
+      // Written by a compiler that emits other programs: every entry is
+      // stale.
+      stats.dropped = std::max<size_t>(declared, 1);
+      return stats;
+    }
 
-    uint64_t chain = 1469598103934665603ULL;
+    uint64_t chain = kFnv1aOffset;
     size_t seen = 0;
     for (; seen < declared; ++seen) {
       std::string entryLine;

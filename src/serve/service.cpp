@@ -18,6 +18,8 @@
 #include "transforms/nand_lowering.h"
 #include "transforms/passes.h"
 #include "transforms/substitution.h"
+#include "workloads/bitweaving.h"
+#include "workloads/sobel.h"
 
 namespace sherlock::serve {
 
@@ -92,10 +94,11 @@ CompileService::CompileService(ServiceOptions options)
   metrics_.setGauge("serve.queue_depth", 0);
 }
 
-std::string CompileService::compileBody(
-    const CanonicalRequest& request) const {
-  failpoint::check("compile");
-  const RequestOptions& o = request.options;
+namespace {
+
+/// The cacheable body for a canonical graph: a pure function of
+/// (graph, options).
+std::string renderBody(const ir::Graph& canonical, const RequestOptions& o) {
   checkArg(o.emit == "asm" || o.emit == "stats",
            "unknown emit kind '", o.emit, "'");
   checkArg(o.strategy == "opt" || o.strategy == "naive",
@@ -104,14 +107,14 @@ std::string CompileService::compileBody(
   isa::TargetSpec target =
       isa::TargetSpec::square(o.targetDim, techFor(o.tech), o.mra);
 
-  const ir::Graph* graph = &request.graph;
+  const ir::Graph* graph = &canonical;
   ir::Graph substituted;
   transforms::SubstitutionStats substitution;
   if (o.mra > 2) {
     transforms::SubstitutionOptions sopt;
     sopt.maxOperands = o.mra;
     sopt.fraction = o.fraction;
-    auto sub = transforms::substituteNodes(request.graph, sopt);
+    auto sub = transforms::substituteNodes(canonical, sopt);
     substituted = std::move(sub.graph);
     substitution = sub.stats;
     graph = &substituted;
@@ -152,6 +155,43 @@ std::string CompileService::compileBody(
       << ", peak live cells: " << compiled.program.peakLiveCells << "\n"
       << mapping::analyzeProgram(compiled.program).toString();
   return out.str();
+}
+
+}  // namespace
+
+std::string CompileService::compileBody(
+    const CanonicalRequest& request) const {
+  failpoint::check("compile");
+  return renderBody(request.graph, request.options);
+}
+
+const std::string& CompileService::compilerFingerprint() {
+  static const std::string fingerprint = [] {
+    workloads::BitweavingSpec bitweaving;
+    bitweaving.bits = 4;
+    bitweaving.segments = 2;
+    workloads::SobelSpec sobel;
+    sobel.width = 2;
+    uint64_t h = kFnv1aOffset;
+    for (const ir::Graph& g :
+         {transforms::canonicalize(workloads::buildBitweaving(bitweaving)),
+          transforms::canonicalize(workloads::buildSobel(sobel))})
+      for (const char* strategy : {"naive", "opt"})
+        for (int mra : {2, 4})
+          for (double faultDensity : {0.0, 0.02})
+            for (const char* emit : {"asm", "stats"}) {
+              RequestOptions o;
+              o.emit = emit;
+              o.strategy = strategy;
+              o.targetDim = 64;
+              o.mra = mra;
+              o.faultDensity = faultDensity;
+              o.spareRows = faultDensity > 0 ? 4 : 0;
+              h = fnv1a(renderBody(g, o), h);
+            }
+    return hex64(h);
+  }();
+  return fingerprint;
 }
 
 CompileResponse CompileService::handle(const std::string& source,
@@ -344,7 +384,8 @@ PersistResult CompileService::saveCache(const std::string& path) {
       if (body) entries.emplace_back(*it, **body);
     }
   }
-  SnapshotStats stats = saveCacheSnapshot(path, entries);
+  SnapshotStats stats =
+      saveCacheSnapshot(path, compilerFingerprint(), entries);
   PersistResult result;
   result.ok = stats.ok;
   result.entries = stats.written;
@@ -360,7 +401,7 @@ PersistResult CompileService::saveCache(const std::string& path) {
 
 PersistResult CompileService::loadCache(const std::string& path) {
   SnapshotStats stats = loadCacheSnapshot(
-      path, [this](std::string key, std::string body) {
+      path, compilerFingerprint(), [this](std::string key, std::string body) {
         std::lock_guard<std::mutex> lock(mu_);
         cache_.put(std::move(key),
                    std::make_shared<const std::string>(std::move(body)));

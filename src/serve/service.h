@@ -164,6 +164,14 @@ class CompileService {
   static std::string directKey(const std::string& source,
                                const RequestOptions& options);
 
+  /// Fingerprint of the programs this build emits, as 16 hex digits:
+  /// FNV-1a over the bodies compileBody renders for a fixed probe set
+  /// (small Bitweaving and Sobel; naive and opt; MRA 2 and 4; dim 64;
+  /// with and without a fault map; asm and stats). Computed once per
+  /// process, on the first snapshot save or load, and stamped into the
+  /// snapshot: a build that emits other programs loads none of it.
+  static const std::string& compilerFingerprint();
+
  private:
   struct Inflight {
     std::shared_future<std::shared_ptr<const std::string>> future;

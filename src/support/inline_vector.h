@@ -76,6 +76,7 @@ class InlineVector {
   ~InlineVector() { freeHeap(); }
 
   size_t size() const { return size_; }
+  size_t capacity() const { return capacity_; }
   bool empty() const { return size_ == 0; }
   /// True while the elements live in the object itself.
   bool isInline() const { return data_ == inline_; }

@@ -70,6 +70,9 @@ void spit(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
+/// Compiler fingerprint stamped by the snapshot-format tests.
+const std::string kCompiler = "0123456789abcdef";
+
 }  // namespace
 
 TEST(FailPoints, SpecGrammarAndMalformedSpecsRejected) {
@@ -347,13 +350,13 @@ TEST(ChaosPersist, SnapshotRoundTripsEntriesInOrder) {
       {"key-two", ""},  // empty body is legal
       {"key three with spaces", std::string("binary\0bytes", 12)},
   };
-  SnapshotStats saved = saveCacheSnapshot(file.path, entries);
+  SnapshotStats saved = saveCacheSnapshot(file.path, kCompiler, entries);
   ASSERT_TRUE(saved.ok);
   EXPECT_EQ(saved.written, 3u);
 
   std::vector<std::pair<std::string, std::string>> loaded;
   SnapshotStats in = loadCacheSnapshot(
-      file.path, [&](std::string key, std::string body) {
+      file.path, kCompiler, [&](std::string key, std::string body) {
         loaded.emplace_back(std::move(key), std::move(body));
       });
   EXPECT_TRUE(in.ok);
@@ -365,7 +368,7 @@ TEST(ChaosPersist, SnapshotRoundTripsEntriesInOrder) {
 TEST(ChaosPersist, MissingFileIsAnEmptyColdBoot) {
   size_t calls = 0;
   SnapshotStats in = loadCacheSnapshot(
-      "/nonexistent/sherlock/snapshot",
+      "/nonexistent/sherlock/snapshot", kCompiler,
       [&](std::string, std::string) { ++calls; });
   EXPECT_FALSE(in.ok);
   EXPECT_EQ(in.loaded, 0u);
@@ -374,7 +377,7 @@ TEST(ChaosPersist, MissingFileIsAnEmptyColdBoot) {
 
 TEST(ChaosPersist, CorruptEntryIsDroppedOthersSurvive) {
   TempFile file("corrupt");
-  ASSERT_TRUE(saveCacheSnapshot(file.path, {{"ka", "alpha-body"},
+  ASSERT_TRUE(saveCacheSnapshot(file.path, kCompiler, {{"ka", "alpha-body"},
                                             {"kb", "beta-body"},
                                             {"kc", "gamma-body"}})
                   .ok);
@@ -386,7 +389,7 @@ TEST(ChaosPersist, CorruptEntryIsDroppedOthersSurvive) {
 
   std::vector<std::string> keys;
   SnapshotStats in = loadCacheSnapshot(
-      file.path,
+      file.path, kCompiler,
       [&](std::string key, std::string) { keys.push_back(std::move(key)); });
   EXPECT_EQ(in.loaded, 2u);
   EXPECT_EQ(in.dropped, 1u);
@@ -395,7 +398,7 @@ TEST(ChaosPersist, CorruptEntryIsDroppedOthersSurvive) {
 
 TEST(ChaosPersist, TruncatedSnapshotDropsTheTailNeverThrows) {
   TempFile file("truncated");
-  ASSERT_TRUE(saveCacheSnapshot(file.path, {{"ka", "alpha-body"},
+  ASSERT_TRUE(saveCacheSnapshot(file.path, kCompiler, {{"ka", "alpha-body"},
                                             {"kb", "beta-body"}})
                   .ok);
   std::string bytes = slurp(file.path);
@@ -406,7 +409,7 @@ TEST(ChaosPersist, TruncatedSnapshotDropsTheTailNeverThrows) {
 
   std::vector<std::string> keys;
   SnapshotStats in = loadCacheSnapshot(
-      file.path,
+      file.path, kCompiler,
       [&](std::string key, std::string) { keys.push_back(std::move(key)); });
   EXPECT_EQ(keys, std::vector<std::string>{"ka"});
   EXPECT_EQ(in.loaded, 1u);
@@ -415,7 +418,7 @@ TEST(ChaosPersist, TruncatedSnapshotDropsTheTailNeverThrows) {
 
 TEST(ChaosPersist, VersionMismatchDropsSnapshotWhole) {
   TempFile file("version");
-  ASSERT_TRUE(saveCacheSnapshot(file.path, {{"ka", "alpha-body"}}).ok);
+  ASSERT_TRUE(saveCacheSnapshot(file.path, kCompiler, {{"ka", "alpha-body"}}).ok);
   std::string bytes = slurp(file.path);
   size_t at = bytes.find(" v");
   ASSERT_NE(at, std::string::npos);
@@ -424,7 +427,7 @@ TEST(ChaosPersist, VersionMismatchDropsSnapshotWhole) {
 
   size_t calls = 0;
   SnapshotStats in = loadCacheSnapshot(
-      file.path, [&](std::string, std::string) { ++calls; });
+      file.path, kCompiler, [&](std::string, std::string) { ++calls; });
   EXPECT_EQ(calls, 0u);
   EXPECT_EQ(in.loaded, 0u);
   EXPECT_GE(in.dropped, 1u);
@@ -435,7 +438,7 @@ TEST(ChaosPersist, GarbageFileLoadsNothingAndNeverThrows) {
   spit(file.path, "not a snapshot at all\n\x01\x02\x03 bytes\n");
   size_t calls = 0;
   EXPECT_NO_THROW(loadCacheSnapshot(
-      file.path, [&](std::string, std::string) { ++calls; }));
+      file.path, kCompiler, [&](std::string, std::string) { ++calls; }));
   EXPECT_EQ(calls, 0u);
 }
 
@@ -469,6 +472,58 @@ TEST(ChaosPersist, ServiceWarmRestartServesCanonicalHits) {
   EXPECT_FALSE(hit.direct);
   EXPECT_EQ(hit.payload, coldPayload);
   EXPECT_EQ(second.stats().counters.misses, 0u);
+}
+
+TEST(ChaosPersist, SnapshotOfAnotherCompilerLoadsNothing) {
+  TempFile file("compiler");
+  CompileService first;
+  for (const char* op : {"AND", "OR", "XOR"})
+    ASSERT_TRUE(first
+                    .handle(strCat("input a\ninput b\nop ", op,
+                                   " 0 1\noutput 2\n"),
+                            smallTarget())
+                    .ok);
+  PersistResult saved = first.saveCache(file.path);
+  ASSERT_TRUE(saved.ok);
+  ASSERT_EQ(saved.entries, 3u);
+  std::string bytes = slurp(file.path);
+  const std::string stamp =
+      strCat("compiler=", CompileService::compilerFingerprint(), " ");
+  ASSERT_NE(bytes.find(stamp), std::string::npos) << bytes.substr(0, 80);
+
+  // This build reloads every entry.
+  {
+    CompileService second;
+    PersistResult warm = second.loadCache(file.path);
+    EXPECT_EQ(warm.entries, saved.entries);
+    EXPECT_EQ(warm.dropped, 0u);
+  }
+  // A build that emits other programs (another fingerprint) loads none.
+  {
+    std::string foreign = bytes;
+    size_t at = foreign.find(stamp) + 9;
+    foreign[at] = foreign[at] == '0' ? '1' : '0';
+    spit(file.path, foreign);
+    CompileService second;
+    PersistResult stale = second.loadCache(file.path);
+    EXPECT_EQ(stale.entries, 0u);
+    EXPECT_EQ(stale.dropped, saved.entries);
+    CompileResponse cold = second.handle(dagText("a", "b"), smallTarget());
+    ASSERT_TRUE(cold.ok);
+    EXPECT_FALSE(cold.cacheHit);
+  }
+  // A v3 snapshot (no compiler stamp) loads none either.
+  {
+    std::string v3 = bytes;
+    size_t begin = v3.find(" v");
+    size_t end = v3.find(" entries=");
+    v3.replace(begin, end - begin, " v3");
+    spit(file.path, v3);
+    CompileService second;
+    PersistResult stale = second.loadCache(file.path);
+    EXPECT_EQ(stale.entries, 0u);
+    EXPECT_GE(stale.dropped, 1u);
+  }
 }
 
 TEST(ChaosPersist, SaveFailpointSurfacesAsPersistError) {

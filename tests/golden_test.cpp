@@ -43,35 +43,35 @@ struct Golden {
 // clang-format off
 const Golden kGolden[] = {
   {"Bitweaving reram-1024-mra2 naive", 0x92e66b8b4eeb4c6cULL},
-  {"Bitweaving reram-1024-mra2 opt", 0x11ad42574b9c9079ULL},
+  {"Bitweaving reram-1024-mra2 opt", 0xf5f10d77421274d0ULL},
   {"Bitweaving reram-512-mra4 naive", 0xce71730bf308a524ULL},
-  {"Bitweaving reram-512-mra4 opt", 0xfab2e05e4598d68dULL},
+  {"Bitweaving reram-512-mra4 opt", 0x445e77a6969d271fULL},
   {"Bitweaving stt-512-nand naive", 0xd55cf3e6bee9b03dULL},
-  {"Bitweaving stt-512-nand opt", 0xff069746416be6d5ULL},
+  {"Bitweaving stt-512-nand opt", 0xaebd908003f30f83ULL},
   {"Bitweaving reram-1024-mra2-O naive", 0x92e66b8b4eeb4c6cULL},
-  {"Bitweaving reram-1024-mra2-O opt", 0x11ad42574b9c9079ULL},
+  {"Bitweaving reram-1024-mra2-O opt", 0xf5f10d77421274d0ULL},
   {"Bitweaving reram-512-mra4-O naive", 0xce71730bf308a524ULL},
-  {"Bitweaving reram-512-mra4-O opt", 0xfab2e05e4598d68dULL},
+  {"Bitweaving reram-512-mra4-O opt", 0x445e77a6969d271fULL},
   {"Sobel reram-1024-mra2 naive", 0x32101829d39b1f8cULL},
-  {"Sobel reram-1024-mra2 opt", 0x2dac50fb22f9849eULL},
+  {"Sobel reram-1024-mra2 opt", 0x310875f79b614997ULL},
   {"Sobel reram-512-mra4 naive", 0xcd4f29e756ba739cULL},
-  {"Sobel reram-512-mra4 opt", 0x482591f045c8652eULL},
+  {"Sobel reram-512-mra4 opt", 0x7ff64a1dfae2a08bULL},
   {"Sobel stt-512-nand naive", 0x80cdee7cb470daefULL},
-  {"Sobel stt-512-nand opt", 0x355031efff396b1eULL},
+  {"Sobel stt-512-nand opt", 0x0580cbb03ba6cc00ULL},
   {"Sobel reram-1024-mra2-O naive", 0x9d6ca9bcb0e0fec5ULL},
-  {"Sobel reram-1024-mra2-O opt", 0x47869e97992e4432ULL},
+  {"Sobel reram-1024-mra2-O opt", 0xf9620559904ea218ULL},
   {"Sobel reram-512-mra4-O naive", 0x81535163b4ee2900ULL},
-  {"Sobel reram-512-mra4-O opt", 0x054a472f7068c909ULL},
+  {"Sobel reram-512-mra4-O opt", 0x1217509665385e3cULL},
   {"AES reram-1024-mra2 naive", 0x6e60afeb4e3f6af1ULL},
-  {"AES reram-1024-mra2 opt", 0xcb65bebdb5b3565fULL},
+  {"AES reram-1024-mra2 opt", 0x1486ce1a23f4ae7cULL},
   {"AES reram-512-mra4 naive", 0xfe775104bb259d31ULL},
-  {"AES reram-512-mra4 opt", 0x24a55eddbba1c716ULL},
+  {"AES reram-512-mra4 opt", 0x2333585cbb13031eULL},
   {"AES stt-512-nand naive", 0xa0edaf49f8883daaULL},
-  {"AES stt-512-nand opt", 0x69365daf56875afbULL},
+  {"AES stt-512-nand opt", 0x6f81720f5b1b6711ULL},
   {"AES reram-1024-mra2-O naive", 0x0007af54e73c5bb0ULL},
-  {"AES reram-1024-mra2-O opt", 0xe03e9e0e57e88b3bULL},
+  {"AES reram-1024-mra2-O opt", 0x977f0cfe35c4d04eULL},
   {"AES reram-512-mra4-O naive", 0x066f83190900e9cdULL},
-  {"AES reram-512-mra4-O opt", 0xc4d904bafe3cc92fULL},
+  {"AES reram-512-mra4-O opt", 0x82bf03872345389dULL},
   {"bitweaving_between reram-1024-mra2 naive", 0x0174256340b8152eULL},
   {"bitweaving_between reram-1024-mra2 opt", 0xb8131aa74ed23bfdULL},
   {"bitweaving_between reram-512-mra4 naive", 0x263c26674b74055bULL},
@@ -110,35 +110,35 @@ const Golden kGolden[] = {
 // clang-format off
 const Golden kGoldenSim[] = {
   {"Bitweaving reram-1024-mra2 naive", 0xee1ab7d4ab2c70ceULL},
-  {"Bitweaving reram-1024-mra2 opt", 0x7e8548e27ef21d2dULL},
+  {"Bitweaving reram-1024-mra2 opt", 0x80299006fd038b40ULL},
   {"Bitweaving reram-512-mra4 naive", 0xe5ca6e67de568a52ULL},
-  {"Bitweaving reram-512-mra4 opt", 0x3c3a07e7b9574ceeULL},
+  {"Bitweaving reram-512-mra4 opt", 0x85172c0316d13e3dULL},
   {"Bitweaving stt-512-nand naive", 0x4063b858aebc7938ULL},
-  {"Bitweaving stt-512-nand opt", 0x66612f0d137bc9e1ULL},
+  {"Bitweaving stt-512-nand opt", 0x1c1191f634c48f48ULL},
   {"Bitweaving reram-1024-mra2-O naive", 0xee1ab7d4ab2c70ceULL},
-  {"Bitweaving reram-1024-mra2-O opt", 0x7e8548e27ef21d2dULL},
+  {"Bitweaving reram-1024-mra2-O opt", 0x80299006fd038b40ULL},
   {"Bitweaving reram-512-mra4-O naive", 0xe5ca6e67de568a52ULL},
-  {"Bitweaving reram-512-mra4-O opt", 0x3c3a07e7b9574ceeULL},
+  {"Bitweaving reram-512-mra4-O opt", 0x85172c0316d13e3dULL},
   {"Sobel reram-1024-mra2 naive", 0xc3fbe43fa55a5352ULL},
-  {"Sobel reram-1024-mra2 opt", 0x2c2b10c087440aa6ULL},
+  {"Sobel reram-1024-mra2 opt", 0x3736fa632aef1149ULL},
   {"Sobel reram-512-mra4 naive", 0x6f7b364b0ebfb958ULL},
-  {"Sobel reram-512-mra4 opt", 0xd50a486bc94885a8ULL},
+  {"Sobel reram-512-mra4 opt", 0x493a3b9690e9a35dULL},
   {"Sobel stt-512-nand naive", 0xcee5e88c5a5eafc6ULL},
-  {"Sobel stt-512-nand opt", 0x993cbd6d6a7bacd2ULL},
+  {"Sobel stt-512-nand opt", 0xf2b049ab7289cdbaULL},
   {"Sobel reram-1024-mra2-O naive", 0x18913953058c6acdULL},
-  {"Sobel reram-1024-mra2-O opt", 0xf4cec05bd6d9af0bULL},
+  {"Sobel reram-1024-mra2-O opt", 0xbc4b2edcb00fbb32ULL},
   {"Sobel reram-512-mra4-O naive", 0x04f8d3b44de2b2edULL},
-  {"Sobel reram-512-mra4-O opt", 0x78f42b8892214de5ULL},
+  {"Sobel reram-512-mra4-O opt", 0xf361ff18cb45bca3ULL},
   {"AES reram-1024-mra2 naive", 0xf3a20f80b8c91f37ULL},
-  {"AES reram-1024-mra2 opt", 0x97447339c959845cULL},
+  {"AES reram-1024-mra2 opt", 0xebd3b1fb304327beULL},
   {"AES reram-512-mra4 naive", 0x0d5114bd190296feULL},
-  {"AES reram-512-mra4 opt", 0x362e44e4f6934cf5ULL},
+  {"AES reram-512-mra4 opt", 0x68eb89d9c9b561e3ULL},
   {"AES stt-512-nand naive", 0xc3d9e5b3505d2dbfULL},
-  {"AES stt-512-nand opt", 0x6d8f40f17e15313bULL},
+  {"AES stt-512-nand opt", 0xa075c84660aed4beULL},
   {"AES reram-1024-mra2-O naive", 0xf8f9e705f654ecf1ULL},
-  {"AES reram-1024-mra2-O opt", 0x78ccf71d8e82430cULL},
+  {"AES reram-1024-mra2-O opt", 0x6a08f543e9e24014ULL},
   {"AES reram-512-mra4-O naive", 0xd68037bd3a39292cULL},
-  {"AES reram-512-mra4-O opt", 0x73aab64abf1833c8ULL},
+  {"AES reram-512-mra4-O opt", 0x1374898500712be0ULL},
   {"bitweaving_between reram-1024-mra2 naive", 0x460dc6bf26c9f201ULL},
   {"bitweaving_between reram-1024-mra2 opt", 0xbac50768f97d1ca2ULL},
   {"bitweaving_between reram-512-mra4 naive", 0xa826ec73bab8dc65ULL},
@@ -169,8 +169,8 @@ const Golden kGoldenSim[] = {
   {"popcount_threshold reram-1024-mra2-O opt", 0x0c0a7af24778e7c7ULL},
   {"popcount_threshold reram-512-mra4-O naive", 0x08022c86a5846159ULL},
   {"popcount_threshold reram-512-mra4-O opt", 0x236a25dce99fc126ULL},
-  {"Bitweaving stt-512-faulty-guarded opt", 0x45f81979cbd6eb68ULL},
-  {"Sobel stt-512-faulty-guarded opt", 0xc2ed7c3bc3d05747ULL},
+  {"Bitweaving stt-512-faulty-guarded opt", 0x7ae9cb4af911e660ULL},
+  {"Sobel stt-512-faulty-guarded opt", 0x0b9703e01612a1dcULL},
 };
 // clang-format on
 

@@ -435,7 +435,7 @@ TEST(Timing, StallTraceOfPaperConfigIsStable) {
   };
   const Expected expected[] = {
       {mapping::Strategy::Naive, 3208, 0xe6ceb676881643ccULL},
-      {mapping::Strategy::Optimized, 2, 0xbbb40dc0949793dfULL},
+      {mapping::Strategy::Optimized, 57, 0x9bcb3acc1e324e06ULL},
   };
   workloads::SobelSpec spec;
   spec.width = 16;

@@ -349,6 +349,8 @@ std::string processFile(const std::string& inputFile, const Options& opts) {
   }
   if (opts.emit == "stats") {
     const auto& s = compiled.program.stats;
+    mapping::ProgramAnalysis analysis =
+        mapping::analyzeProgram(compiled.program);
     out << "DAG:            " << g.opCount() << " ops, " << g.valueCount()
         << " values, critical path " << ir::criticalPathLength(g) << "\n";
     if (opts.mra > 2)
@@ -367,8 +369,10 @@ std::string processFile(const std::string& inputFile, const Options& opts) {
     if (copts.strategy == mapping::Strategy::Optimized)
       out << "clusters:       " << compiled.clustering.clusters.size()
           << " (cross edges " << compiled.clustering.crossClusterEdges
-          << ")\n";
-    out << "\n" << mapping::analyzeProgram(compiled.program).toString();
+          << ")\n"
+          << "CIM reads:      " << analysis.cimReads << " (round floor "
+          << s.roundFloor << ")\n";
+    out << "\n" << analysis.toString();
     return out.str();
   }
   if (opts.emit == "sim") {
