@@ -14,12 +14,21 @@
 //      written to a cell when the buffer slot is about to be reused (or
 //      the value is needed elsewhere / is a graph output).
 //
+// The optimized flow does each wave's movement first, then emits its CIM
+// reads in column-parallel rounds: round r holds the r-th op of every
+// execution column (columns ascending, each column's ops oldest operands
+// first). Before a round, the latched values its reads would displace
+// are flushed — two or more on one array into a row free in all of their
+// columns, so the writes fold into one and later reads of those values
+// activate the same rows.
+//
 // Cross-cluster instruction merging (Sec. 3.3.3) is performed inline:
 // an emitted instruction is folded into its immediate predecessor whenever
 // the two are a same-array read pair with identical activated rows (or a
 // same-row write pair) on disjoint columns — exactly the legality the
 // paper's dependency check enforces, restricted to adjacent instructions,
-// where it is trivially safe.
+// where it is trivially safe. The rounds and aligned flushes are what
+// make such pairs adjacent.
 #pragma once
 
 #include "ir/graph.h"
