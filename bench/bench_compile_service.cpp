@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -78,22 +77,18 @@ std::vector<int> zipfStream(int kernels, int requests, double s,
 }
 
 struct ReplayResult {
-  serve::ServiceStats stats;
   double wallSeconds = 0;
   uint64_t mismatches = 0;
 };
 
-/// Replays the stream against a fresh service. batchSize 0 = serial;
+/// Replays the stream against `service`. batchSize 0 = serial;
 /// otherwise requests are fanned out on `pool` in fixed batches (the
 /// order *within* a batch is scheduler-chosen, batches stay ordered).
-ReplayResult replay(const std::vector<std::string>& kernels,
+ReplayResult replay(serve::CompileService& service,
+                    const std::vector<std::string>& kernels,
                     const std::vector<int>& stream,
                     const std::vector<std::string>& reference,
-                    size_t cacheCapacity, size_t batchSize,
-                    ThreadPool* pool) {
-  serve::ServiceOptions options;
-  options.cacheCapacity = cacheCapacity;
-  serve::CompileService service(options);
+                    size_t batchSize, ThreadPool* pool) {
   serve::RequestOptions request;
   request.targetDim = kTargetDim;
   request.mra = 4;  // fuzz DAGs carry ops up to arity 4
@@ -126,18 +121,13 @@ ReplayResult replay(const std::vector<std::string>& kernels,
   result.wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  result.stats = service.stats();
   return result;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string jsonPath;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) jsonPath = argv[++i];
-  }
+  std::string jsonPath = jsonPathArg(argc, argv);
 
   // Kernel corpus: the differential-fuzz DAG sampler, serialized to the
   // protocol's dag format. The service canonicalizes internally.
@@ -191,8 +181,11 @@ int main(int argc, char** argv) {
   bool ok = true;
   double gatedSpeedup = 0;
   for (const Point& point : points) {
-    ReplayResult r = replay(kernels, stream, reference, point.capacity,
-                            point.batch, &pool);
+    serve::ServiceOptions options;
+    options.cacheCapacity = point.capacity;
+    serve::CompileService service(options);
+    ReplayResult r =
+        replay(service, kernels, stream, reference, point.batch, &pool);
     if (r.mismatches != 0) {
       std::cerr << "FAIL: " << r.mismatches
                 << " responses differed from their cold-compile "
@@ -200,8 +193,14 @@ int main(int argc, char** argv) {
                 << point.capacity << ")\n";
       ok = false;
     }
-    const serve::ServiceStats& s = r.stats;
-    double speedup = s.hitP50Us > 0 ? s.coldP50Us / s.hitP50Us : 0;
+    const MetricsRegistry& metrics = service.metrics();
+    MetricsRegistry::HistogramSnapshot hit = metrics.histogram("serve.hit_us");
+    MetricsRegistry::HistogramSnapshot cold =
+        metrics.histogram("serve.cold_us");
+    double hitRate = metrics.gaugeValue("serve.hit_rate");
+    long compiles = static_cast<long>(metrics.counterValue("serve.misses"));
+    long evictions = static_cast<long>(metrics.gaugeValue("serve.evictions"));
+    double speedup = hit.p50 > 0 ? cold.p50 / hit.p50 : 0;
     bool serialFull = point.batch == 0 && point.capacity >= kKernels;
     if (serialFull) gatedSpeedup = speedup;
     double rps = static_cast<double>(kRequests) / r.wallSeconds;
@@ -210,11 +209,10 @@ int main(int argc, char** argv) {
                            : strCat("batch=", point.batch, " x",
                                     pool.threadCount(), " threads");
     table.addRow({std::to_string(point.capacity), mode,
-                  Table::num(s.counters.hitRate(), 3),
-                  std::to_string(s.counters.misses),
-                  std::to_string(s.counters.evictions), Table::num(rps, 0),
-                  Table::num(s.hitP50Us, 1), Table::num(s.hitP99Us, 1),
-                  Table::num(s.coldP50Us, 1), Table::num(s.coldP99Us, 1),
+                  Table::num(hitRate, 3), std::to_string(compiles),
+                  std::to_string(evictions), Table::num(rps, 0),
+                  Table::num(hit.p50, 1), Table::num(hit.p99, 1),
+                  Table::num(cold.p50, 1), Table::num(cold.p99, 1),
                   Table::num(speedup, 1)});
 
     Json c = Json::object();
@@ -228,16 +226,17 @@ int main(int argc, char** argv) {
         // Deterministic (gated): the serial hit/miss sequence is a pure
         // function of the seeds; the concurrent point runs at full
         // capacity where compiles == kernels regardless of order.
-        .set("hit_rate", s.counters.hitRate())
-        .set("compiles", static_cast<long>(s.counters.misses))
-        .set("coalesced", static_cast<long>(s.counters.coalesced))
-        .set("evictions", static_cast<long>(s.counters.evictions))
+        .set("hit_rate", hitRate)
+        .set("compiles", compiles)
+        .set("coalesced",
+             static_cast<long>(metrics.counterValue("serve.coalesced")))
+        .set("evictions", evictions)
         // Machine-dependent (reported, not gated).
         .set("throughput_rps", rps)
-        .set("hit_p50_us", s.hitP50Us)
-        .set("hit_p99_us", s.hitP99Us)
-        .set("cold_p50_us", s.coldP50Us)
-        .set("cold_p99_us", s.coldP99Us)
+        .set("hit_p50_us", hit.p50)
+        .set("hit_p99_us", hit.p99)
+        .set("cold_p50_us", cold.p50)
+        .set("cold_p99_us", cold.p99)
         .set("hit_speedup_p50", speedup);
     configs.push(std::move(c));
   }
@@ -270,9 +269,7 @@ int main(int argc, char** argv) {
         .set("byte_identical", ok)
         .set("hit_speedup_p50", gatedSpeedup)
         .set("configs", std::move(configs));
-    std::ofstream out(jsonPath);
-    out << root.dump();
-    std::cout << "\nWrote JSON to " << jsonPath << "\n";
+    writeJson(jsonPath, root);
   }
   return ok ? 0 : 1;
 }

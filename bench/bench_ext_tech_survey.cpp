@@ -48,7 +48,7 @@ int main() {
       RunConfig cfg;
       cfg.tech = tech;
       cfg.arrayDim = 512;
-      cfg.strategy = mapping::Strategy::Optimized;
+      cfg.flow.strategy = mapping::Strategy::Optimized;
       jobs.push_back({workload, cfg});
     }
   // The survey intentionally reports unverified configurations too, so

@@ -25,7 +25,6 @@
 // of the flattened index, so the table is byte-identical for any
 // SHERLOCK_THREADS value (see bench/sweep.h).
 #include <chrono>
-#include <fstream>
 #include <iostream>
 
 #include "bench/json.h"
@@ -37,11 +36,7 @@ using namespace sherlock;
 using namespace sherlock::bench;
 
 int main(int argc, char** argv) {
-  std::string jsonPath;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json" && i + 1 < argc)
-      jsonPath = argv[++i];
-  }
+  std::string jsonPath = jsonPathArg(argc, argv);
   auto wallStart = std::chrono::steady_clock::now();
 
   constexpr int kDim = 512;
@@ -75,11 +70,10 @@ int main(int argc, char** argv) {
               RunConfig cfg;
               cfg.tech = tech;
               cfg.arrayDim = kDim;
-              cfg.faultStuckDensity = density;
-              cfg.faultWeakDensity = density * 0.5;
-              cfg.faultSeed = deriveSeed(
+              cfg.flow.faultDensity = density;
+              cfg.flow.faultSeed = deriveSeed(
                   kBaseSeed, point * kTrials + static_cast<size_t>(t));
-              cfg.spareRows = spares;
+              cfg.flow.spareRows = spares;
               cfg.injectFaults = true;
               cfg.guarded = guarded;
               jobs.push_back({w, cfg});
@@ -167,7 +161,7 @@ int main(int argc, char** argv) {
   {
     RunConfig cfg;
     cfg.arrayDim = kSmallDim;
-    cfg.strategy = mapping::Strategy::Naive;
+    cfg.flow.strategy = mapping::Strategy::Naive;
     pjobs.push_back({kWorkloads[0], cfg});
   }
   size_t ppoint = 0;
@@ -176,11 +170,10 @@ int main(int argc, char** argv) {
       for (int tr = 0; tr < kTrials; ++tr, ++ppoint) {
         RunConfig cfg;
         cfg.arrayDim = kSmallDim;
-        cfg.strategy = mapping::Strategy::Naive;
-        cfg.faultStuckDensity = density;
-        cfg.faultWeakDensity = density * 0.5;
-        cfg.faultSeed = deriveSeed(kBaseSeed ^ 0xba11ad, ppoint);
-        cfg.spareRows = spares;
+        cfg.flow.strategy = mapping::Strategy::Naive;
+        cfg.flow.faultDensity = density;
+        cfg.flow.faultSeed = deriveSeed(kBaseSeed ^ 0xba11ad, ppoint);
+        cfg.flow.spareRows = spares;
         cfg.injectFaults = true;
         pjobs.push_back({kWorkloads[0], cfg});
       }
@@ -230,9 +223,7 @@ int main(int argc, char** argv) {
                    .set("trials_per_point", kTrials)
                    .set("wall_seconds", wallSeconds)
                    .set("points", std::move(rows));
-    std::ofstream out(jsonPath);
-    out << doc.dump();
-    std::cout << "\nWrote JSON to " << jsonPath << "\n";
+    writeJson(jsonPath, doc);
   }
   return 0;
 }

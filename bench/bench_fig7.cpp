@@ -5,7 +5,6 @@
 // three orders of magnitude. All 24 CIM configurations run concurrently;
 // the per-technology geomean row uses the epsilon-floored geomeanSafe so
 // a degenerate EDP cannot abort the table.
-#include <fstream>
 #include <iostream>
 #include <map>
 
@@ -18,11 +17,7 @@ using namespace sherlock;
 using namespace sherlock::bench;
 
 int main(int argc, char** argv) {
-  std::string jsonPath;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) jsonPath = argv[++i];
-  }
+  std::string jsonPath = jsonPathArg(argc, argv);
   const int dims[] = {128, 256, 512, 1024};
 
   std::vector<SweepJob> jobs;
@@ -32,7 +27,7 @@ int main(int argc, char** argv) {
         RunConfig cfg;
         cfg.tech = tech;
         cfg.arrayDim = dim;
-        cfg.strategy = mapping::Strategy::Optimized;
+        cfg.flow.strategy = mapping::Strategy::Optimized;
         jobs.push_back({workload, cfg});
       }
   std::vector<RunResult> results = runSweep(jobs);
@@ -91,9 +86,7 @@ int main(int argc, char** argv) {
              "analytic latency_ns / energy_pj / edp_gain_vs_cpu per "
              "(workload, tech, array_dim) config (deterministic)")
         .set("configs", std::move(configs));
-    std::ofstream out(jsonPath);
-    out << root.dump();
-    std::cout << "\nWrote JSON to " << jsonPath << "\n";
+    writeJson(jsonPath, root);
   }
   return 0;
 }

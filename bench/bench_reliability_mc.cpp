@@ -25,7 +25,6 @@
 // `--json <path>` additionally writes a machine-readable artifact with
 // the per-config rates and the wall-clock of the Monte-Carlo phase.
 #include <chrono>
-#include <fstream>
 #include <iostream>
 
 #include "bench/common.h"
@@ -60,11 +59,7 @@ struct TrialResult {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string jsonPath;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--json" && i + 1 < argc)
-      jsonPath = argv[++i];
-  }
+  std::string jsonPath = jsonPathArg(argc, argv);
 
   constexpr int kLaneWords = 40;  // 2560 lanes per packed trial
   constexpr int kRuns = 2;        // x2560 lanes = 5120 Monte-Carlo samples
@@ -81,21 +76,14 @@ int main(int argc, char** argv) {
   // run) concurrently.
   std::vector<Prepared> prepared =
       parallelMap(configs, [](const Config& c) {
-        ir::Graph base = makeWorkload("Bitweaving");
-        ir::Graph working =
-            c.lowered
-                ? transforms::canonicalize(transforms::lowerToNand(base))
-                : std::move(base);
-        if (c.mra > 2) {
-          transforms::SubstitutionOptions sopt;
-          sopt.maxOperands = c.mra;
-          working = transforms::substituteNodes(working, sopt).graph;
-        }
         isa::TargetSpec target = isa::TargetSpec::square(
             512, device::TechnologyParams::forTechnology(c.tech), c.mra);
-        auto compiled = mapping::compile(working, target);
-        Prepared p{std::move(working), target,
-                   std::move(compiled.program), 0.0};
+        mapping::FlowOptions flow;
+        flow.nandLower = c.lowered;
+        mapping::FlowResult compiled =
+            mapping::compileFlow(makeWorkload("Bitweaving"), target, flow);
+        Prepared p{std::move(compiled.graph), target,
+                   std::move(compiled.compiled.program), 0.0};
         p.analyticPApp = sim::simulate(p.graph, p.target, p.program).pApp;
         return p;
       });
@@ -170,9 +158,7 @@ int main(int argc, char** argv) {
                    .set("mc_samples_per_config", kSamplesPerTrial * kRuns)
                    .set("mc_wall_seconds", mcSeconds)
                    .set("configs", std::move(rows));
-    std::ofstream out(jsonPath);
-    out << doc.dump();
-    std::cout << "\nWrote JSON to " << jsonPath << "\n";
+    writeJson(jsonPath, doc);
   }
   return 0;
 }

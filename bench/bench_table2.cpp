@@ -11,7 +11,6 @@
 // All 48 configurations are compiled and simulated concurrently through
 // the sweep harness; the job list is built in table order, so the output
 // is identical for any SHERLOCK_THREADS value.
-#include <fstream>
 #include <iostream>
 #include <map>
 
@@ -37,11 +36,7 @@ struct Key {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string jsonPath;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) jsonPath = argv[++i];
-  }
+  std::string jsonPath = jsonPathArg(argc, argv);
   // Enumerate every configuration once, in deterministic order.
   std::vector<SweepJob> jobs;
   std::vector<Key> keys;
@@ -54,7 +49,7 @@ int main(int argc, char** argv) {
             RunConfig cfg;
             cfg.tech = tech;
             cfg.arrayDim = dim;
-            cfg.strategy = strategy;
+            cfg.flow.strategy = strategy;
             cfg.mra = mra;
             jobs.push_back({workload, cfg});
             keys.push_back(Key{tech, workload, strategy, dim, mra});
@@ -161,9 +156,7 @@ int main(int argc, char** argv) {
              "analytic latency_ns and energy_pj per (workload, tech, "
              "array_dim, strategy, mra) config (deterministic)")
         .set("configs", std::move(configs));
-    std::ofstream out(jsonPath);
-    out << root.dump();
-    std::cout << "\nWrote JSON to " << jsonPath << "\n";
+    writeJson(jsonPath, root);
   }
   return 0;
 }

@@ -11,18 +11,14 @@
 // exactly this guarantee.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "cpu/cpu_model.h"
-#include "device/faultmap.h"
 #include "ir/analysis.h"
-#include "mapping/compiler.h"
+#include "mapping/flow.h"
 #include "mapping/program_analysis.h"
 #include "sim/simulator.h"
-#include "transforms/nand_lowering.h"
 #include "transforms/passes.h"
-#include "transforms/substitution.h"
 #include "workloads/aes.h"
 #include "workloads/bitweaving.h"
 #include "workloads/sobel.h"
@@ -54,27 +50,18 @@ inline const char* kWorkloads[] = {"Bitweaving", "Sobel", "AES"};
 struct RunConfig {
   device::Technology tech = device::Technology::ReRam;
   int arrayDim = 1024;
-  mapping::Strategy strategy = mapping::Strategy::Optimized;
   /// Maximum operands per op; > 2 applies the Sec. 3.3.3 node
   /// substitution before mapping.
   int mra = 2;
-  /// Fraction of merge opportunities when mra > 2 (Fig. 6 knob).
-  double mraFraction = 1.0;
-  /// Lower XOR/OR to NAND form first (STT-MRAM reliable flow, Fig. 6b).
-  bool nandLowered = false;
+  /// Strategy, merge budget (Fig. 6 knob), NAND lowering (STT-MRAM
+  /// reliable flow, Fig. 6b) and the fault map, which placement avoids
+  /// and the simulator honors. runPipeline pairs the merge order with
+  /// the strategy. Defaults keep the benches on the perfect-array path.
+  mapping::FlowOptions flow;
 
-  /// Fault tolerance (bench_fault_tolerance): a positive stuck density
-  /// generates a persistent fault map (seeded by faultSeed) that
-  /// placement avoids and the simulator honors; spareRows reserves the
-  /// repair region; guarded turns on Monte-Carlo injection with
-  /// detect-and-retry execution. Defaults keep every other bench on the
-  /// perfect-array path.
-  double faultStuckDensity = 0.0;
-  double faultWeakDensity = 0.0;
-  uint64_t faultSeed = 1;
-  int spareRows = 0;
-  /// Monte-Carlo decision-failure injection (without guarding: the
-  /// unprotected baseline the yield table contrasts against).
+  /// Monte-Carlo decision-failure injection, seeded by flow.faultSeed
+  /// (without guarding: the unprotected baseline the yield table
+  /// contrasts against); guarded adds detect-and-retry execution.
   bool injectFaults = false;
   bool guarded = false;
 
@@ -87,9 +74,7 @@ struct RunConfig {
 struct RunResult {
   sim::SimResult sim;
   mapping::CodegenStats stats;
-  size_t instructionCount = 0;
   long cimReadInstructions = 0;  ///< CIM-read instructions emitted
-  size_t opCount = 0;
   transforms::SubstitutionStats substitution;
 };
 
@@ -105,54 +90,28 @@ inline RunResult runPipeline(const ir::Graph& canonical,
       cfg.mra);
   target.geometry.dataWidthBits = kBulkBits;
 
-  ir::Graph working = cfg.nandLowered
-                          ? transforms::canonicalize(
-                                transforms::lowerToNand(canonical))
-                          : ir::Graph{};
-  const ir::Graph* base = cfg.nandLowered ? &working : &canonical;
+  // The benches pair the merge order with the mapper: the order coupled
+  // to the optimized mapper's clustering for opt, the mapping-independent
+  // one for naive. At the full budget both give the same graph
+  // (Golden.MergeOrderIsIrrelevantAtFullBudget).
+  mapping::FlowOptions flow = cfg.flow;
+  flow.order = flow.strategy == mapping::Strategy::Optimized
+                   ? transforms::MergeOrder::ByAffinity
+                   : transforms::MergeOrder::ByPriority;
+  mapping::FlowResult compiled = mapping::compileFlow(canonical, target, flow);
+  const mapping::Program& program = compiled.compiled.program;
 
-  RunResult out;
-  ir::Graph merged;
-  const ir::Graph* final = base;
-  if (cfg.mra > 2) {
-    transforms::SubstitutionOptions sopt;
-    sopt.maxOperands = cfg.mra;
-    sopt.fraction = cfg.mraFraction;
-    sopt.order = cfg.strategy == mapping::Strategy::Optimized
-                     ? transforms::MergeOrder::ByAffinity
-                     : transforms::MergeOrder::ByPriority;
-    auto sub = transforms::substituteNodes(*base, sopt);
-    merged = std::move(sub.graph);
-    out.substitution = sub.stats;
-    final = &merged;
-  }
-
-  std::optional<device::FaultMap> faultMap;
-  if (cfg.faultStuckDensity > 0.0 || cfg.faultWeakDensity > 0.0) {
-    device::FaultMapOptions fo;
-    fo.seed = cfg.faultSeed;
-    fo.stuckDensity = cfg.faultStuckDensity;
-    fo.weakDensity = cfg.faultWeakDensity;
-    faultMap = device::FaultMap::generate(target.numArrays, target.rows(),
-                                          target.cols(), fo);
-  }
-
-  mapping::CompileOptions copts;
-  copts.strategy = cfg.strategy;
-  copts.faults.map = faultMap ? &*faultMap : nullptr;
-  copts.faults.spareRows = cfg.spareRows;
-  auto compiled = mapping::compile(*final, target, copts);
   sim::SimOptions sopts;
   sopts.laneWords = cfg.laneWords;
-  sopts.faultMap = copts.faults.map;
+  sopts.faultMap = compiled.faultMap ? &*compiled.faultMap : nullptr;
   sopts.guardedExecution = cfg.guarded;
   sopts.injectFaults = cfg.injectFaults || cfg.guarded;
-  sopts.faultSeed = cfg.faultSeed;
-  out.sim = sim::simulate(*final, target, compiled.program, sopts);
-  out.stats = compiled.program.stats;
-  out.instructionCount = compiled.program.instructions.size();
-  out.cimReadInstructions = mapping::analyzeProgram(compiled.program).cimReads;
-  out.opCount = final->opCount();
+  sopts.faultSeed = flow.faultSeed;
+  RunResult out;
+  out.sim = sim::simulate(compiled.graph, target, program, sopts);
+  out.stats = program.stats;
+  out.cimReadInstructions = mapping::analyzeProgram(program).cimReads;
+  out.substitution = compiled.substitution;
   return out;
 }
 

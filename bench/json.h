@@ -5,7 +5,9 @@
 #pragma once
 
 #include <cmath>
+#include <fstream>
 #include <iomanip>
+#include <iostream>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -158,5 +160,19 @@ class Json {
   std::vector<std::string> keys_;
   std::vector<Json> values_;
 };
+
+/// The path after `--json` on a bench's command line; empty without one.
+inline std::string jsonPathArg(int argc, char** argv) {
+  std::string path;
+  for (int i = 1; i + 1 < argc; ++i)
+    if (std::string(argv[i]) == "--json") path = argv[++i];
+  return path;
+}
+
+/// Writes a bench artifact and says where.
+inline void writeJson(const std::string& path, const Json& doc) {
+  std::ofstream(path) << doc.dump();
+  std::cout << "\nWrote JSON to " << path << "\n";
+}
 
 }  // namespace sherlock::bench

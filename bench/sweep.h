@@ -30,7 +30,8 @@ inline std::string configLabel(const std::string& workload,
                                const RunConfig& cfg) {
   return strCat(workload, " ", device::technologyName(cfg.tech), " ",
                 cfg.arrayDim, "x", cfg.arrayDim,
-                cfg.strategy == mapping::Strategy::Optimized ? " opt" : " naive",
+                cfg.flow.strategy == mapping::Strategy::Optimized ? " opt"
+                                                                  : " naive",
                 " mra", cfg.mra);
 }
 

@@ -5,8 +5,9 @@ Usage: compare_bench.py BASELINE.json CURRENT.json
 
 Both artifacts may carry a "configs" array whose entries describe one
 benchmark point each; entries are matched on (workload, tech,
-array_dim, strategy, mra, cache_size) and gated exactly: on every
-shared config, each of
+array_dim, strategy, mra, cache_size, fraction) — a field an artifact
+does not carry is None — and gated exactly: on every shared config,
+each of
 
   * latency_ns and energy_pj — the modeled latency and energy
     (wall-clock-free analytic/simulated values; benches report
@@ -20,6 +21,10 @@ only +, *, /, log2 of a power of two and sqrt. Any drift means the
 emitted programs, the model or the cache keying changed — regenerate
 the baseline in the change that explains it. The geometric-mean
 latency ratio is printed for reference.
+
+An artifact that repeats a config key among its gateable configs
+fails: the repeats would collapse into one gated entry and the others
+would go unchecked.
 
 A pair with nothing to gate — one side has no gateable configs, e.g.
 BENCH_6.json's Monte-Carlo wall-clock record — fails: a gate that
@@ -42,18 +47,36 @@ def config_key(c):
         c.get("strategy"),
         c.get("mra"),
         c.get("cache_size"),
+        c.get("fraction"),
     )
+
+
+def is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def metric_configs(doc, metric, positive=True):
     out = {}
     for c in doc.get("configs", []):
         val = c.get(metric)
-        if isinstance(val, (int, float)) and not isinstance(val, bool):
+        if is_number(val):
             if positive and val <= 0:
                 continue
             out[config_key(c)] = float(val)
     return out
+
+
+def repeated_keys(doc):
+    """Config keys that more than one gateable config of `doc` carries."""
+    seen, repeated = set(), set()
+    for c in doc.get("configs", []):
+        if not any(is_number(c.get(m)) for m in GATED_METRICS):
+            continue
+        key = config_key(c)
+        if key in seen:
+            repeated.add(key)
+        seen.add(key)
+    return sorted(repeated, key=key_name)
 
 
 def key_name(key):
@@ -126,6 +149,14 @@ def main():
               f"v{cur_ver}; regenerate the baseline with the current "
               f"emitter (or vice versa) before gating")
         return 1
+
+    for path, doc in ((args.baseline, base), (args.current, cur)):
+        repeated = repeated_keys(doc)
+        if repeated:
+            names = ", ".join(key_name(k) for k in repeated)
+            print(f"compare_bench: FAIL — {path} repeats the config key "
+                  f"{names}; each gated config needs a key of its own")
+            return 1
 
     counts = {}
     failed = False

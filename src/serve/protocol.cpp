@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <chrono>
+#include <climits>
 #include <future>
 #include <istream>
 #include <memory>
@@ -45,6 +46,20 @@ long parseLong(const std::string& key, const std::string& value) {
                      "'"));
 }
 
+/// An integer option in [lo, hi]: values outside are rejected, never
+/// narrowed or wrapped.
+long parseInRange(const std::string& key, const std::string& value, long lo,
+                  long hi) {
+  long parsed = parseLong(key, value);
+  checkArg(parsed >= lo && parsed <= hi, "option ", key, " value ", value,
+           " is outside [", lo, ", ", hi, "]");
+  return parsed;
+}
+
+int parseInt(const std::string& key, const std::string& value) {
+  return static_cast<int>(parseInRange(key, value, INT_MIN, INT_MAX));
+}
+
 double parseDouble(const std::string& key, const std::string& value) {
   try {
     size_t pos = 0;
@@ -63,16 +78,15 @@ void applyOption(RequestOptions& o, const std::string& key,
                  const std::string& value) {
   if (key == "lang") o.lang = value;
   else if (key == "emit") o.emit = value;
-  else if (key == "target") o.targetDim = static_cast<int>(parseLong(key, value));
+  else if (key == "target") o.targetDim = parseInt(key, value);
   else if (key == "tech") o.tech = value;
   else if (key == "strategy") o.strategy = value;
-  else if (key == "mra") o.mra = static_cast<int>(parseLong(key, value));
+  else if (key == "mra") o.mra = parseInt(key, value);
   else if (key == "fraction") o.fraction = parseDouble(key, value);
   else if (key == "fault-density") o.faultDensity = parseDouble(key, value);
   else if (key == "fault-seed")
-    o.faultSeed = static_cast<uint64_t>(parseLong(key, value));
-  else if (key == "spare-rows")
-    o.spareRows = static_cast<int>(parseLong(key, value));
+    o.faultSeed = static_cast<uint64_t>(parseInRange(key, value, 0, LONG_MAX));
+  else if (key == "spare-rows") o.spareRows = parseInt(key, value);
   else if (key == "nand") o.nandLower = parseLong(key, value) != 0;
   else if (key == "opt") o.aggressive = parseLong(key, value) != 0;
   else if (key == "deadline-ms") {

@@ -1,23 +1,17 @@
 #include "serve/service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <sstream>
 
-#include "device/faultmap.h"
 #include "frontend/lowering.h"
-#include "ir/analysis.h"
 #include "ir/canonical.h"
 #include "ir/serialize.h"
-#include "mapping/compiler.h"
-#include "mapping/program_analysis.h"
 #include "serve/persist.h"
 #include "support/diagnostics.h"
 #include "support/failpoint.h"
 #include "support/trace.h"
-#include "transforms/nand_lowering.h"
-#include "transforms/passes.h"
-#include "transforms/substitution.h"
 #include "workloads/bitweaving.h"
 #include "workloads/sobel.h"
 
@@ -39,18 +33,6 @@ device::TechnologyParams techFor(const std::string& name) {
   throw Error(strCat("unknown technology '", name, "'"));
 }
 
-}  // namespace
-
-/// A parsed-and-canonicalized request, ready to compile. The body is a
-/// pure function of (graph, options) — exactly what the cache key
-/// encodes — so cached and cold responses are byte-identical.
-struct CanonicalRequest {
-  const ir::Graph& graph;
-  const RequestOptions& options;
-};
-
-namespace {
-
 /// The option fields the emitted bytes depend on, pipe-delimited.
 std::string optionsKey(const RequestOptions& o) {
   return strCat("emit=", o.emit, "|strategy=", o.strategy,
@@ -63,6 +45,27 @@ std::string optionsKey(const RequestOptions& o) {
 }
 
 }  // namespace
+
+CompileSetup compileSetup(const RequestOptions& o,
+                          std::initializer_list<std::string_view> emitKinds) {
+  checkArg(std::find(emitKinds.begin(), emitKinds.end(), o.emit) !=
+               emitKinds.end(),
+           "unknown emit kind '", o.emit, "'");
+  checkArg(o.strategy == "opt" || o.strategy == "naive",
+           "unknown strategy '", o.strategy, "'");
+  CompileSetup setup{
+      isa::TargetSpec::square(o.targetDim, techFor(o.tech), o.mra), {}};
+  mapping::FlowOptions& flow = setup.flow;
+  flow.strategy = o.strategy == "naive" ? mapping::Strategy::Naive
+                                        : mapping::Strategy::Optimized;
+  flow.fraction = o.fraction;
+  flow.nandLower = o.nandLower;
+  flow.foldInverters = o.aggressive;
+  flow.faultDensity = o.faultDensity;
+  flow.faultSeed = o.faultSeed;
+  flow.spareRows = o.spareRows;
+  return setup;
+}
 
 std::string CompileService::cacheKey(const std::string& fingerprint,
                                      const RequestOptions& o) {
@@ -96,74 +99,24 @@ CompileService::CompileService(ServiceOptions options)
 
 namespace {
 
-/// The cacheable body for a canonical graph: a pure function of
-/// (graph, options).
-std::string renderBody(const ir::Graph& canonical, const RequestOptions& o) {
-  checkArg(o.emit == "asm" || o.emit == "stats",
-           "unknown emit kind '", o.emit, "'");
-  checkArg(o.strategy == "opt" || o.strategy == "naive",
-           "unknown strategy '", o.strategy, "'");
-
-  isa::TargetSpec target =
-      isa::TargetSpec::square(o.targetDim, techFor(o.tech), o.mra);
-
-  const ir::Graph* graph = &canonical;
-  ir::Graph substituted;
-  transforms::SubstitutionStats substitution;
-  if (o.mra > 2) {
-    transforms::SubstitutionOptions sopt;
-    sopt.maxOperands = o.mra;
-    sopt.fraction = o.fraction;
-    auto sub = transforms::substituteNodes(canonical, sopt);
-    substituted = std::move(sub.graph);
-    substitution = sub.stats;
-    graph = &substituted;
-  }
-
-  std::optional<device::FaultMap> faultMap;
-  if (o.faultDensity > 0.0) {
-    device::FaultMapOptions fo;
-    fo.seed = o.faultSeed;
-    fo.stuckDensity = o.faultDensity;
-    fo.weakDensity = o.faultDensity * 0.5;
-    faultMap = device::FaultMap::generate(target.numArrays, target.rows(),
-                                          target.cols(), fo);
-  }
-
-  mapping::CompileOptions copts;
-  copts.strategy = o.strategy == "naive" ? mapping::Strategy::Naive
-                                         : mapping::Strategy::Optimized;
-  copts.faults.map = faultMap ? &*faultMap : nullptr;
-  copts.faults.spareRows = o.spareRows;
-  mapping::CompileResult compiled = mapping::compile(*graph, target, copts);
-
+/// The cacheable body for a prepared canonical graph: a pure function of
+/// (graph, options) — exactly what the cache key encodes — so cached
+/// and cold responses are byte-identical.
+std::string renderBody(ir::Graph canonical, const RequestOptions& o) {
+  CompileSetup setup = compileSetup(o);
+  mapping::FlowResult result =
+      mapping::compilePrepared(std::move(canonical), setup.target, setup.flow);
   std::ostringstream out;
-  out << "# sherlock-serve " << target.tech.name << " " << o.targetDim
+  out << "# sherlock-serve " << setup.target.tech.name << " " << o.targetDim
       << "x" << o.targetDim << " " << o.strategy << "\n";
-  if (o.emit == "asm") {
-    out << isa::toAssembly(compiled.program.instructions);
-    return out.str();
-  }
-  out << "DAG:          " << graph->opCount() << " ops, "
-      << graph->valueCount() << " values, critical path "
-      << ir::criticalPathLength(*graph) << "\n";
-  if (o.mra > 2)
-    out << "substitution: " << substitution.applied << "/"
-        << substitution.candidates << " merges, " << substitution.wideOps
-        << " wide ops\n";
-  out << "columns used: " << compiled.program.usedColumns
-      << ", peak live cells: " << compiled.program.peakLiveCells << "\n"
-      << mapping::analyzeProgram(compiled.program).toString();
+  if (o.emit == "asm")
+    out << isa::toAssembly(result.compiled.program.instructions);
+  else
+    out << mapping::statsText(result, setup.target, setup.flow);
   return out.str();
 }
 
 }  // namespace
-
-std::string CompileService::compileBody(
-    const CanonicalRequest& request) const {
-  failpoint::check("compile");
-  return renderBody(request.graph, request.options);
-}
 
 const std::string& CompileService::compilerFingerprint() {
   static const std::string fingerprint = [] {
@@ -174,8 +127,8 @@ const std::string& CompileService::compilerFingerprint() {
     sobel.width = 2;
     uint64_t h = kFnv1aOffset;
     for (const ir::Graph& g :
-         {transforms::canonicalize(workloads::buildBitweaving(bitweaving)),
-          transforms::canonicalize(workloads::buildSobel(sobel))})
+         {mapping::prepareGraph(workloads::buildBitweaving(bitweaving), {}),
+          mapping::prepareGraph(workloads::buildSobel(sobel), {})})
       for (const char* strategy : {"naive", "opt"})
         for (int mra : {2, 4})
           for (double faultDensity : {0.0, 0.02})
@@ -242,10 +195,7 @@ CompileResponse CompileService::handle(const std::string& source,
     {
       trace::Span span("serve", "canonicalize");
       failpoint::check("canonicalize");
-      g = transforms::canonicalize(g);
-      if (options.aggressive) g = transforms::foldInverters(g);
-      if (options.nandLower)
-        g = transforms::canonicalize(transforms::lowerToNand(g));
+      g = mapping::prepareGraph(g, compileSetup(options).flow);
       canonicalOpt.emplace(ir::canonicalForm(g));
     }
     if (cancel) cancel->checkpoint("canonicalize");
@@ -289,8 +239,9 @@ CompileResponse CompileService::handle(const std::string& source,
       try {
         if (cancel) cancel->checkpoint("compile");
         trace::Span span("serve", "compile");
+        failpoint::check("compile");
         body = std::make_shared<const std::string>(
-            compileBody(CanonicalRequest{canonical.graph, options}));
+            renderBody(std::move(canonical.graph), options));
         resp.compileUs = usSince(c0);
       } catch (...) {
         // Errors are not cached: release the key so a corrected retry
@@ -428,7 +379,8 @@ void CompileService::recordQueueWait(double us) {
   metrics_.observe("serve.queue_wait_us", us);
 }
 
-void CompileService::publishGaugesLocked() const {
+const MetricsRegistry& CompileService::metrics() const {
+  std::lock_guard<std::mutex> lock(mu_);
   uint64_t hits = metrics_.counterValue("serve.hits");
   uint64_t misses = metrics_.counterValue("serve.misses");
   uint64_t coalesced = metrics_.counterValue("serve.coalesced");
@@ -443,36 +395,9 @@ void CompileService::publishGaugesLocked() const {
                     static_cast<double>(cache_.capacity()));
   metrics_.setGauge("serve.evictions",
                     static_cast<double>(cache_.evictions()));
+  return metrics_;
 }
 
-std::string CompileService::metricsJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  publishGaugesLocked();
-  return metrics_.toJson();
-}
-
-ServiceStats CompileService::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ServiceStats s;
-  s.counters.requests = metrics_.counterValue("serve.requests");
-  s.counters.hits = metrics_.counterValue("serve.hits");
-  s.counters.directHits = metrics_.counterValue("serve.direct_hits");
-  s.counters.misses = metrics_.counterValue("serve.misses");
-  s.counters.coalesced = metrics_.counterValue("serve.coalesced");
-  s.counters.errors = metrics_.counterValue("serve.errors");
-  s.counters.evictions = cache_.evictions();
-  s.cacheSize = cache_.size();
-  s.cacheCapacity = cache_.capacity();
-  MetricsRegistry::HistogramSnapshot hit = metrics_.histogram("serve.hit_us");
-  MetricsRegistry::HistogramSnapshot cold =
-      metrics_.histogram("serve.cold_us");
-  s.hitP50Us = hit.p50;
-  s.hitP99Us = hit.p99;
-  s.hitMeanUs = hit.mean;
-  s.coldP50Us = cold.p50;
-  s.coldP99Us = cold.p99;
-  s.coldMeanUs = cold.mean;
-  return s;
-}
+std::string CompileService::metricsJson() const { return metrics().toJson(); }
 
 }  // namespace sherlock::serve

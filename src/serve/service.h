@@ -37,19 +37,24 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
+#include "isa/target.h"
+#include "mapping/flow.h"
 #include "support/cancel.h"
 #include "support/lru_cache.h"
 #include "support/metrics.h"
 
 namespace sherlock::serve {
 
-/// Per-request compile options; defaults mirror sherlockc's. The serve
-/// loop overlays protocol key=value pairs onto the daemon-wide defaults.
+/// Compile options of one request, and of sherlockc's command line,
+/// which become the daemon-wide defaults under --serve. The serve loop
+/// overlays protocol key=value pairs onto those defaults.
 struct RequestOptions {
   std::string lang = "dag";  ///< "dag" (ir/serialize) | "kernel" (.sk)
   std::string emit = "asm";  ///< "asm" | "stats"
@@ -68,6 +73,21 @@ struct RequestOptions {
   /// deliberately excluded from both cache keys.
   double deadlineMs = 0;
 };
+
+/// What a request compiles with: its target and its flow options.
+struct CompileSetup {
+  isa::TargetSpec target;
+  mapping::FlowOptions flow;
+};
+
+/// The one conversion from request options to a compile setup, for the
+/// service and sherlockc alike: looks up the technology and throws Error
+/// on an unknown technology, an unknown strategy, or an emit kind
+/// outside `emitKinds`. The flow checks the numeric bounds
+/// (mapping::faultMapFor).
+CompileSetup compileSetup(
+    const RequestOptions& options,
+    std::initializer_list<std::string_view> emitKinds = {"asm", "stats"});
 
 struct ServiceOptions {
   /// LRU capacity in cached programs; 0 disables caching (every
@@ -94,17 +114,6 @@ struct CompileResponse {
   double compileUs = 0;     ///< cold-compile portion (0 on hit)
 };
 
-/// Snapshot of the service counters + latency percentiles, rebuilt from
-/// the MetricsRegistry for struct-typed consumers (tests, benches).
-struct ServiceStats {
-  CacheCounters counters;
-  size_t cacheSize = 0;
-  size_t cacheCapacity = 0;
-  double hitP50Us = 0, hitP99Us = 0;
-  double coldP50Us = 0, coldP99Us = 0;
-  double hitMeanUs = 0, coldMeanUs = 0;
-};
-
 /// Counts accepted/rejected entries of a cache snapshot operation.
 struct PersistResult {
   size_t entries = 0;  ///< written (save) or accepted (load)
@@ -126,7 +135,10 @@ class CompileService {
                          const RequestOptions& options,
                          const CancelToken* cancel = nullptr);
 
-  ServiceStats stats() const;
+  /// The service's counters, gauges and histograms, with the derived
+  /// gauges (serve.hit_rate, serve.cache_size, serve.cache_capacity,
+  /// serve.evictions) published first. The registry locks on its own.
+  const MetricsRegistry& metrics() const;
 
   /// Load-shed accounting: the serve loop reports each BUSY rejection
   /// ("serve.shed" counter) and the executor's current load
@@ -165,7 +177,7 @@ class CompileService {
                                const RequestOptions& options);
 
   /// Fingerprint of the programs this build emits, as 16 hex digits:
-  /// FNV-1a over the bodies compileBody renders for a fixed probe set
+  /// FNV-1a over the bodies the service renders for a fixed probe set
   /// (small Bitweaving and Sobel; naive and opt; MRA 2 and 4; dim 64;
   /// with and without a fault map; asm and stats). Computed once per
   /// process, on the first snapshot save or load, and stamped into the
@@ -184,13 +196,6 @@ class CompileService {
     std::shared_ptr<const std::string> payload;
     std::string key;
   };
-
-  /// Compiles the canonical graph into the cacheable body text.
-  std::string compileBody(const struct CanonicalRequest& request) const;
-
-  /// Publishes the derived gauges (hit rate, cache occupancy) into the
-  /// registry; callers hold mu_.
-  void publishGaugesLocked() const;
 
   ServiceOptions options_;
   mutable std::mutex mu_;

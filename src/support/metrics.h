@@ -82,30 +82,6 @@ class PercentileTracker {
   mutable bool sorted_ = true;
 };
 
-/// Cache-outcome counters shared by cache-fronted services: every
-/// request is exactly one of hit / miss (the request that performed the
-/// compile) / coalesced (waited on an identical in-flight compile) /
-/// error.
-struct CacheCounters {
-  uint64_t requests = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t coalesced = 0;
-  uint64_t errors = 0;
-  uint64_t evictions = 0;
-  /// Subset of `hits` answered by the exact-source memo (direct mode),
-  /// skipping parse + canonicalization entirely.
-  uint64_t directHits = 0;
-
-  double hitRate() const {
-    uint64_t served = hits + misses + coalesced;
-    return served == 0
-               ? 0.0
-               : static_cast<double>(hits + coalesced) /
-                     static_cast<double>(served);
-  }
-};
-
 class MetricsRegistry {
  public:
   /// Histogram summary as exported in the JSON schema.

@@ -144,9 +144,9 @@ TEST(ChaosService, InjectedCompileFaultIsStructuredAndNotCached) {
   CompileResponse ok = service.handle(dagText("a", "b"), smallTarget());
   ASSERT_TRUE(ok.ok) << ok.payload;
   EXPECT_FALSE(ok.cacheHit);
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.counters.errors, 1u);
-  EXPECT_EQ(stats.counters.misses, 1u);
+  const MetricsRegistry& metrics = service.metrics();
+  EXPECT_EQ(metrics.counterValue("serve.errors"), 1u);
+  EXPECT_EQ(metrics.counterValue("serve.misses"), 1u);
   EXPECT_NE(service.metricsJson().find("\"serve.injected_faults\": 1"),
             std::string::npos);
 }
@@ -157,7 +157,7 @@ TEST(ChaosService, ParseFaultSurfacesBeforeAnyCompile) {
   CompileResponse fail = service.handle(dagText("a", "b"), smallTarget());
   EXPECT_FALSE(fail.ok);
   EXPECT_EQ(fail.code, "injected_fault");
-  EXPECT_EQ(service.stats().counters.misses, 0u);
+  EXPECT_EQ(service.metrics().counterValue("serve.misses"), 0u);
 }
 
 TEST(ChaosService, ExpiredDeadlineRejectedAtAdmission) {
@@ -171,7 +171,7 @@ TEST(ChaosService, ExpiredDeadlineRejectedAtAdmission) {
   EXPECT_NE(resp.payload.find("admission"), std::string::npos)
       << resp.payload;
   // No work was admitted: neither a parse nor a compile happened.
-  EXPECT_EQ(service.stats().counters.misses, 0u);
+  EXPECT_EQ(service.metrics().counterValue("serve.misses"), 0u);
   EXPECT_NE(service.metricsJson().find("\"serve.deadline_exceeded\": 1"),
             std::string::npos);
 }
@@ -189,7 +189,7 @@ TEST(ChaosService, DeadlineExpiringMidPipelineAbortsBetweenPhases) {
   EXPECT_EQ(resp.code, "deadline_exceeded");
   EXPECT_NE(resp.payload.find("parse"), std::string::npos)
       << resp.payload;
-  EXPECT_EQ(service.stats().counters.misses, 0u);
+  EXPECT_EQ(service.metrics().counterValue("serve.misses"), 0u);
 }
 
 TEST(ChaosService, CancelledTokenAbortsRegardlessOfDeadline) {
@@ -312,7 +312,7 @@ TEST(ChaosProtocol, OversizedBodyAnswersRequestTooLarge) {
       << out;
   // The oversized request did not desynchronize the session.
   EXPECT_NE(out.find("RESP fine ok"), std::string::npos) << out;
-  EXPECT_EQ(service.stats().counters.misses, 1u);
+  EXPECT_EQ(service.metrics().counterValue("serve.misses"), 1u);
 }
 
 TEST(ChaosProtocol, OversizedRequestLineAnswersRequestTooLarge) {
@@ -340,7 +340,7 @@ TEST(ChaosProtocol, StopFlagDrainsInsteadOfReading) {
       options, &result);
   EXPECT_EQ(result.requests, 0u);
   EXPECT_EQ(out.find("RESP"), std::string::npos) << out;
-  EXPECT_EQ(service.stats().counters.requests, 0u);
+  EXPECT_EQ(service.metrics().counterValue("serve.requests"), 0u);
 }
 
 TEST(ChaosPersist, SnapshotRoundTripsEntriesInOrder) {
@@ -471,7 +471,7 @@ TEST(ChaosPersist, ServiceWarmRestartServesCanonicalHits) {
   EXPECT_TRUE(hit.cacheHit);
   EXPECT_FALSE(hit.direct);
   EXPECT_EQ(hit.payload, coldPayload);
-  EXPECT_EQ(second.stats().counters.misses, 0u);
+  EXPECT_EQ(second.metrics().counterValue("serve.misses"), 0u);
 }
 
 TEST(ChaosPersist, SnapshotOfAnotherCompilerLoadsNothing) {

@@ -21,12 +21,10 @@
 #include <vector>
 
 #include "frontend/lowering.h"
+#include "ir/serialize.h"
 #include "isa/instruction.h"
-#include "device/faultmap.h"
-#include "mapping/compiler.h"
+#include "mapping/flow.h"
 #include "sim/simulator.h"
-#include "transforms/nand_lowering.h"
-#include "transforms/passes.h"
 #include "transforms/substitution.h"
 #include "workloads/aes.h"
 #include "workloads/bitweaving.h"
@@ -289,58 +287,50 @@ GoldenRuns computeRuns() {
   plain.staticVerify = false;
   GoldenRuns runs;
   for (const Kernel& kernel : kernels()) {
-    ir::Graph canonical = transforms::canonicalize(kernel.build());
-    ir::Graph folded = transforms::foldInverters(canonical);
+    ir::Graph raw = kernel.build();
     for (const Flow& flow : flows) {
-      const ir::Graph& source = flow.foldInverters ? folded : canonical;
-      ir::Graph base = flow.nand ? transforms::canonicalize(
-                                       transforms::lowerToNand(source))
-                                 : source;
+      auto target = isa::TargetSpec::square(flow.dim, flow.tech, flow.mra);
       for (bool optimized : {false, true}) {
-        ir::Graph g = base;
-        if (flow.mra > 2) {
-          transforms::SubstitutionOptions sopt;
-          sopt.maxOperands = flow.mra;
-          sopt.order = optimized ? transforms::MergeOrder::ByAffinity
-                                 : transforms::MergeOrder::ByPriority;
-          g = transforms::substituteNodes(base, sopt).graph;
-        }
-        mapping::CompileOptions copts;
-        copts.strategy = optimized ? mapping::Strategy::Optimized
-                                   : mapping::Strategy::Naive;
-        auto target = isa::TargetSpec::square(flow.dim, flow.tech, flow.mra);
-        auto compiled = mapping::compile(g, target, copts);
+        mapping::FlowOptions options;
+        options.strategy = optimized ? mapping::Strategy::Optimized
+                                     : mapping::Strategy::Naive;
+        options.order = optimized ? transforms::MergeOrder::ByAffinity
+                                  : transforms::MergeOrder::ByPriority;
+        options.nandLower = flow.nand;
+        options.foldInverters = flow.foldInverters;
+        mapping::FlowResult compiled =
+            mapping::compileFlow(raw, target, options);
+        const mapping::Program& program = compiled.compiled.program;
         std::string config =
             strCat(kernel.name, " ", flow.name, optimized ? " opt" : " naive");
         runs.programs.emplace_back(
-            config, fnv1a(isa::toAssembly(compiled.program.instructions)));
+            config, fnv1a(isa::toAssembly(program.instructions)));
         runs.sims.emplace_back(
-            config, simulated(g, target, compiled.program, plain));
+            config, simulated(compiled.graph, target, program, plain));
       }
     }
   }
-  // Fault-tolerant runs: placement around a seeded map (1% stuck, 0.5%
-  // weak) with 16 spare rows, guarded injection at 8 lane words.
+  // Fault-tolerant runs: placement around a seeded map (density 1%: 1%
+  // stuck, 0.5% weak) with 16 spare rows, guarded injection at 8 lane
+  // words.
   auto target = isa::TargetSpec::square(512, stt, 2);
-  device::FaultMapOptions fo;
-  fo.seed = 7;
-  fo.stuckDensity = 0.01;
-  fo.weakDensity = 0.005;
-  auto map = device::FaultMap::generate(target.numArrays, target.rows(),
-                                        target.cols(), fo);
+  mapping::FlowOptions faulty;
+  faulty.faultDensity = 0.01;
+  faulty.faultSeed = 7;
+  faulty.spareRows = 16;
   for (const Kernel& kernel : kernels()) {
     if (kernel.name != "Bitweaving" && kernel.name != "Sobel") continue;
-    ir::Graph g = transforms::canonicalize(kernel.build());
-    mapping::CompileOptions copts;
-    copts.faults = {&map, 16};
-    auto compiled = mapping::compile(g, target, copts);
+    mapping::FlowResult compiled =
+        mapping::compileFlow(kernel.build(), target, faulty);
     sim::SimOptions guarded = plain;
     guarded.laneWords = 8;
-    guarded.faultMap = &map;
+    guarded.faultMap = &*compiled.faultMap;
     guarded.guardedExecution = true;
     guarded.injectFaults = true;
-    runs.sims.emplace_back(strCat(kernel.name, " stt-512-faulty-guarded opt"),
-                           simulated(g, target, compiled.program, guarded));
+    runs.sims.emplace_back(
+        strCat(kernel.name, " stt-512-faulty-guarded opt"),
+        simulated(compiled.graph, target, compiled.compiled.program,
+                  guarded));
   }
   return runs;
 }
@@ -385,6 +375,44 @@ TEST(Golden, SimulatedResultsMatchTheTable) {
     EXPECT_EQ(digests[i].second, kGoldenSim[i].digest)
         << digests[i].first << ": simulated result changed; it now reads\n  "
         << sims[i].second;
+  }
+}
+
+// The service and sherlockc substitute in ByPriority order; the benches
+// and the opt rows above use ByAffinity. At the full budget every merge
+// that fits is applied, so the order cannot matter there: both give the
+// same graph, which is why served and benched programs agree at the
+// default budget and why the -O rows above pin what sherlockc and the
+// service emit. Only a budget below 1 (Fig. 6) tells the orders apart.
+TEST(Golden, MergeOrderIsIrrelevantAtFullBudget) {
+  struct Preparation {
+    const char* name;
+    bool foldInverters;
+    bool nandLower;
+  };
+  const Preparation preparations[] = {
+      {"plain", false, false}, {"-O", true, false}, {"nand", false, true}};
+  for (const Kernel& kernel : kernels()) {
+    ir::Graph raw = kernel.build();
+    for (const Preparation& preparation : preparations) {
+      mapping::FlowOptions options;
+      options.foldInverters = preparation.foldInverters;
+      options.nandLower = preparation.nandLower;
+      ir::Graph prepared = mapping::prepareGraph(raw, options);
+      for (int maxOperands : {3, 4}) {
+        transforms::SubstitutionOptions byPriority;
+        byPriority.maxOperands = maxOperands;
+        transforms::SubstitutionOptions byAffinity = byPriority;
+        byAffinity.order = transforms::MergeOrder::ByAffinity;
+        EXPECT_EQ(
+            ir::graphToText(
+                transforms::substituteNodes(prepared, byPriority).graph),
+            ir::graphToText(
+                transforms::substituteNodes(prepared, byAffinity).graph))
+            << kernel.name << " " << preparation.name << " maxOperands "
+            << maxOperands;
+      }
+    }
   }
 }
 

@@ -5,11 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "ir/analysis.h"
-#include "mapping/compiler.h"
+#include "mapping/flow.h"
 #include "sim/simulator.h"
 #include "transforms/nand_lowering.h"
-#include "transforms/passes.h"
-#include "transforms/substitution.h"
 #include "workloads/aes.h"
 #include "workloads/bitweaving.h"
 #include "workloads/random_dag.h"
@@ -40,18 +38,11 @@ class PipelineTest : public testing::TestWithParam<PipelineCase> {
     const PipelineCase& c = GetParam();
     isa::TargetSpec target = isa::TargetSpec::square(
         c.arrayDim, device::TechnologyParams::forTechnology(c.tech), c.mra);
-
-    ir::Graph g = transforms::canonicalize(raw);
-    if (c.mra > 2) {
-      transforms::SubstitutionOptions sopt;
-      sopt.maxOperands = c.mra;
-      g = transforms::substituteNodes(g, sopt).graph;
-    }
-
-    mapping::CompileOptions opts;
-    opts.strategy = c.strategy;
-    auto compiled = mapping::compile(g, target, opts);
-    auto result = sim::simulate(g, target, compiled.program);
+    mapping::FlowOptions options;
+    options.strategy = c.strategy;
+    auto compiled = mapping::compileFlow(raw, target, options);
+    auto result = sim::simulate(compiled.graph, target,
+                                compiled.compiled.program);
     EXPECT_TRUE(result.verified);
     EXPECT_GT(result.latencyNs, 0.0);
     EXPECT_GT(result.energyPj, 0.0);
@@ -139,30 +130,67 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomPipelineTest,
 
 // The NAND lowering flow (STT-MRAM) must also run end to end.
 TEST(PipelineNand, BitweavingLoweredVerifies) {
-  ir::Graph g = transforms::canonicalize(
-      transforms::lowerToNand(workloads::buildBitweaving({12})));
-  EXPECT_TRUE(transforms::isNandOnly(g));
   isa::TargetSpec target =
       isa::TargetSpec::square(512, device::TechnologyParams::sttMram(), 2);
-  auto compiled = mapping::compile(g, target);
-  auto result = sim::simulate(g, target, compiled.program);
+  mapping::FlowOptions options;
+  options.nandLower = true;
+  auto compiled =
+      mapping::compileFlow(workloads::buildBitweaving({12}), target, options);
+  EXPECT_TRUE(transforms::isNandOnly(compiled.graph));
+  auto result =
+      sim::simulate(compiled.graph, target, compiled.compiled.program);
   EXPECT_TRUE(result.verified);
 }
 
 // MRA substitution sweep on the full pipeline: every budget must verify.
 TEST(PipelineMra, SubstitutionBudgetSweepVerifies) {
-  ir::Graph base = transforms::canonicalize(workloads::buildSobel({}));
+  ir::Graph sobel = workloads::buildSobel({});
   isa::TargetSpec target =
       isa::TargetSpec::square(512, device::TechnologyParams::reRam(), 6);
   for (double fraction : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    transforms::SubstitutionOptions sopt;
-    sopt.maxOperands = 6;
-    sopt.fraction = fraction;
-    auto sub = transforms::substituteNodes(base, sopt);
-    auto compiled = mapping::compile(sub.graph, target);
-    auto result = sim::simulate(sub.graph, target, compiled.program);
+    mapping::FlowOptions options;
+    options.fraction = fraction;
+    auto compiled = mapping::compileFlow(sobel, target, options);
+    auto result =
+        sim::simulate(compiled.graph, target, compiled.compiled.program);
     EXPECT_TRUE(result.verified) << "fraction " << fraction;
   }
+}
+
+// The flow checks its options before it allocates anything, and the
+// error names the bound.
+TEST(PipelineFlow, OptionsOutsideTheirBoundsAreRejected) {
+  ir::Graph g = workloads::buildBitweaving({4});
+  isa::TargetSpec target =
+      isa::TargetSpec::square(64, device::TechnologyParams::reRam(), 4);
+  auto expectRejected = [&](const isa::TargetSpec& t,
+                            const mapping::FlowOptions& options,
+                            const std::string& bound) {
+    try {
+      mapping::compileFlow(g, t, options);
+      ADD_FAILURE() << "accepted; expected the bound " << bound;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(bound), std::string::npos)
+          << e.what();
+    }
+  };
+  expectRejected(
+      isa::TargetSpec::square(4097, device::TechnologyParams::reRam(), 4),
+      {}, "[1, 4096]");
+  mapping::FlowOptions fraction;
+  fraction.fraction = 1.5;
+  expectRejected(target, fraction, "[0, 1]");
+  mapping::FlowOptions density;
+  density.faultDensity = 0.7;
+  expectRejected(target, density, "[0, 2/3]");
+  mapping::FlowOptions spares;
+  spares.spareRows = 64;
+  expectRejected(target, spares, "[0, 64)");
+
+  mapping::FlowOptions edges;
+  edges.faultDensity = 2.0 / 3.0;
+  edges.spareRows = 63;
+  EXPECT_NO_THROW(mapping::faultMapFor(target, edges));
 }
 
 }  // namespace

@@ -147,9 +147,9 @@ TEST(CompileService, RepeatServesByteIdenticalFromCache) {
   EXPECT_TRUE(hit.cacheHit);
   EXPECT_EQ(cold.payload, hit.payload);
   EXPECT_EQ(hit.compileUs, 0.0);
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.counters.hits, 1u);
-  EXPECT_EQ(stats.counters.misses, 1u);
+  const MetricsRegistry& metrics = service.metrics();
+  EXPECT_EQ(metrics.counterValue("serve.hits"), 1u);
+  EXPECT_EQ(metrics.counterValue("serve.misses"), 1u);
 }
 
 TEST(CompileService, EquivalentVariantsHitWithRebindingHeader) {
@@ -191,10 +191,10 @@ TEST(CompileService, DirectModeShortCircuitsExactRepeats) {
   ASSERT_TRUE(renamed.ok);
   EXPECT_FALSE(renamed.direct);
   EXPECT_TRUE(renamed.cacheHit);
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.counters.hits, 2u);
-  EXPECT_EQ(stats.counters.directHits, 1u);
-  EXPECT_EQ(stats.counters.misses, 1u);
+  const MetricsRegistry& metrics = service.metrics();
+  EXPECT_EQ(metrics.counterValue("serve.hits"), 2u);
+  EXPECT_EQ(metrics.counterValue("serve.direct_hits"), 1u);
+  EXPECT_EQ(metrics.counterValue("serve.misses"), 1u);
 }
 
 TEST(CompileService, ConfigVariantsCompileSeparately) {
@@ -206,7 +206,7 @@ TEST(CompileService, ConfigVariantsCompileSeparately) {
   CompileResponse second = service.handle(dagText("a", "b", "c"), stt);
   ASSERT_TRUE(second.ok) << second.payload;
   EXPECT_FALSE(second.cacheHit);
-  EXPECT_EQ(service.stats().counters.misses, 2u);
+  EXPECT_EQ(service.metrics().counterValue("serve.misses"), 2u);
 }
 
 TEST(CompileService, SingleFlightCompilesOnceUnderThreadPool) {
@@ -221,7 +221,7 @@ TEST(CompileService, SingleFlightCompilesOnceUnderThreadPool) {
   CompileService* svc = nullptr;
   options.onColdCompile = [&](const std::string&) {
     for (int spin = 0; spin < 2000; ++spin) {
-      if (svc->stats().counters.requests >= 6) return;
+      if (svc->metrics().counterValue("serve.requests") >= 6) return;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   };
@@ -239,9 +239,12 @@ TEST(CompileService, SingleFlightCompilesOnceUnderThreadPool) {
     ASSERT_TRUE(r.ok) << r.payload;
   for (size_t i = 1; i < responses.size(); ++i)
     EXPECT_EQ(responses[0].payload, responses[i].payload);
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.counters.misses, 1u) << "single-flight violated";
-  EXPECT_EQ(stats.counters.hits + stats.counters.coalesced, 7u);
+  const MetricsRegistry& metrics = service.metrics();
+  EXPECT_EQ(metrics.counterValue("serve.misses"), 1u)
+      << "single-flight violated";
+  EXPECT_EQ(metrics.counterValue("serve.hits") +
+                metrics.counterValue("serve.coalesced"),
+            7u);
 }
 
 TEST(CompileService, ErrorsAreReportedAndNotCached) {
@@ -250,12 +253,64 @@ TEST(CompileService, ErrorsAreReportedAndNotCached) {
       service.handle("op AND 0 1\n", smallTarget());  // undeclared ids
   EXPECT_FALSE(bad.ok);
   EXPECT_NE(bad.payload.find("error:"), std::string::npos);
-  EXPECT_EQ(service.stats().counters.errors, 1u);
-  EXPECT_EQ(service.stats().counters.misses, 0u);
+  EXPECT_EQ(service.metrics().counterValue("serve.errors"), 1u);
+  EXPECT_EQ(service.metrics().counterValue("serve.misses"), 0u);
   // Unknown options fail loudly too.
   RequestOptions weird = smallTarget();
   weird.emit = "hologram";
   EXPECT_FALSE(service.handle(dagText("a", "b", "c"), weird).ok);
+}
+
+TEST(CompileService, OversizedTargetFailsBeforeAllocatingItsFaultMap) {
+  // A fault map is one byte per cell of 16 arrays: 1 GiB at 8192^2. The
+  // flow rejects the dimension before it allocates anything.
+  CompileService service;
+  RequestOptions huge = smallTarget();
+  huge.targetDim = 8192;
+  huge.faultDensity = 0.01;
+  auto start = std::chrono::steady_clock::now();
+  CompileResponse response = service.handle(dagText("a", "b", "c"), huge);
+  double ms = std::chrono::duration<double, std::milli>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.code, "compile_error");
+  EXPECT_NE(response.payload.find("outside [1, 4096]"), std::string::npos)
+      << response.payload;
+  EXPECT_LT(ms, 1000.0);
+}
+
+TEST(CompileSetup, ConvertsRequestOptionsAndRejectsUnknownNames) {
+  RequestOptions o;
+  o.targetDim = 256;
+  o.tech = "stt";
+  o.strategy = "naive";
+  o.mra = 4;
+  o.fraction = 0.5;
+  o.faultDensity = 0.01;
+  o.spareRows = 8;
+  o.aggressive = true;
+  CompileSetup setup = compileSetup(o);
+  EXPECT_EQ(setup.target.rows(), 256);
+  EXPECT_EQ(setup.target.tech.tech, device::Technology::SttMram);
+  EXPECT_EQ(setup.target.maxActivatedRows, 4);
+  EXPECT_EQ(setup.flow.strategy, mapping::Strategy::Naive);
+  EXPECT_EQ(setup.flow.fraction, 0.5);
+  EXPECT_EQ(setup.flow.faultDensity, 0.01);
+  EXPECT_EQ(setup.flow.spareRows, 8);
+  EXPECT_TRUE(setup.flow.foldInverters);
+  EXPECT_FALSE(setup.flow.nandLower);
+
+  RequestOptions nieve;
+  nieve.strategy = "nieve";
+  EXPECT_THROW(compileSetup(nieve), Error);
+  RequestOptions dot;
+  dot.emit = "dot";
+  EXPECT_THROW(compileSetup(dot), Error);  // the service emits asm|stats
+  EXPECT_NO_THROW(compileSetup(dot, {"asm", "dot"}));
+  RequestOptions tech;
+  tech.tech = "dram";
+  EXPECT_THROW(compileSetup(tech), Error);
 }
 
 TEST(CompileService, CapacityZeroAlwaysColdCompiles) {
@@ -269,7 +324,7 @@ TEST(CompileService, CapacityZeroAlwaysColdCompiles) {
   ASSERT_TRUE(first.ok && second.ok);
   EXPECT_FALSE(second.cacheHit);
   EXPECT_EQ(first.payload, second.payload);  // still byte-identical
-  EXPECT_EQ(service.stats().counters.misses, 2u);
+  EXPECT_EQ(service.metrics().counterValue("serve.misses"), 2u);
 }
 
 namespace {
@@ -333,13 +388,37 @@ TEST(ServeProtocol, PerRequestOptionsAndErrors) {
             std::string::npos);
 }
 
+TEST(ServeProtocol, IntegersThatDoNotFitAreBadOptions) {
+  // Narrowed to int, target=4294967360 would read as 64 and
+  // mra=4294967298 as 2; a negative seed would wrap to a huge one.
+  CompileService service;
+  std::string script;
+  for (const char* option : {"target=4294967360", "mra=4294967298",
+                             "spare-rows=-4294967295", "fault-seed=-1"})
+    script += strCat("REQ r lang=dag ", option, "\n", dagText("a", "b", "c"),
+                     "END\n");
+  std::string out = runSession(script + "FLUSH\nQUIT\n", service);
+  size_t badOptions = 0;
+  for (size_t pos = 0;
+       (pos = out.find("RESP r error code=bad_option", pos)) !=
+       std::string::npos;
+       ++pos)
+    ++badOptions;
+  EXPECT_EQ(badOptions, 4u) << out;
+  EXPECT_NE(out.find("target value 4294967360 is outside [-2147483648, "
+                     "2147483647]"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(service.metrics().counterValue("serve.requests"), 0u);
+}
+
 TEST(ServeProtocol, TruncatedRequestReportsInsteadOfCompiling) {
   CompileService service;
   std::string out =
       runSession("REQ cut\ninput a\n", service);  // EOF before END
   EXPECT_NE(out.find("RESP cut error"), std::string::npos) << out;
   EXPECT_NE(out.find("truncated request"), std::string::npos);
-  EXPECT_EQ(service.stats().counters.misses, 0u);
+  EXPECT_EQ(service.metrics().counterValue("serve.misses"), 0u);
 }
 
 TEST(ServeProtocol, EofFlushesPendingBatch) {
@@ -375,7 +454,7 @@ TEST(ServeSocket, SessionOverSocketpair) {
   ::close(fds[0]);
   ::close(fds[1]);
   EXPECT_NE(out.find("RESP s1 ok"), std::string::npos) << out;
-  EXPECT_EQ(service.stats().counters.requests, 1u);
+  EXPECT_EQ(service.metrics().counterValue("serve.requests"), 1u);
 }
 
 namespace {

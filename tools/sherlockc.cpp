@@ -16,6 +16,7 @@
 // order, each under a `# ==> file <==` banner, regardless of which job
 // finishes first; --jobs bounds the worker count (default: the
 // SHERLOCK_THREADS / hardware default).
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <fstream>
@@ -30,19 +31,14 @@
 #include "serve/protocol.h"
 #include "serve/service.h"
 #include "serve/socket.h"
-#include "ir/analysis.h"
 #include "ir/dot.h"
 #include "ir/serialize.h"
-#include "mapping/compiler.h"
-#include "mapping/program_analysis.h"
+#include "mapping/flow.h"
 #include "sim/simulator.h"
 #include "support/failpoint.h"
 #include "support/parallel.h"
 #include "support/trace.h"
 #include "verify/verifier.h"
-#include "transforms/nand_lowering.h"
-#include "transforms/passes.h"
-#include "transforms/substitution.h"
 
 using namespace sherlock;
 
@@ -50,41 +46,23 @@ namespace {
 
 struct Options {
   std::vector<std::string> inputFiles;
-  std::string emit = "asm";  // asm | dot | dag | stats | sim | faultmap
-  int targetDim = 512;
-  std::string tech = "reram";
-  std::string strategy = "opt";
-  int mra = 2;
-  double fraction = 1.0;
-  bool nandLower = false;
-  bool aggressive = false;  // -O: inverter folding pipeline
+  // --emit and the compile flags (--target ... --spare-rows, --nand, -O,
+  // --default-deadline-ms); under --serve, the daemon-wide defaults.
+  serve::RequestOptions compile;
   bool verify = false;      // --verify: static program verification
   int jobs = 0;             // 0: SHERLOCK_THREADS / hardware default
-  // Fault tolerance: a positive density generates a persistent fault map
-  // (stuck cells at the given density plus weak cells at half of it),
-  // placement avoids it, and --emit sim honors it.
-  double faultDensity = 0.0;
-  int faultSeed = 1;
-  int spareRows = 0;   // per-column spare rows reserved for repair
   bool guarded = false;  // --emit sim: guarded Monte-Carlo execution
   // Compile-service daemon mode (src/serve): a long-running process
   // accepting kernels over the newline-delimited batch protocol, with a
-  // content-addressed LRU compile cache and single-flight dedup. The
-  // flags above become the daemon-wide request defaults.
+  // content-addressed LRU compile cache and single-flight dedup.
   bool serve = false;       // --serve: daemon on stdin/stdout
   std::string socketPath;   // --socket: serve on a unix socket instead
-  int cacheSize = 256;      // --cache-size: LRU capacity (0 disables)
+  serve::ServiceOptions service;  // --cache-size
   std::string metricsOut;   // --metrics-out: JSON metrics on shutdown
-  // Resilience knobs (Issue 10): deadlines, backpressure bounds,
-  // graceful-drain grace, crash-safe cache persistence, and the
-  // deterministic fault-injection harness.
-  double defaultDeadlineMs = 0;   // --default-deadline-ms (0 = none)
-  int maxInflight = 0;            // --max-inflight (0 = --jobs/default)
-  int maxQueue = 1024;            // --max-queue admission bound
-  int maxRequestBytes = 4 << 20;  // --max-request-bytes
-  int retryAfterMs = 25;          // --retry-after-ms BUSY hint
-  double drainDeadlineMs = 2000;  // --drain-deadline-ms
-  std::string cachePersist;       // --cache-persist snapshot path
+  // Resilience knobs: backpressure bounds, graceful-drain grace and
+  // crash-safe cache persistence (--max-inflight ... --cache-persist),
+  // and the deterministic fault-injection harness.
+  serve::ServeLoopOptions loop;
   std::string failpoints;         // --failpoints spec (overrides env)
   int failpointSeed = 1;          // --failpoint-seed
   // Observability: --trace-out enables the process-wide span tracer and
@@ -207,31 +185,37 @@ Options parseArgs(int argc, char** argv) {
                 << v << "'\n";
       usage(argv[0]);
     };
-    if (arg == "--emit") o.emit = next();
-    else if (arg == "--target") o.targetDim = nextInt();
-    else if (arg == "--tech") o.tech = next();
-    else if (arg == "--strategy") o.strategy = next();
-    else if (arg == "--mra") o.mra = nextInt();
-    else if (arg == "--fraction") o.fraction = nextDouble();
+    if (arg == "--emit") o.compile.emit = next();
+    else if (arg == "--target") o.compile.targetDim = nextInt();
+    else if (arg == "--tech") o.compile.tech = next();
+    else if (arg == "--strategy") o.compile.strategy = next();
+    else if (arg == "--mra") o.compile.mra = nextInt();
+    else if (arg == "--fraction") o.compile.fraction = nextDouble();
     else if (arg == "--jobs") o.jobs = nextInt();
-    else if (arg == "--fault-density") o.faultDensity = nextDouble();
-    else if (arg == "--fault-seed") o.faultSeed = nextInt();
-    else if (arg == "--spare-rows") o.spareRows = nextInt();
+    else if (arg == "--fault-density") o.compile.faultDensity = nextDouble();
+    else if (arg == "--fault-seed")
+      o.compile.faultSeed = static_cast<uint64_t>(nextInt());
+    else if (arg == "--spare-rows") o.compile.spareRows = nextInt();
     else if (arg == "--guarded") o.guarded = true;
-    else if (arg == "--nand") o.nandLower = true;
+    else if (arg == "--nand") o.compile.nandLower = true;
     else if (arg == "--verify") o.verify = true;
-    else if (arg == "-O") o.aggressive = true;
+    else if (arg == "-O") o.compile.aggressive = true;
     else if (arg == "--serve") o.serve = true;
     else if (arg == "--socket") o.socketPath = next();
-    else if (arg == "--cache-size") o.cacheSize = nextInt();
+    else if (arg == "--cache-size")
+      o.service.cacheCapacity = static_cast<size_t>(std::max(0, nextInt()));
     else if (arg == "--metrics-out") o.metricsOut = next();
-    else if (arg == "--default-deadline-ms") o.defaultDeadlineMs = nextDouble();
-    else if (arg == "--max-inflight") o.maxInflight = nextInt();
-    else if (arg == "--max-queue") o.maxQueue = nextInt();
-    else if (arg == "--max-request-bytes") o.maxRequestBytes = nextInt();
-    else if (arg == "--retry-after-ms") o.retryAfterMs = nextInt();
-    else if (arg == "--drain-deadline-ms") o.drainDeadlineMs = nextDouble();
-    else if (arg == "--cache-persist") o.cachePersist = next();
+    else if (arg == "--default-deadline-ms")
+      o.compile.deadlineMs = nextDouble();
+    else if (arg == "--max-inflight") o.loop.maxInflight = nextInt();
+    else if (arg == "--max-queue")
+      o.loop.maxQueue = static_cast<size_t>(std::max(0, nextInt()));
+    else if (arg == "--max-request-bytes")
+      o.loop.maxRequestBytes = static_cast<size_t>(std::max(1, nextInt()));
+    else if (arg == "--retry-after-ms") o.loop.retryAfterMs = nextInt();
+    else if (arg == "--drain-deadline-ms")
+      o.loop.drainDeadlineMs = nextDouble();
+    else if (arg == "--cache-persist") o.loop.cachePersistPath = next();
     else if (arg == "--failpoints") o.failpoints = next();
     else if (arg == "--failpoint-seed") o.failpointSeed = nextInt();
     else if (arg == "--trace-out") o.traceOut = next();
@@ -243,60 +227,31 @@ Options parseArgs(int argc, char** argv) {
   return o;
 }
 
-device::TechnologyParams techFor(const std::string& name) {
-  if (name == "reram") return device::TechnologyParams::reRam();
-  if (name == "stt") return device::TechnologyParams::sttMram();
-  if (name == "pcm") return device::TechnologyParams::pcm();
-  throw Error(strCat("unknown technology '", name, "'"));
-}
-
 /// Compiles one kernel file and returns the emitted text. Throws Error
 /// on any failure; thread-safe (no shared mutable state).
-std::string processFile(const std::string& inputFile, const Options& opts) {
+std::string processFile(const std::string& inputFile, const Options& opts,
+                        const serve::CompileSetup& setup) {
   std::ifstream in(inputFile);
   if (!in) throw Error(strCat("cannot open ", inputFile));
   std::stringstream source;
   source << in.rdbuf();
 
-  ir::Graph g = transforms::canonicalize(
-      frontend::compileKernel(source.str()));
-  if (opts.aggressive) g = transforms::foldInverters(g);
-  if (opts.nandLower)
-    g = transforms::canonicalize(transforms::lowerToNand(g));
-
-  transforms::SubstitutionStats substitution;
-  if (opts.mra > 2) {
-    transforms::SubstitutionOptions sopt;
-    sopt.maxOperands = opts.mra;
-    sopt.fraction = opts.fraction;
-    auto sub = transforms::substituteNodes(g, sopt);
-    g = std::move(sub.graph);
-    substitution = sub.stats;
-  }
+  const serve::RequestOptions& request = opts.compile;
+  const isa::TargetSpec& target = setup.target;
+  const mapping::FlowOptions& flow = setup.flow;
+  ir::Graph g =
+      mapping::prepareGraph(frontend::compileKernel(source.str()), flow);
 
   std::ostringstream out;
-  if (opts.emit == "dot") {
-    out << ir::toDot(g, "kernel");
+  if (request.emit == "dot" || request.emit == "dag") {
+    g = mapping::substitute(std::move(g), target, flow).graph;
+    out << (request.emit == "dot" ? ir::toDot(g, "kernel")
+                                  : ir::graphToText(g));
     return out.str();
   }
-  if (opts.emit == "dag") {
-    out << ir::graphToText(g);
-    return out.str();
-  }
-
-  isa::TargetSpec target = isa::TargetSpec::square(
-      opts.targetDim, techFor(opts.tech), opts.mra);
-
-  std::optional<device::FaultMap> faultMap;
-  if (opts.faultDensity > 0.0) {
-    device::FaultMapOptions fo;
-    fo.seed = static_cast<uint64_t>(opts.faultSeed);
-    fo.stuckDensity = opts.faultDensity;
-    fo.weakDensity = opts.faultDensity * 0.5;
-    faultMap = device::FaultMap::generate(target.numArrays, target.rows(),
-                                          target.cols(), fo);
-  }
-  if (opts.emit == "faultmap") {
+  if (request.emit == "faultmap") {
+    std::optional<device::FaultMap> faultMap =
+        mapping::faultMapFor(target, flow);
     out << (faultMap ? *faultMap
                      : device::FaultMap(target.numArrays, target.rows(),
                                         target.cols()))
@@ -304,34 +259,18 @@ std::string processFile(const std::string& inputFile, const Options& opts) {
     return out.str();
   }
 
-  mapping::CompileOptions copts;
-  copts.strategy = opts.strategy == "naive" ? mapping::Strategy::Naive
-                                            : mapping::Strategy::Optimized;
-  copts.faults.map = faultMap ? &*faultMap : nullptr;
-  copts.faults.spareRows = opts.spareRows;
-  // With --verify we run the verifier ourselves (full report below)
-  // instead of the facade's first-violation throw.
-  if (opts.verify) copts.verify = false;
-  mapping::CompileResult compiled;
-  try {
-    compiled = mapping::compile(g, target, copts);
-  } catch (const MappingError& e) {
-    if (!copts.faults.active()) throw;
-    throw Error(strCat(
-        "fault-aware placement failed: ", e.what(), "\n  fault map: seed ",
-        opts.faultSeed, ", ", faultMap ? faultMap->stuckCellCount() : 0,
-        " stuck + ", faultMap ? faultMap->weakCellCount() : 0,
-        " weak cells (density ", opts.faultDensity, "), ", opts.spareRows,
-        " spare rows per column\n  hint: raise --spare-rows, lower "
-        "--fault-density, or enlarge --target"));
-  }
+  mapping::FlowResult compiled =
+      mapping::compilePrepared(std::move(g), target, flow);
+  const mapping::Program& program = compiled.compiled.program;
+  const device::FaultMap* faultMap =
+      compiled.faultMap ? &*compiled.faultMap : nullptr;
 
   if (opts.verify) {
     verify::VerifyOptions vopts;
-    vopts.faultMap = copts.faults.map;
-    vopts.spareRows = copts.faults.spareRows;
+    vopts.faultMap = faultMap;
+    vopts.spareRows = flow.spareRows;
     verify::VerifyResult vr =
-        verify::verifyProgram(g, target, compiled.program, vopts);
+        verify::verifyProgram(compiled.graph, target, program, vopts);
     if (!vr.ok())
       throw Error(strCat("verification failed (", vr.violations.size(),
                          " violation", vr.violations.size() == 1 ? "" : "s",
@@ -340,66 +279,37 @@ std::string processFile(const std::string& inputFile, const Options& opts) {
         << " instructions checked)\n";
   }
 
-  if (opts.emit == "asm") {
+  if (request.emit == "asm") {
     out << "# sherlockc: " << inputFile << " -> " << target.tech.name << " "
-        << opts.targetDim << "x" << opts.targetDim << ", " << opts.strategy
-        << " mapping\n"
-        << isa::toAssembly(compiled.program.instructions);
+        << request.targetDim << "x" << request.targetDim << ", "
+        << request.strategy << " mapping\n"
+        << isa::toAssembly(program.instructions);
     return out.str();
   }
-  if (opts.emit == "stats") {
-    const auto& s = compiled.program.stats;
-    mapping::ProgramAnalysis analysis =
-        mapping::analyzeProgram(compiled.program);
-    out << "DAG:            " << g.opCount() << " ops, " << g.valueCount()
-        << " values, critical path " << ir::criticalPathLength(g) << "\n";
-    if (opts.mra > 2)
-      out << "substitution:   " << substitution.applied << "/"
-          << substitution.candidates << " merges, " << substitution.wideOps
-          << " wide ops\n";
-    out << "merged:         " << s.mergedInstructions << "\n"
-        << "columns used:   " << compiled.program.usedColumns
-        << ", peak live cells: " << compiled.program.peakLiveCells << "\n";
-    if (copts.faults.active())
-      out << "fault repair:   " << s.spareRowAllocations
-          << " spare-row allocations ("
-          << (faultMap ? faultMap->stuckCellCount() : 0) << " stuck + "
-          << (faultMap ? faultMap->weakCellCount() : 0)
-          << " weak cells avoided)\n";
-    if (copts.strategy == mapping::Strategy::Optimized)
-      out << "clusters:       " << compiled.clustering.clusters.size()
-          << " (cross edges " << compiled.clustering.crossClusterEdges
-          << ")\n"
-          << "CIM reads:      " << analysis.cimReads << " (round floor "
-          << s.roundFloor << ")\n";
-    out << "\n" << analysis.toString();
+  if (request.emit == "stats") {
+    out << mapping::statsText(compiled, target, flow);
     return out.str();
   }
-  if (opts.emit == "sim") {
-    sim::SimOptions sopts;
-    sopts.faultMap = faultMap ? &*faultMap : nullptr;
-    if (opts.guarded) {
-      sopts.guardedExecution = true;
-      sopts.injectFaults = true;
-      sopts.faultSeed = static_cast<uint64_t>(opts.faultSeed);
-    }
-    auto result = sim::simulate(g, target, compiled.program, sopts);
-    out << "latency:  " << result.latencyNs / 1000.0 << " us ("
-        << result.stallNs / 1000.0 << " us stalled)\n"
-        << "energy:   " << result.energyPj / 1e6 << " uJ\n"
-        << "P_app:    " << result.pApp << " over " << result.cimColumnOps
-        << " CIM column-ops\n"
-        << "verified: " << (result.verified ? "yes" : "no") << "\n";
-    if (sopts.faultMap || opts.guarded)
-      out << "faults:   " << result.guardedOps << " guarded ops, "
-          << result.retriedOps << " retries, " << result.degradedOps
-          << " degraded, " << result.stuckCellReads
-          << " stuck-cell reads, "
-          << compiled.program.stats.spareRowAllocations
-          << " spare-row repairs\n";
-    return out.str();
+  sim::SimOptions sopts;
+  sopts.faultMap = faultMap;
+  if (opts.guarded) {
+    sopts.guardedExecution = true;
+    sopts.injectFaults = true;
+    sopts.faultSeed = request.faultSeed;
   }
-  throw Error(strCat("unknown --emit kind '", opts.emit, "'"));
+  auto result = sim::simulate(compiled.graph, target, program, sopts);
+  out << "latency:  " << result.latencyNs / 1000.0 << " us ("
+      << result.stallNs / 1000.0 << " us stalled)\n"
+      << "energy:   " << result.energyPj / 1e6 << " uJ\n"
+      << "P_app:    " << result.pApp << " over " << result.cimColumnOps
+      << " CIM column-ops\n"
+      << "verified: " << (result.verified ? "yes" : "no") << "\n";
+  if (sopts.faultMap || opts.guarded)
+    out << "faults:   " << result.guardedOps << " guarded ops, "
+        << result.retriedOps << " retries, " << result.degradedOps
+        << " degraded, " << result.stuckCellReads << " stuck-cell reads, "
+        << program.stats.spareRowAllocations << " spare-row repairs\n";
+  return out.str();
 }
 
 /// Graceful-drain flag: SIGTERM/SIGINT flip it; the serve loop and the
@@ -422,10 +332,8 @@ void installStopHandlers() {
 /// then dump metrics (stderr always; --metrics-out additionally as
 /// JSON) and persist the cache snapshot if --cache-persist is set.
 int runServe(const Options& opts) {
-  serve::ServiceOptions sopts;
-  sopts.cacheCapacity =
-      opts.cacheSize < 0 ? 0 : static_cast<size_t>(opts.cacheSize);
-  serve::CompileService service(sopts);
+  serve::CompileService service(opts.service);
+  const std::string& cachePersist = opts.loop.cachePersistPath;
 
   // Fault injection: an explicit --failpoints spec wins; otherwise the
   // SHERLOCK_FAILPOINTS environment variable (if set) applies.
@@ -440,39 +348,20 @@ int runServe(const Options& opts) {
     return 2;
   }
 
-  if (!opts.cachePersist.empty()) {
-    serve::PersistResult warm = service.loadCache(opts.cachePersist);
+  if (!cachePersist.empty()) {
+    serve::PersistResult warm = service.loadCache(cachePersist);
     if (warm.entries || warm.dropped)
-      std::cerr << "sherlockc: cache snapshot " << opts.cachePersist
+      std::cerr << "sherlockc: cache snapshot " << cachePersist
                 << ": " << warm.entries << " entries warmed, "
                 << warm.dropped << " dropped\n";
   }
 
   installStopHandlers();
 
-  serve::ServeLoopOptions lopts;
+  serve::ServeLoopOptions lopts = opts.loop;
   lopts.threads = opts.jobs;
-  lopts.maxInflight = opts.maxInflight;
-  lopts.maxQueue =
-      opts.maxQueue < 0 ? 0 : static_cast<size_t>(opts.maxQueue);
-  lopts.maxRequestBytes = opts.maxRequestBytes < 1
-                              ? 1
-                              : static_cast<size_t>(opts.maxRequestBytes);
-  lopts.retryAfterMs = opts.retryAfterMs;
-  lopts.drainDeadlineMs = opts.drainDeadlineMs;
-  lopts.cachePersistPath = opts.cachePersist;
   lopts.stop = &gStopRequested;
-  lopts.defaults.deadlineMs = opts.defaultDeadlineMs;
-  lopts.defaults.targetDim = opts.targetDim;
-  lopts.defaults.tech = opts.tech;
-  lopts.defaults.strategy = opts.strategy;
-  lopts.defaults.mra = opts.mra;
-  lopts.defaults.fraction = opts.fraction;
-  lopts.defaults.faultDensity = opts.faultDensity;
-  lopts.defaults.faultSeed = static_cast<uint64_t>(opts.faultSeed);
-  lopts.defaults.spareRows = opts.spareRows;
-  lopts.defaults.nandLower = opts.nandLower;
-  lopts.defaults.aggressive = opts.aggressive;
+  lopts.defaults = opts.compile;
 
   try {
     if (!opts.socketPath.empty()) {
@@ -488,17 +377,18 @@ int runServe(const Options& opts) {
 
   // Final snapshot: catches entries added by the last flush and the
   // drain path (flush-time persistence already covered steady state).
-  if (!opts.cachePersist.empty() && service.cacheDirty())
-    service.saveCache(opts.cachePersist);
+  if (!cachePersist.empty() && service.cacheDirty())
+    service.saveCache(cachePersist);
 
-  serve::ServiceStats stats = service.stats();
-  std::cerr << "sherlockc: served " << stats.counters.requests
-            << " requests (" << stats.counters.hits << " hits, "
-            << stats.counters.misses << " compiles, "
-            << stats.counters.coalesced << " coalesced, "
-            << stats.counters.errors << " errors, "
-            << stats.counters.evictions << " evictions; hit rate "
-            << stats.counters.hitRate() << ")\n";
+  const MetricsRegistry& metrics = service.metrics();
+  std::cerr << "sherlockc: served " << metrics.counterValue("serve.requests")
+            << " requests (" << metrics.counterValue("serve.hits")
+            << " hits, " << metrics.counterValue("serve.misses")
+            << " compiles, " << metrics.counterValue("serve.coalesced")
+            << " coalesced, " << metrics.counterValue("serve.errors")
+            << " errors, " << metrics.gaugeValue("serve.evictions")
+            << " evictions; hit rate " << metrics.gaugeValue("serve.hit_rate")
+            << ")\n";
   if (failpoint::FailPoints::instance().enabled())
     for (const auto& [name, count] :
          failpoint::FailPoints::instance().allTriggers())
@@ -521,8 +411,24 @@ int runServe(const Options& opts) {
 
 int main(int argc, char** argv) {
   Options opts = parseArgs(argc, argv);
+  // Under --serve the flags are the request defaults, so they must name
+  // what the service emits.
+  serve::CompileSetup setup;
+  try {
+    setup = opts.serve ? serve::compileSetup(opts.compile)
+                       : serve::compileSetup(opts.compile,
+                                             {"asm", "dot", "dag", "stats",
+                                              "sim", "faultmap"});
+  } catch (const Error& e) {
+    std::cerr << "sherlockc: error: " << e.what() << "\n";
+    return 2;
+  }
   if (!opts.traceOut.empty()) trace::Tracer::instance().enable();
   if (opts.serve) return runServe(opts);
+
+  // --verify reports every violation itself (processFile) instead of
+  // the flow's first-violation throw.
+  if (opts.verify) setup.flow.verify = false;
 
   struct FileResult {
     std::string text;
@@ -541,7 +447,7 @@ int main(int argc, char** argv) {
         trace::Span span("batch", "compile_file");
         FileResult r;
         try {
-          r.text = processFile(file, opts);
+          r.text = processFile(file, opts, setup);
         } catch (const Error& e) {
           r.error = e.what();
         }
