@@ -16,6 +16,13 @@
 //   repairs   — placements served from the spare-row region,
 //   latency   — overhead vs the fault-free unguarded baseline.
 //
+// With --json, "configs" carries each point's mean modeled latency_ns
+// and energy_pj keyed by (workload, tech, array_dim, strategy,
+// fault_density, spare_rows, guarded), the fault-free baselines and the
+// pressure grid included: scripts/compare_bench.py gates them exactly,
+// which pins every fault map, fault-aware placement and guarded run of
+// the sweep.
+//
 // The unguarded rows are the contrast: same faulty arrays, no check
 // reads — on STT-MRAM (XOR P_DF ~1e-4 per lane-op) corruption slips
 // through, while guarding pushes the residual rate to ~P_DF^2.
@@ -47,6 +54,26 @@ int main(int argc, char** argv) {
   const bool kGuarded[] = {false, true};
   const device::Technology kTechs[] = {device::Technology::ReRam,
                                        device::Technology::SttMram};
+
+  // One gateable config per grid point: trial means of the modeled
+  // latency and energy.
+  Json configs = Json::array();
+  auto addConfig = [&](const char* workload, device::Technology tech,
+                       int dim, const mapping::FlowOptions& flow,
+                       bool guarded, double latencyNs, double energyPj) {
+    configs.push(
+        Json::object()
+            .set("workload", workload)
+            .set("tech", device::technologyName(tech))
+            .set("array_dim", dim)
+            .set("strategy",
+                 flow.strategy == mapping::Strategy::Naive ? "naive" : "opt")
+            .set("fault_density", flow.faultDensity)
+            .set("spare_rows", flow.spareRows)
+            .set("guarded", guarded)
+            .set("latency_ns", latencyNs)
+            .set("energy_pj", energyPj));
+  };
 
   // Fault-free unguarded baselines (latency denominator), one per
   // workload x technology, followed by the faulty grid.
@@ -86,9 +113,13 @@ int main(int argc, char** argv) {
   std::vector<RunResult> results = runSweep(jobs, /*requireVerified=*/false);
 
   std::map<std::pair<std::string, device::Technology>, double> baseline;
-  for (size_t i = 0; i < gridStart; ++i)
-    baseline[{jobs[i].workload, jobs[i].config.tech}] =
-        results[i].sim.latencyNs;
+  for (size_t i = 0; i < gridStart; ++i) {
+    const RunConfig& cfg = jobs[i].config;
+    baseline[{jobs[i].workload, cfg.tech}] = results[i].sim.latencyNs;
+    addConfig(jobs[i].workload.c_str(), cfg.tech, cfg.arrayDim, cfg.flow,
+              cfg.guarded, results[i].sim.latencyNs,
+              results[i].sim.energyPj);
+  }
 
   Table t(strCat("Fault tolerance: yield and overhead under persistent "
                  "cell faults (", kDim, "x", kDim, " arrays, ", kTrials,
@@ -105,7 +136,8 @@ int main(int argc, char** argv) {
           for (bool guarded : kGuarded) {
             int clean = 0;
             long retries = 0, degraded = 0, stuckReads = 0, repairs = 0;
-            double latency = 0;
+            double latency = 0, energy = 0;
+            const RunConfig& cfg = jobs[job].config;
             for (int tr = 0; tr < kTrials; ++tr) {
               const RunResult& r = results[job++];
               if (r.sim.corruptedLanes() == 0) ++clean;
@@ -114,7 +146,10 @@ int main(int argc, char** argv) {
               stuckReads += r.sim.stuckCellReads;
               repairs += r.stats.spareRowAllocations;
               latency += r.sim.latencyNs;
+              energy += r.sim.energyPj;
             }
+            addConfig(w, tech, kDim, cfg.flow, guarded, latency / kTrials,
+                      energy / kTrials);
             double base = baseline.at({w, tech});
             double overhead = latency / kTrials / base - 1.0;
             t.addRow({w, device::technologyName(tech),
@@ -178,6 +213,9 @@ int main(int argc, char** argv) {
         pjobs.push_back({kWorkloads[0], cfg});
       }
   std::vector<RunResult> presults = runSweep(pjobs, /*requireVerified=*/true);
+  addConfig(kWorkloads[0], pjobs[0].config.tech, kSmallDim,
+            pjobs[0].config.flow, false, presults[0].sim.latencyNs,
+            presults[0].sim.energyPj);
 
   Table p(strCat("Spare-row repair under pressure (", kWorkloads[0],
                  ", naive mapping, ", kSmallDim, "x", kSmallDim,
@@ -188,13 +226,17 @@ int main(int argc, char** argv) {
     for (int spares : kPressureSpares) {
       int clean = 0;
       long repairs = 0;
-      double latency = 0;
+      double latency = 0, energy = 0;
+      const RunConfig& cfg = pjobs[pjob].config;
       for (int tr = 0; tr < kTrials; ++tr) {
         const RunResult& r = presults[pjob++];
         if (r.sim.corruptedLanes() == 0) ++clean;
         repairs += r.stats.spareRowAllocations;
         latency += r.sim.latencyNs;
+        energy += r.sim.energyPj;
       }
+      addConfig(kWorkloads[0], cfg.tech, kSmallDim, cfg.flow, false,
+                latency / kTrials, energy / kTrials);
       p.addRow({Table::num(density, 2), std::to_string(spares),
                 Table::num(static_cast<double>(clean) / kTrials, 2),
                 Table::num(static_cast<double>(repairs) / kTrials, 1),
@@ -222,7 +264,8 @@ int main(int argc, char** argv) {
                    .set("array_dim", kDim)
                    .set("trials_per_point", kTrials)
                    .set("wall_seconds", wallSeconds)
-                   .set("points", std::move(rows));
+                   .set("points", std::move(rows))
+                   .set("configs", std::move(configs));
     writeJson(jsonPath, doc);
   }
   return 0;

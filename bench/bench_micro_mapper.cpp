@@ -2,8 +2,9 @@
 // Sherlock pipeline stages — b-level analysis, canonicalization, node
 // substitution, clustering, both mappers, code generation, verification,
 // simulation and full compilation — on random DAGs of growing size, plus
-// building the AES-128 DAG, verification of one small kernel and
-// row-buffer shifts across array sizes.
+// building the AES-128 DAG, verification of one small kernel, row-buffer
+// shifts across array sizes, and the device layer's fault maps (drawing
+// one and counting its usable cells per column) across array sizes.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -75,6 +76,47 @@ void BM_BuildAes(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(workloads::buildAes(spec));
 }
 BENCHMARK(BM_BuildAes)->Arg(10)->Unit(benchmark::kMillisecond);
+
+/// 16 arrays of dim x dim cells, 1% stuck + 0.5% weak: the fault map of
+/// the faulty-guarded workload at dim 512.
+device::FaultMapOptions faultOptions() {
+  device::FaultMapOptions o;
+  o.seed = 1;
+  o.stuckDensity = 0.01;
+  o.weakDensity = 0.005;
+  return o;
+}
+constexpr int kFaultArrays = 16;
+
+void BM_FaultMapGenerate(benchmark::State& state) {
+  int dim = static_cast<int>(state.range(0));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        device::FaultMap::generate(kFaultArrays, dim, dim, faultOptions()));
+  state.SetItemsProcessed(state.iterations() * kFaultArrays * dim * dim);
+}
+BENCHMARK(BM_FaultMapGenerate)
+    ->Range(256, 1024)
+    ->Unit(benchmark::kMillisecond);
+
+/// Both mappers' planning step: usable cells per column of every array,
+/// below 16 spare rows.
+void BM_UsablePlanningCells(benchmark::State& state) {
+  int dim = static_cast<int>(state.range(0));
+  isa::TargetSpec target =
+      isa::TargetSpec::square(dim, device::TechnologyParams::sttMram(), 2);
+  target.numArrays = kFaultArrays;
+  device::FaultMap map =
+      device::FaultMap::generate(kFaultArrays, dim, dim, faultOptions());
+  mapping::FaultPolicy faults{&map, 16};
+  for (auto _ : state)
+    for (int arrayId = 0; arrayId < kFaultArrays; ++arrayId)
+      benchmark::DoNotOptimize(
+          mapping::usablePlanningCells(target, faults, arrayId));
+}
+BENCHMARK(BM_UsablePlanningCells)
+    ->Range(256, 1024)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_MapNaive(benchmark::State& state) {
   ir::Graph g = transforms::canonicalize(

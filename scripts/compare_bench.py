@@ -5,9 +5,9 @@ Usage: compare_bench.py BASELINE.json CURRENT.json
 
 Both artifacts may carry a "configs" array whose entries describe one
 benchmark point each; entries are matched on (workload, tech,
-array_dim, strategy, mra, cache_size, fraction) — a field an artifact
-does not carry is None — and gated exactly: on every shared config,
-each of
+array_dim, strategy, mra, cache_size, fraction, fault_density,
+spare_rows, guarded) — a field an artifact does not carry is None — and
+gated exactly: on every shared config, each of
 
   * latency_ns and energy_pj — the modeled latency and energy
     (wall-clock-free analytic/simulated values; benches report
@@ -48,6 +48,9 @@ def config_key(c):
         c.get("mra"),
         c.get("cache_size"),
         c.get("fraction"),
+        c.get("fault_density"),
+        c.get("spare_rows"),
+        c.get("guarded"),
     )
 
 

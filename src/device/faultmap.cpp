@@ -1,5 +1,8 @@
 #include "device/faultmap.h"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <iomanip>
 #include <sstream>
 
@@ -10,9 +13,25 @@ namespace sherlock::device {
 
 namespace {
 
-/// [0, 1) uniform from one splitmix64 draw: 53 high bits -> double.
-double uniformDraw(uint64_t seed, uint64_t cell) {
-  return static_cast<double>(deriveSeed(seed, cell) >> 11) * 0x1.0p-53;
+/// The draw k of a cell: the 53 high bits of its splitmix64 value. The
+/// cell's fraction is u = k * 2^-53 in [0, 1).
+uint64_t cellDraw(uint64_t seed, uint64_t cell) {
+  return deriveSeed(seed, cell) >> 11;
+}
+
+/// Smallest integer draw with u >= t, for t in [0, 1]: u < t holds
+/// exactly when k < drawBelow(t). Scaling by 2^53 is exact in both
+/// directions (k * 2^-53 for k < 2^53, and t * 2^53 for t <= 1), so for
+/// an integer k, k * 2^-53 < t <=> k < t * 2^53 <=> k < ceil(t * 2^53).
+uint64_t drawBelow(double t) {
+  return static_cast<uint64_t>(std::ceil(t * 0x1.0p53));
+}
+
+/// Word mask of the columns of the last word of a row (bits past the
+/// last column stay clear).
+uint64_t lastWordMask(int cols) {
+  int used = cols % 64;
+  return used == 0 ? ~uint64_t{0} : (uint64_t{1} << used) - 1;
 }
 
 void checkDims(int numArrays, int rows, int cols) {
@@ -48,7 +67,9 @@ FaultMap::FaultMap(int numArrays, int rows, int cols, FaultMapOptions options)
     : numArrays_(numArrays), rows_(rows), cols_(cols), options_(options) {
   checkDims(numArrays, rows, cols);
   checkOptions(options);
-  faults_.assign(static_cast<size_t>(totalCells()), 0);
+  colWords_ = (static_cast<size_t>(cols_) + 63) / 64;
+  planes_.assign(static_cast<size_t>(numArrays_) * rows_ * kPlanes * colWords_,
+                 0);
   rowWrites_.assign(static_cast<size_t>(numArrays_) * rows_, 0);
 }
 
@@ -58,24 +79,31 @@ FaultMap FaultMap::generate(int numArrays, int rows, int cols,
   const double stuck = options.stuckDensity;
   const double weak = options.weakDensity;
   if (stuck <= 0.0 && weak <= 0.0) return map;
-  const long total = map.totalCells();
-  for (long cell = 0; cell < total; ++cell) {
-    double u = uniformDraw(options.seed, static_cast<uint64_t>(cell));
-    CellFault fault = CellFault::None;
-    if (u < stuck * 0.5) fault = CellFault::StuckAtLrs;
-    else if (u < stuck) fault = CellFault::StuckAtHrs;
-    else if (u < stuck + weak) fault = CellFault::Weak;
-    map.faults_[static_cast<size_t>(cell)] = static_cast<uint8_t>(fault);
+  // Ordered thresholds on the integer draw; one compare against the top
+  // one passes over every healthy cell.
+  const uint64_t lrsBelow = drawBelow(stuck * 0.5);
+  const uint64_t stuckBelow = drawBelow(stuck);
+  const uint64_t faultyBelow = drawBelow(stuck + weak);
+  const size_t numRows = static_cast<size_t>(numArrays) * rows;
+  uint64_t cell = 0;
+  for (size_t r = 0; r < numRows; ++r) {
+    uint64_t* stuckWords = map.rowPlane(r, kStuck);
+    uint64_t* hrsWords = map.rowPlane(r, kStuckHrs);
+    uint64_t* weakWords = map.rowPlane(r, kWeak);
+    for (int c = 0; c < cols; ++c, ++cell) {
+      uint64_t k = cellDraw(options.seed, cell);
+      if (k >= faultyBelow) continue;
+      const size_t w = static_cast<size_t>(c) >> 6;
+      const uint64_t bit = uint64_t{1} << (c & 63);
+      if (k >= stuckBelow) {
+        weakWords[w] |= bit;
+      } else {
+        stuckWords[w] |= bit;
+        if (k >= lrsBelow) hrsWords[w] |= bit;
+      }
+    }
   }
   return map;
-}
-
-size_t FaultMap::cellIndex(int arrayId, int row, int col) const {
-  SHERLOCK_ASSERT(arrayId >= 0 && arrayId < numArrays_ && row >= 0 &&
-                      row < rows_ && col >= 0 && col < cols_,
-                  "fault map cell (", arrayId, ", ", row, ", ", col,
-                  ") out of bounds");
-  return (static_cast<size_t>(arrayId) * rows_ + row) * cols_ + col;
 }
 
 size_t FaultMap::rowIndex(int arrayId, int row) const {
@@ -85,8 +113,27 @@ size_t FaultMap::rowIndex(int arrayId, int row) const {
   return static_cast<size_t>(arrayId) * rows_ + row;
 }
 
+size_t FaultMap::wordIndex(int arrayId, int row, int col) const {
+  SHERLOCK_ASSERT(arrayId >= 0 && arrayId < numArrays_ && row >= 0 &&
+                      row < rows_ && col >= 0 && col < cols_,
+                  "fault map cell (", arrayId, ", ", row, ", ", col,
+                  ") out of bounds");
+  return (static_cast<size_t>(arrayId) * rows_ + row) * kPlanes * colWords_ +
+         (static_cast<size_t>(col) >> 6);
+}
+
+FaultMap::RowWords FaultMap::rowWords(int arrayId, int row) const {
+  size_t r = rowIndex(arrayId, row);
+  return {rowPlane(r, kStuck), rowPlane(r, kStuckHrs), rowPlane(r, kWeak)};
+}
+
 CellFault FaultMap::faultAt(int arrayId, int row, int col) const {
-  return static_cast<CellFault>(faults_[cellIndex(arrayId, row, col)]);
+  const uint64_t* word = &planes_[wordIndex(arrayId, row, col)];
+  const uint64_t bit = uint64_t{1} << (col & 63);
+  if (word[kStuck * colWords_] & bit)
+    return word[kStuckHrs * colWords_] & bit ? CellFault::StuckAtHrs
+                                             : CellFault::StuckAtLrs;
+  return word[kWeak * colWords_] & bit ? CellFault::Weak : CellFault::None;
 }
 
 bool FaultMap::isStuck(int arrayId, int row, int col) const {
@@ -111,37 +158,29 @@ bool FaultMap::stuckBit(int arrayId, int row, int col) const {
 }
 
 void FaultMap::setFault(int arrayId, int row, int col, CellFault fault) {
-  faults_[cellIndex(arrayId, row, col)] = static_cast<uint8_t>(fault);
-}
-
-void FaultMap::packRowMasks(int arrayId, int row, uint64_t* stuck,
-                            uint64_t* stuckHrs, uint64_t* weak) const {
-  const size_t colWords = (static_cast<size_t>(cols_) + 63) / 64;
-  for (size_t w = 0; w < colWords; ++w) stuck[w] = stuckHrs[w] = weak[w] = 0;
-  const uint8_t* rowFaults = &faults_[cellIndex(arrayId, row, 0)];
-  for (int c = 0; c < cols_; ++c) {
-    auto f = static_cast<CellFault>(rowFaults[c]);
-    if (f == CellFault::None) continue;
-    uint64_t bit = uint64_t{1} << (c & 63);
-    if (f == CellFault::Weak) {
-      weak[c >> 6] |= bit;
-    } else {
-      stuck[c >> 6] |= bit;
-      if (f == CellFault::StuckAtHrs) stuckHrs[c >> 6] |= bit;
-    }
-  }
+  uint64_t* word = &planes_[wordIndex(arrayId, row, col)];
+  const uint64_t bit = uint64_t{1} << (col & 63);
+  auto assign = [&](Plane plane, bool set) {
+    uint64_t& w = word[plane * colWords_];
+    w = set ? w | bit : w & ~bit;
+  };
+  assign(kStuck, fault == CellFault::StuckAtLrs ||
+                     fault == CellFault::StuckAtHrs);
+  assign(kStuckHrs, fault == CellFault::StuckAtHrs);
+  assign(kWeak, fault == CellFault::Weak);
 }
 
 long FaultMap::noteRowWrite(int arrayId, int row) {
-  long& count = rowWrites_[rowIndex(arrayId, row)];
+  const size_t r = rowIndex(arrayId, row);
+  long& count = rowWrites_[r];
   ++count;
   if (options_.rowWriteBudget > 0 && count == options_.rowWriteBudget + 1) {
-    for (int col = 0; col < cols_; ++col) {
-      size_t ci = cellIndex(arrayId, row, col);
-      CellFault f = static_cast<CellFault>(faults_[ci]);
-      if (f == CellFault::None || f == CellFault::Weak)
-        faults_[ci] = static_cast<uint8_t>(CellFault::StuckAtLrs);
-    }
+    // Every cell ends stuck; the HRS plane is untouched, so cells that
+    // still functioned read LRS and stuck-at-HRS cells keep their state.
+    uint64_t* stuck = rowPlane(r, kStuck);
+    std::fill_n(stuck, colWords_, ~uint64_t{0});
+    stuck[colWords_ - 1] = lastWordMask(cols_);
+    std::fill_n(rowPlane(r, kWeak), colWords_, 0);
   }
   return count;
 }
@@ -159,32 +198,32 @@ std::vector<int> FaultMap::usableCellsPerColumn(int arrayId,
                                                 int rowLimit) const {
   checkArg(rowLimit >= 0 && rowLimit <= rows_,
            "usableCellsPerColumn row limit out of range");
-  std::vector<int> usable(static_cast<size_t>(cols_), 0);
+  std::vector<int> usable(static_cast<size_t>(cols_), rowLimit);
   if (rowLimit == 0) return usable;
-  constexpr auto kNone = static_cast<uint8_t>(CellFault::None);
-  const uint8_t* cells = &faults_[cellIndex(arrayId, 0, 0)];
-  for (int row = 0; row < rowLimit; ++row, cells += cols_)
-    for (int col = 0; col < cols_; ++col)
-      usable[static_cast<size_t>(col)] += cells[col] == kNone;
+  const size_t first = rowIndex(arrayId, 0);
+  for (size_t r = first; r < first + static_cast<size_t>(rowLimit); ++r) {
+    const uint64_t* stuck = rowPlane(r, kStuck);
+    const uint64_t* weak = rowPlane(r, kWeak);
+    for (size_t w = 0; w < colWords_; ++w)
+      for (uint64_t faulty = stuck[w] | weak[w]; faulty; faulty &= faulty - 1)
+        --usable[64 * w + static_cast<size_t>(std::countr_zero(faulty))];
+  }
   return usable;
 }
 
-long FaultMap::stuckCellCount() const {
+long FaultMap::countPlane(Plane plane) const {
   long count = 0;
-  for (uint8_t f : faults_) {
-    CellFault fault = static_cast<CellFault>(f);
-    if (fault == CellFault::StuckAtLrs || fault == CellFault::StuckAtHrs)
-      ++count;
+  const size_t numRows = static_cast<size_t>(numArrays_) * rows_;
+  for (size_t r = 0; r < numRows; ++r) {
+    const uint64_t* words = rowPlane(r, plane);
+    for (size_t w = 0; w < colWords_; ++w) count += std::popcount(words[w]);
   }
   return count;
 }
 
-long FaultMap::weakCellCount() const {
-  long count = 0;
-  for (uint8_t f : faults_)
-    if (static_cast<CellFault>(f) == CellFault::Weak) ++count;
-  return count;
-}
+long FaultMap::stuckCellCount() const { return countPlane(kStuck); }
+
+long FaultMap::weakCellCount() const { return countPlane(kWeak); }
 
 std::string FaultMap::toText() const {
   std::ostringstream out;
@@ -199,12 +238,16 @@ std::string FaultMap::toText() const {
   out << "# stuck " << stuckCellCount() << " weak " << weakCellCount()
       << " of " << totalCells() << " cells\n";
   for (int a = 0; a < numArrays_; ++a)
-    for (int r = 0; r < rows_; ++r)
-      for (int c = 0; c < cols_; ++c) {
-        CellFault f = faultAt(a, r, c);
-        if (f == CellFault::None) continue;
-        out << cellFaultName(f) << " " << a << " " << r << " " << c << "\n";
-      }
+    for (int r = 0; r < rows_; ++r) {
+      RowWords row = rowWords(a, r);
+      for (size_t w = 0; w < colWords_; ++w)
+        for (uint64_t faulty = row.stuck[w] | row.weak[w]; faulty;
+             faulty &= faulty - 1) {
+          int c = static_cast<int>(64 * w) + std::countr_zero(faulty);
+          out << cellFaultName(faultAt(a, r, c)) << " " << a << " " << r
+              << " " << c << "\n";
+        }
+    }
   for (int a = 0; a < numArrays_; ++a)
     for (int r = 0; r < rows_; ++r)
       if (rowWrites_[rowIndex(a, r)] > 0)

@@ -21,6 +21,12 @@
 // generates them (compiler, simulator, bench worker). Maps serialize to a
 // line-oriented text format for tooling (sherlockc --emit faultmap) and
 // round-trip losslessly.
+//
+// Storage is three bit planes per row, 64 columns per word: stuck (either
+// polarity), stuck-at-HRS (a subset of stuck) and weak (disjoint from
+// stuck). A fault-free cell has no bit set, so the ~98% of cells a
+// realistic map leaves healthy cost nothing beyond zeroed words; the
+// counts walk set bits and the simulator tests bits of a row's words.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +67,9 @@ class FaultMap {
 
   /// Deterministic generation: cell (a, r, c) draws its fate from
   /// splitmix64(seed, globalCellIndex), so equal (dimensions, options)
-  /// yield byte-identical maps in any generation order.
+  /// yield byte-identical maps in any generation order. The 53 high bits
+  /// of the draw, as a fraction u in [0, 1), pick stuck-at-LRS below
+  /// stuck / 2, stuck-at-HRS below stuck and weak below stuck + weak.
   static FaultMap generate(int numArrays, int rows, int cols,
                            const FaultMapOptions& options);
 
@@ -78,17 +86,33 @@ class FaultMap {
   /// (the paper's state/logic convention). Requires isStuck.
   bool stuckBit(int arrayId, int row, int col) const;
 
-  /// Hand-places a fault (tests, wear modeling, field calibration data).
+  /// Hand-places a fault, or clears one with CellFault::None (tests,
+  /// wear modeling, field calibration data).
   void setFault(int arrayId, int row, int col, CellFault fault);
 
-  /// Fills packed column masks for one row, `ceil(cols / 64)` words each:
-  /// bit c of `stuck` / `weak` is set when cell (arrayId, row, c) carries
-  /// that fault; bit c of `stuckHrs` is set when the cell is stuck-at-HRS
-  /// (reads as logic '1'). The simulator precomputes these per touched
-  /// row so its read loop tests a bit instead of re-deriving a cell index
-  /// and switching on the fault byte for every (row, column, lane-word).
-  void packRowMasks(int arrayId, int row, uint64_t* stuck,
-                    uint64_t* stuckHrs, uint64_t* weak) const;
+  /// One row's fault planes, `ceil(cols / 64)` words each: bit c of
+  /// `stuck` is set when cell c is stuck at either state, of `stuckHrs`
+  /// when it is stuck-at-HRS (reads as logic '1'), and of `weak` when it
+  /// is weak. Bits past the last column are clear. The words are the
+  /// map's own, so a view sees later setFault and wear-out changes; it
+  /// stays valid while the map lives. Columns are not checked.
+  struct RowWords {
+    const uint64_t* stuck = nullptr;
+    const uint64_t* stuckHrs = nullptr;
+    const uint64_t* weak = nullptr;
+
+    bool isStuck(int col) const { return test(stuck, col); }
+    bool stuckReadsOne(int col) const { return test(stuckHrs, col); }
+    bool isWeak(int col) const { return test(weak, col); }
+    bool isUsable(int col) const { return !isStuck(col) && !isWeak(col); }
+
+   private:
+    static bool test(const uint64_t* plane, int col) {
+      return (plane[col >> 6] >> (col & 63)) & 1;
+    }
+  };
+  /// The planes of row `row` of array `arrayId` (bounds-checked).
+  RowWords rowWords(int arrayId, int row) const;
 
   // --- Endurance -------------------------------------------------------
   /// Records one programming pulse on a row and returns the new count.
@@ -102,7 +126,8 @@ class FaultMap {
   // --- Aggregates ------------------------------------------------------
   /// Cells that placement can use in each column of one array (element
   /// c is column c): rows below `rowLimit` whose cell carries no fault.
-  /// Counted in one row-major pass, like packRowMasks.
+  /// Every column starts at `rowLimit` and loses one cell per set bit of
+  /// the stuck and weak planes, so the cost follows the fault count.
   std::vector<int> usableCellsPerColumn(int arrayId, int rowLimit) const;
   long stuckCellCount() const;
   long weakCellCount() const;
@@ -120,14 +145,29 @@ class FaultMap {
   bool operator==(const FaultMap&) const = default;
 
  private:
-  size_t cellIndex(int arrayId, int row, int col) const;
+  /// Planes per row, in storage order.
+  enum Plane : size_t { kStuck, kStuckHrs, kWeak, kPlanes };
+
   size_t rowIndex(int arrayId, int row) const;
+  /// Offset of the word holding (arrayId, row, col) in the row's stuck
+  /// plane; the other planes follow at multiples of colWords_.
+  size_t wordIndex(int arrayId, int row, int col) const;
+  uint64_t* rowPlane(size_t rowIdx, Plane plane) {
+    return planes_.data() + (rowIdx * kPlanes + plane) * colWords_;
+  }
+  const uint64_t* rowPlane(size_t rowIdx, Plane plane) const {
+    return planes_.data() + (rowIdx * kPlanes + plane) * colWords_;
+  }
+  long countPlane(Plane plane) const;
 
   int numArrays_ = 0;
   int rows_ = 0;
   int cols_ = 0;
+  size_t colWords_ = 0;  ///< ceil(cols / 64)
   FaultMapOptions options_;
-  std::vector<uint8_t> faults_;
+  /// Per (array, row), in that order: the stuck, stuck-at-HRS and weak
+  /// planes, colWords_ words each.
+  std::vector<uint64_t> planes_;
   std::vector<long> rowWrites_;
 };
 

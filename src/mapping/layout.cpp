@@ -113,7 +113,7 @@ void Layout::buildColumn(Column& column, ColumnRef where) const {
                                      rows_);
   if (faults_.map)
     for (int row = 0; row < rows_; ++row)
-      if (!faults_.map->isUsable(where.arrayId, row, where.col))
+      if (!faults_.map->rowWords(where.arrayId, row).isUsable(where.col))
         clearBit(column.free, row);
 }
 
@@ -148,7 +148,8 @@ bool Layout::hasFreeMainRow(ColumnRef where) const {
     return lowestSetBit(column.free, mainRowLimit_) >= 0;
   // Never allocated: every usable row is free.
   for (int row = 0; row < mainRowLimit_; ++row)
-    if (!faults_.map || faults_.map->isUsable(where.arrayId, row, where.col))
+    if (!faults_.map ||
+        faults_.map->rowWords(where.arrayId, row).isUsable(where.col))
       return true;
   return false;
 }

@@ -71,30 +71,6 @@ double parseDouble(const std::string& key, const std::string& value) {
                      "'"));
 }
 
-/// Applies one key=value pair onto the request options. Throws Error on
-/// unknown keys or malformed values so a typo'd request fails loudly
-/// instead of silently compiling with defaults.
-void applyOption(RequestOptions& o, const std::string& key,
-                 const std::string& value) {
-  if (key == "lang") o.lang = value;
-  else if (key == "emit") o.emit = value;
-  else if (key == "target") o.targetDim = parseInt(key, value);
-  else if (key == "tech") o.tech = value;
-  else if (key == "strategy") o.strategy = value;
-  else if (key == "mra") o.mra = parseInt(key, value);
-  else if (key == "fraction") o.fraction = parseDouble(key, value);
-  else if (key == "fault-density") o.faultDensity = parseDouble(key, value);
-  else if (key == "fault-seed")
-    o.faultSeed = static_cast<uint64_t>(parseInRange(key, value, 0, LONG_MAX));
-  else if (key == "spare-rows") o.spareRows = parseInt(key, value);
-  else if (key == "nand") o.nandLower = parseLong(key, value) != 0;
-  else if (key == "opt") o.aggressive = parseLong(key, value) != 0;
-  else if (key == "deadline-ms") {
-    o.deadlineMs = parseDouble(key, value);
-    checkArg(o.deadlineMs >= 0, "deadline-ms must be >= 0");
-  } else throw Error(strCat("unknown option '", key, "'"));
-}
-
 void writeResponse(std::ostream& out, const std::string& id,
                    const CompileResponse& response) {
   if (response.ok) {
@@ -139,6 +115,27 @@ bool boundedGetline(std::istream& in, std::string& line, size_t cap,
 }
 
 }  // namespace
+
+void applyOption(RequestOptions& o, const std::string& key,
+                 const std::string& value) {
+  if (key == "lang") o.lang = value;
+  else if (key == "emit") o.emit = value;
+  else if (key == "target") o.targetDim = parseInt(key, value);
+  else if (key == "tech") o.tech = value;
+  else if (key == "strategy") o.strategy = value;
+  else if (key == "mra") o.mra = parseInt(key, value);
+  else if (key == "fraction") o.fraction = parseDouble(key, value);
+  else if (key == "fault-density") o.faultDensity = parseDouble(key, value);
+  else if (key == "fault-seed")
+    o.faultSeed = static_cast<uint64_t>(parseInRange(key, value, 0, LONG_MAX));
+  else if (key == "spare-rows") o.spareRows = parseInt(key, value);
+  else if (key == "nand") o.nandLower = parseLong(key, value) != 0;
+  else if (key == "opt") o.aggressive = parseLong(key, value) != 0;
+  else if (key == "deadline-ms") {
+    o.deadlineMs = parseDouble(key, value);
+    checkArg(o.deadlineMs >= 0, "deadline-ms must be >= 0");
+  } else throw Error(strCat("unknown option '", key, "'"));
+}
 
 ServeLoopResult runServeLoop(std::istream& in, std::ostream& out,
                              CompileService& service,

@@ -126,6 +126,14 @@ struct ServeLoopResult {
   bool shutdown = false;
 };
 
+/// Applies one key=value pair onto the request options, as a REQ line
+/// does (and sherlockc for the flags that share a key, so both front
+/// ends accept one range). Throws Error on unknown keys or malformed or
+/// out-of-range values, so a typo'd request fails loudly instead of
+/// silently compiling with defaults.
+void applyOption(RequestOptions& o, const std::string& key,
+                 const std::string& value);
+
 /// Runs one protocol session until QUIT/SHUTDOWN/EOF/stop. Protocol-
 /// level problems (bad options, truncated or oversized requests) are
 /// reported as per-request error responses or PROTOCOL-ERROR lines;

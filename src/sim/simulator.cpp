@@ -109,45 +109,6 @@ struct ArrayState {
   std::vector<uint64_t> bufferValid;  ///< packed bitmap over columns
 };
 
-/// Precomputed packed fault masks of one array: one bit per column,
-/// `colWords` words per row. The read loop tests a bit here instead of
-/// calling back into the fault map (cell-index math plus a fault-byte
-/// switch) for every (row, column) pair it senses.
-struct FaultMasks {
-  FaultMasks(const device::FaultMap& map, int arrayId, int rows, int cols)
-      : colWords_((static_cast<size_t>(cols) + 63) / 64),
-        stuck(static_cast<size_t>(rows) * colWords_, 0),
-        stuckHrs(static_cast<size_t>(rows) * colWords_, 0),
-        weak(static_cast<size_t>(rows) * colWords_, 0) {
-    for (int r = 0; r < rows; ++r) refreshRow(map, arrayId, r);
-  }
-
-  /// Re-derives one row's masks from the map (endurance wear-out converts
-  /// rows to stuck mid-run).
-  void refreshRow(const device::FaultMap& map, int arrayId, int row) {
-    size_t off = static_cast<size_t>(row) * colWords_;
-    map.packRowMasks(arrayId, row, &stuck[off], &stuckHrs[off], &weak[off]);
-  }
-
-  bool isStuck(int row, int col) const { return test(stuck, row, col); }
-  bool stuckReadsOne(int row, int col) const {
-    return test(stuckHrs, row, col);
-  }
-  bool isWeak(int row, int col) const { return test(weak, row, col); }
-
- private:
-  bool test(const std::vector<uint64_t>& v, int row, int col) const {
-    return (v[static_cast<size_t>(row) * colWords_ + (col >> 6)] >>
-            (col & 63)) &
-           1;
-  }
-
-  size_t colWords_;
-  std::vector<uint64_t> stuck;
-  std::vector<uint64_t> stuckHrs;
-  std::vector<uint64_t> weak;
-};
-
 }  // namespace
 
 long SimResult::corruptedLanes() const {
@@ -220,15 +181,6 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
     if (!slot)
       slot = std::make_unique<ArrayState>(rows, cols,
                                           static_cast<int>(W));
-    return *slot;
-  };
-  // Packed per-row fault masks, precomputed per touched array so the read
-  // loop tests bits instead of re-querying the map per sensed cell.
-  std::vector<std::unique_ptr<FaultMasks>> faultMasks(
-      static_cast<size_t>(target.numArrays));
-  auto masksAt = [&](int a) -> FaultMasks& {
-    auto& slot = faultMasks[static_cast<size_t>(a)];
-    if (!slot) slot = std::make_unique<FaultMasks>(*fmap, a, rows, cols);
     return *slot;
   };
 
@@ -311,6 +263,9 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
   std::vector<uint8_t> plainStuck;            // plain read of a stuck cell
   std::vector<const uint64_t*> opPtrs, splitPtrs;
   std::vector<uint8_t> opStuck;
+  // Fault planes of the rows a read senses, one view per entry of
+  // inst.rows (fault map only): the read loop tests their bits.
+  std::vector<device::FaultMap::RowWords> rowFaults;
   const std::vector<uint64_t> onesW(W, ~uint64_t{0});
   const std::vector<uint64_t> zerosW(W, 0);
 
@@ -324,7 +279,6 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
     const Instruction& inst = program.instructions[idx];
     isa::validateInstruction(inst, target.numArrays, rows, cols);
     ArrayState& arr = arrayAt(inst.arrayId);
-    const FaultMasks* fm = fmap ? &masksAt(inst.arrayId) : nullptr;
 
     now += cost.dispatchLatencyNs();
     result.energyPj += cost.dispatchEnergyPj();
@@ -378,6 +332,10 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         // agree, so latency/energy pay for the deepest column's senses.
         int maxSenses = 1;
         int degradedCols = 0;
+        rowFaults.clear();
+        if (fmap)
+          for (int r : inst.rows)
+            rowFaults.push_back(fmap->rowWords(inst.arrayId, r));
         // One detect-and-retry loop shared by the scouting and plain-read
         // paths (previously duplicated, letting the bookkeeping drift):
         // `value` holds the first sampled read; value/check pairs are
@@ -416,12 +374,14 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
           int c = inst.columns[i];
           opPtrs.clear();
           opStuck.clear();
-          for (int r : inst.rows) {
-            if (fm && fm->isStuck(r, c)) {
+          for (size_t ri = 0; ri < inst.rows.size(); ++ri) {
+            int r = inst.rows[ri];
+            if (fmap && rowFaults[ri].isStuck(c)) {
               // Persistent fault: the sensed bit is physically pinned
               // regardless of what (if anything) was programmed.
-              opPtrs.push_back(fm->stuckReadsOne(r, c) ? onesW.data()
-                                                       : zerosW.data());
+              opPtrs.push_back(rowFaults[ri].stuckReadsOne(c)
+                                   ? onesW.data()
+                                   : zerosW.data());
               opStuck.push_back(1);
               result.stuckCellReads++;
               continue;
@@ -433,7 +393,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
                          inst.arrayId, ",", r, ",", c, ")"));
             opPtrs.push_back(arr.cellWords(*page, c));
             opStuck.push_back(0);
-            if (fm && fm->isWeak(r, c)) ++weakPerCol[i];
+            if (fmap && rowFaults[ri].isWeak(c)) ++weakPerCol[i];
           }
           uint64_t* out = newBits.data() + i * W;
           if (inst.colOps.empty()) {
@@ -486,8 +446,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
                 uint64_t* s = splitWords.data() + oi * W;
                 std::copy_n(opPtrs[oi], W, s);
                 if (!opStuck[oi]) {
-                  int r = inst.rows[oi];
-                  double pr = (fm && fm->isWeak(r, c))
+                  double pr = (fmap && rowFaults[oi].isWeak(c))
                                   ? inflatePdf(pPlain, 1)
                                   : pPlain;
                   inject(s, pr);
@@ -572,9 +531,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         if (mutableMap) {
           // Endurance: one programming pulse on the row; crossing the
           // budget converts its cells to stuck-at-LRS inside noteRowWrite,
-          // so later reads of the row return the pinned state. The
-          // precomputed masks for the row are refreshed at the moment of
-          // conversion.
+          // so this write and later reads of the row see the pinned state.
           long count = mutableMap->noteRowWrite(inst.arrayId, row);
           if (count == mutableMap->options().rowWriteBudget + 1) {
             result.wornRows++;
@@ -583,11 +540,12 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
                              strCat("\"instruction\": ", idx,
                                     ", \"array\": ", inst.arrayId,
                                     ", \"row\": ", row));
-            auto& slot = faultMasks[static_cast<size_t>(inst.arrayId)];
-            if (slot) slot->refreshRow(*fmap, inst.arrayId, row);
           }
         }
-        const FaultMasks* wfm = fmap ? &masksAt(inst.arrayId) : nullptr;
+        // A stuck cell keeps its pinned value whatever is programmed into
+        // it. Every sense of a stuck cell (CIM read, transfer source,
+        // output check) takes the pinned bit from the fault map, so the
+        // words stored here are never read.
         while (hostNext != hostEnd && hostNext->first < idx) ++hostNext;
         const std::vector<NodeId>* host =
             hostNext != hostEnd && hostNext->first == idx ? &hostNext->second
@@ -605,13 +563,6 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
                          ": write from invalid buffer column ", c,
                          " of array ", inst.arrayId));
             std::copy_n(arr.bufferWords(c), W, dst);
-          }
-          if (wfm && wfm->isStuck(row, c)) {
-            // Programming a stuck cell has no effect: it keeps its pinned
-            // value (reads force it; mark written so they do not throw).
-            const uint64_t* pinned =
-                wfm->stuckReadsOne(row, c) ? onesW.data() : zerosW.data();
-            std::copy_n(pinned, W, dst);
           }
           page.markWritten(c);
         }
@@ -656,11 +607,11 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         now = ready;
 
         // Source sense: a single-row plain read by the transfer engine.
-        bool srcStuck = fm && fm->isStuck(srcRow, srcCol);
+        bool srcStuck = fmap && fmap->isStuck(inst.arrayId, srcRow, srcCol);
         if (srcStuck) {
-          const uint64_t* pinned = fm->stuckReadsOne(srcRow, srcCol)
-                                       ? onesW.data()
-                                       : zerosW.data();
+          const uint64_t* pinned =
+              fmap->stuckBit(inst.arrayId, srcRow, srcCol) ? onesW.data()
+                                                           : zerosW.data();
           std::copy_n(pinned, W, truth.data());
           result.stuckCellReads++;
         } else {
@@ -674,8 +625,8 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         uint64_t* value = newBits.data();
         std::copy_n(truth.data(), W, value);
         double pdf = pdfOf(device::SenseKind::PlainRead, 1);
-        double effPdf =
-            inflatePdf(pdf, (fm && fm->isWeak(srcRow, srcCol)) ? 1 : 0);
+        double effPdf = inflatePdf(
+            pdf, (fmap && fmap->isWeak(inst.arrayId, srcRow, srcCol)) ? 1 : 0);
         failures.add(effPdf);
         int senses = 1;
         if (!srcStuck) {
@@ -733,23 +684,11 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
                              strCat("\"instruction\": ", idx,
                                     ", \"array\": ", inst.dstArray,
                                     ", \"row\": ", inst.dstRow));
-            auto& slot = faultMasks[static_cast<size_t>(inst.dstArray)];
-            if (slot) slot->refreshRow(*fmap, inst.dstArray, inst.dstRow);
           }
         }
         ArrayState::Row& dstPage = dst.writableRow(inst.dstRow);
         uint64_t* dstWords = dst.cellWords(dstPage, inst.dstCol);
-        std::copy_n(value, W, dstWords);
-        if (fmap) {
-          const FaultMasks& dfm = masksAt(inst.dstArray);
-          if (dfm.isStuck(inst.dstRow, inst.dstCol)) {
-            const uint64_t* pinned = dfm.stuckReadsOne(inst.dstRow,
-                                                       inst.dstCol)
-                                         ? onesW.data()
-                                         : zerosW.data();
-            std::copy_n(pinned, W, dstWords);
-          }
-        }
+        std::copy_n(value, W, dstWords);  // a stuck cell ignores it (Write)
         dstPage.markWritten(inst.dstCol);
         dstPage.writeReadyNs[static_cast<size_t>(inst.dstCol)] =
             busEnd + writeDoneNs;

@@ -255,6 +255,12 @@ TEST(FaultTolerance, EnduranceWearIsCountedWithoutMutatingCallerMap) {
 
   EXPECT_GT(res.wornRows, 0);
   EXPECT_EQ(map, pristine);
+  // The map starts fault-free, so every stuck read is of a worn row: the
+  // simulator reads and programs worn rows as stuck-at-LRS. The counts
+  // were recorded with the byte-per-cell map and its separate masks.
+  EXPECT_EQ(res.wornRows, 25);
+  EXPECT_EQ(res.stuckCellReads, 550);
+  EXPECT_EQ(res.corruptedLanes(), 25);
 
   // Unlimited budget: nothing wears out.
   device::FaultMap eternal(target.numArrays, target.rows(), target.cols());

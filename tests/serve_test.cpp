@@ -412,6 +412,19 @@ TEST(ServeProtocol, IntegersThatDoNotFitAreBadOptions) {
   EXPECT_EQ(service.metrics().counterValue("serve.requests"), 0u);
 }
 
+TEST(ServeProtocol, FaultSeedAcceptsOneRangeForBothFrontEnds) {
+  // sherlockc's --fault-seed goes through the same parser, so both front
+  // ends take [0, LONG_MAX] and neither wraps nor caps a seed at int.
+  RequestOptions o;
+  EXPECT_THROW(applyOption(o, "fault-seed", "-1"), Error);
+  EXPECT_THROW(applyOption(o, "fault-seed", "9223372036854775808"), Error);
+  EXPECT_EQ(o.faultSeed, RequestOptions{}.faultSeed);
+  applyOption(o, "fault-seed", "4294967296");
+  EXPECT_EQ(o.faultSeed, 4294967296u);
+  applyOption(o, "fault-seed", "9223372036854775807");
+  EXPECT_EQ(o.faultSeed, 9223372036854775807u);
+}
+
 TEST(ServeProtocol, TruncatedRequestReportsInsteadOfCompiling) {
   CompileService service;
   std::string out =

@@ -94,7 +94,8 @@ struct Options {
          "  --fault-density <f>        persistent cell-fault density: f\n"
          "                             stuck + f/2 weak cells; placement\n"
          "                             avoids them (default 0 = perfect)\n"
-         "  --fault-seed <N>           fault map generation seed\n"
+         "  --fault-seed <N>           fault map generation seed, in\n"
+         "                             [0, 2^63 - 1] (default 1)\n"
          "  --spare-rows <N>           spare rows per column reserved as\n"
          "                             repair targets (default 0)\n"
          "  --guarded                  with --emit sim: Monte-Carlo fault\n"
@@ -193,8 +194,17 @@ Options parseArgs(int argc, char** argv) {
     else if (arg == "--fraction") o.compile.fraction = nextDouble();
     else if (arg == "--jobs") o.jobs = nextInt();
     else if (arg == "--fault-density") o.compile.faultDensity = nextDouble();
-    else if (arg == "--fault-seed")
-      o.compile.faultSeed = static_cast<uint64_t>(nextInt());
+    else if (arg == "--fault-seed") {
+      // The protocol's fault-seed= parser: both front ends accept
+      // [0, LONG_MAX] and reject the rest instead of wrapping it.
+      std::string v = next();
+      try {
+        serve::applyOption(o.compile, "fault-seed", v);
+      } catch (const Error& e) {
+        std::cerr << "sherlockc: error: " << arg << ": " << e.what() << "\n";
+        usage(argv[0]);
+      }
+    }
     else if (arg == "--spare-rows") o.compile.spareRows = nextInt();
     else if (arg == "--guarded") o.guarded = true;
     else if (arg == "--nand") o.compile.nandLower = true;
