@@ -66,7 +66,9 @@ int main() {
     copts.optimizer.refinePasses = v.refinePasses;
     copts.waveOrder = v.waveOrder;
     auto compiled = mapping::compile(g, target, copts);
-    auto r = sim::simulate(g, target, compiled.program);
+    sim::SimOptions sopts;
+    sopts.staticVerify = false;  // compile verified the program
+    auto r = sim::simulate(g, target, compiled.program, sopts);
     if (!r.verified)
       throw Error(strCat("verification failed: ", cell.workload, " / ",
                          v.name));

@@ -48,7 +48,9 @@ int main() {
     copts.optimizer.alpha = cell.alpha;
     copts.optimizer.beta = cell.beta;
     auto compiled = mapping::compile(g, target, copts);
-    auto r = sim::simulate(g, target, compiled.program);
+    sim::SimOptions sopts;
+    sopts.staticVerify = false;  // compile verified the program
+    auto r = sim::simulate(g, target, compiled.program, sopts);
     if (!r.verified)
       throw Error(strCat("verification failed: ", cell.workload, " alpha=",
                          cell.alpha, " beta=", cell.beta));

@@ -55,7 +55,9 @@ int main() {
                       .atTemperature(cell.temperature);
     isa::TargetSpec target = isa::TargetSpec::square(512, params, 2);
     auto compiled = mapping::compile(g, target);
-    auto r = sim::simulate(g, target, compiled.program);
+    sim::SimOptions sopts;
+    sopts.staticVerify = false;  // compile verified the program
+    auto r = sim::simulate(g, target, compiled.program, sopts);
     if (!r.verified)
       throw Error(strCat("verification failed: ", params.name, " at ",
                          cell.temperature, "C"));

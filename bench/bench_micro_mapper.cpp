@@ -169,18 +169,11 @@ void verifyLoop(benchmark::State& state, const ir::Graph& g,
                           static_cast<int64_t>(program.instructions.size()));
 }
 
-mapping::Program compileUnverified(const ir::Graph& g,
-                                   const isa::TargetSpec& t) {
-  mapping::CompileOptions options;
-  options.verify = false;
-  return mapping::compile(g, t, options).program;
-}
-
 void BM_VerifyProgram(benchmark::State& state) {
   ir::Graph g = transforms::canonicalize(
       dagOfSize(static_cast<int>(state.range(0))));
   isa::TargetSpec t = targetFor(g);
-  mapping::Program program = compileUnverified(g, t);
+  mapping::Program program = mapping::compile(g, t).program;
   verifyLoop(state, g, t, program);
   state.SetComplexityN(static_cast<int64_t>(program.instructions.size()));
 }
@@ -205,7 +198,7 @@ void BM_VerifySmallKernel(benchmark::State& state) {
       transforms::canonicalize(frontend::compileKernel(kParityCheck));
   isa::TargetSpec t = isa::TargetSpec::square(
       static_cast<int>(state.range(0)), device::TechnologyParams::reRam(), 2);
-  mapping::Program program = compileUnverified(g, t);
+  mapping::Program program = mapping::compile(g, t).program;
   verifyLoop(state, g, t, program);
   state.SetComplexityN(state.range(0));
 }
@@ -218,7 +211,7 @@ void BM_SimulateProgram(benchmark::State& state) {
   ir::Graph g = transforms::canonicalize(
       dagOfSize(static_cast<int>(state.range(0))));
   isa::TargetSpec t = targetFor(g);
-  mapping::Program program = compileUnverified(g, t);
+  mapping::Program program = mapping::compile(g, t).program;
   sim::SimOptions options;
   options.staticVerify = false;
   for (auto _ : state)

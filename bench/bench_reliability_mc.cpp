@@ -84,7 +84,10 @@ int main(int argc, char** argv) {
             mapping::compileFlow(makeWorkload("Bitweaving"), target, flow);
         Prepared p{std::move(compiled.graph), target,
                    std::move(compiled.compiled.program), 0.0};
-        p.analyticPApp = sim::simulate(p.graph, p.target, p.program).pApp;
+        sim::SimOptions analytic;
+        analytic.staticVerify = false;  // compileFlow verified the program
+        p.analyticPApp =
+            sim::simulate(p.graph, p.target, p.program, analytic).pApp;
         return p;
       });
 
@@ -100,8 +103,7 @@ int main(int argc, char** argv) {
         opts.laneWords = kLaneWords;
         opts.injectFaults = true;
         opts.faultSeed = deriveSeed(kBaseSeed, trial);
-        // The program was already statically verified by the fault-free
-        // analytic run; skip re-verifying it on every trial.
+        // compileFlow verified the program; no trial re-verifies it.
         opts.staticVerify = false;
         auto r = sim::simulate(p.graph, p.target, p.program, opts);
         return TrialResult{static_cast<int>(r.corruptedLanes()),

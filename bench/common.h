@@ -102,6 +102,7 @@ inline RunResult runPipeline(const ir::Graph& canonical,
   const mapping::Program& program = compiled.compiled.program;
 
   sim::SimOptions sopts;
+  sopts.staticVerify = false;  // compileFlow verified the program
   sopts.laneWords = cfg.laneWords;
   sopts.faultMap = compiled.faultMap ? &*compiled.faultMap : nullptr;
   sopts.guardedExecution = cfg.guarded;

@@ -248,59 +248,4 @@ std::vector<Instruction> parseAssembly(const std::string& text) {
   return program;
 }
 
-void validateInstruction(const Instruction& inst, int numArrays, int rows,
-                         int cols) {
-  checkArg(inst.arrayId >= 0 && inst.arrayId < numArrays,
-           "array id ", inst.arrayId, " out of range");
-  if (inst.kind == InstKind::Shift) {
-    checkArg(inst.shiftDistance >= 0, "negative shift distance");
-    return;
-  }
-  if (inst.kind == InstKind::Xfer) {
-    checkArg(inst.columns.size() == 1, "xfer takes one source column");
-    checkArg(inst.rows.size() == 1, "xfer takes one source row");
-    checkArg(inst.columns[0] >= 0 && inst.columns[0] < cols,
-             "xfer source column out of range");
-    checkArg(inst.rows[0] >= 0 && inst.rows[0] < rows,
-             "xfer source row out of range");
-    checkArg(inst.dstArray >= 0 && inst.dstArray < numArrays,
-             "xfer destination array out of range");
-    checkArg(inst.dstCol >= 0 && inst.dstCol < cols,
-             "xfer destination column out of range");
-    checkArg(inst.dstRow >= 0 && inst.dstRow < rows,
-             "xfer destination row out of range");
-    return;
-  }
-  checkArg(!inst.columns.empty(), "read/write needs columns");
-  if (inst.rows.empty()) {
-    // A read with no activated rows is a pure row-buffer operation; it is
-    // only meaningful when every column chains its latched bit.
-    checkArg(inst.kind == InstKind::Read && !inst.colOps.empty(),
-             "only CIM reads may omit rows");
-    for (bool chain : inst.chainsBuffer)
-      checkArg(chain, "rowless read requires all columns to chain");
-  }
-  for (int c : inst.columns)
-    checkArg(c >= 0 && c < cols, "column ", c, " out of range");
-  for (int r : inst.rows)
-    checkArg(r >= 0 && r < rows, "row ", r, " out of range");
-  checkArg(std::is_sorted(inst.columns.begin(), inst.columns.end()) &&
-               std::adjacent_find(inst.columns.begin(), inst.columns.end()) ==
-                   inst.columns.end(),
-           "columns must be ascending and unique");
-  checkArg(std::is_sorted(inst.rows.begin(), inst.rows.end()) &&
-               std::adjacent_find(inst.rows.begin(), inst.rows.end()) ==
-                   inst.rows.end(),
-           "rows must be ascending and unique");
-  if (inst.kind == InstKind::Write)
-    checkArg(inst.rows.size() == 1, "write takes exactly one row");
-  if (!inst.colOps.empty()) {
-    checkArg(inst.kind == InstKind::Read, "ops only valid on reads");
-    checkArg(inst.colOps.size() == inst.columns.size(),
-             "one op per column required");
-    checkArg(inst.chainsBuffer.size() == inst.colOps.size(),
-             "chain flags must parallel ops");
-  }
-}
-
 }  // namespace sherlock::isa

@@ -107,8 +107,6 @@ class CodeGenerator {
   /// adjacent-merge legality conditions hold. `hostValue` is the leaf
   /// whose host data a one-column write carries.
   void emit(Instruction inst, NodeId hostValue = ir::kInvalidNode) {
-    isa::validateInstruction(inst, target_.numArrays, target_.rows(),
-                             target_.cols());
     if (options_.mergeInstructions && tryMerge(inst, hostValue)) {
       prog_.stats.mergedInstructions++;
       return;
@@ -376,7 +374,6 @@ class CodeGenerator {
   void emitXfer(NodeId v, CellAddress src, CellAddress dst) {
     emit(isa::makeXfer(src.arrayId, src.col, src.row, dst.arrayId, dst.col,
                        dst.row));
-    prog_.stats.xfers++;
     noteLanding(v);
     touch(dst.arrayId, dst.col);
   }
@@ -500,7 +497,6 @@ class CodeGenerator {
       for (ColumnRef where : plan_.leafColumns[static_cast<size_t>(i)]) {
         CellAddress cell = layout_.allocate(i, where);
         emit(isa::makeWrite(where.arrayId, {where.col}, cell.row), i);
-        prog_.stats.hostWrites++;
         noteLanding(i);
         touch(where.arrayId, where.col);
       }
@@ -736,7 +732,6 @@ class CodeGenerator {
 
     emit(isa::makeCimRead(xc.arrayId, {xc.col}, std::move(rows), {n.op},
                           {chainVal != ir::kInvalidNode}));
-    prog_.stats.cimReads++;
     if (chainVal != ir::kInvalidNode) prog_.stats.chainedOperands++;
     latch(xc.arrayId, xc.col, v);
     touch(xc.arrayId, xc.col);

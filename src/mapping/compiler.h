@@ -31,17 +31,11 @@ struct CompileOptions {
   std::optional<bool> eagerWriteback;
   /// Scheduler wave ordering (ablation; default b-level).
   CodegenOptions::WaveOrder waveOrder = CodegenOptions::WaveOrder::BLevel;
-  /// Statically verify the generated program (src/verify) before
-  /// returning it. Defaults to verify::verifyCompiledByDefault():
-  /// SHERLOCK_VERIFY env override, else on in debug / off in release.
-  /// The test suite runs with SHERLOCK_VERIFY=1, so every compilation
-  /// under ctest is verified.
-  std::optional<bool> verify;
   /// Eq. 1 clustering constants (optimized strategy only).
   OptMapperOptions optimizer;
   /// Fault-aware placement: consult the map, avoid faulty cells, repair
   /// collisions into spare rows (see mapping/layout.h). The verifier run
-  /// (when enabled) proves the program touches no stuck cell.
+  /// proves the program touches no stuck cell.
   FaultPolicy faults;
 };
 
@@ -52,6 +46,10 @@ struct CompileResult {
   ClusteringResult clustering;
 };
 
+/// Maps, generates code, then proves the program with
+/// verify::checkProgram (against the fault map and spare rows, when
+/// given): every program it returns has passed the verifier, and an
+/// illegal one throws VerificationError instead.
 inline CompileResult compile(const ir::Graph& g,
                              const isa::TargetSpec& target,
                              const CompileOptions& options = {}) {
@@ -78,7 +76,7 @@ inline CompileResult compile(const ir::Graph& g,
     trace::Span span("mapping", "codegen");
     result.program = generateCode(g, target, result.plan, cg);
   }
-  if (options.verify.value_or(verify::verifyCompiledByDefault())) {
+  {
     trace::Span span("mapping", "verify");
     verify::VerifyOptions vopts;
     vopts.faultMap = options.faults.map;

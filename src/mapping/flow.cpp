@@ -77,7 +77,6 @@ FlowResult compilePrepared(ir::Graph prepared, const isa::TargetSpec& target,
   copts.strategy = options.strategy;
   copts.faults.map = result.faultMap ? &*result.faultMap : nullptr;
   copts.faults.spareRows = options.spareRows;
-  copts.verify = options.verify;
   try {
     result.compiled = compile(result.graph, target, copts);
   } catch (const MappingError& e) {

@@ -30,7 +30,6 @@ struct FlowOptions {
   double faultDensity = 0.0;
   uint64_t faultSeed = 1;
   int spareRows = 0;
-  std::optional<bool> verify;  ///< overrides CompileOptions::verify
 };
 
 struct FlowResult {

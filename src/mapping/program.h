@@ -12,14 +12,14 @@
 
 namespace sherlock::mapping {
 
-/// Code generation statistics, used by the evaluation harnesses.
+/// Code generation statistics, used by the evaluation harnesses
+/// (perfbench's per-layer mapping metrics read them). The instruction
+/// counters count emissions before merging, one column each; counts of
+/// the emitted stream come from mapping::analyzeProgram.
 struct CodegenStats {
-  long hostWrites = 0;       ///< input/const pre-load writes
-  long cimReads = 0;         ///< scouting-logic operations
   long plainReads = 0;       ///< movement loads
   long spillWrites = 0;      ///< intermediate materializations
   long shifts = 0;           ///< row-buffer rotations (movement)
-  long xfers = 0;            ///< inter-array cell-to-cell transfers
   long mergedInstructions = 0;  ///< instructions saved by merging
   long chainedOperands = 0;  ///< operands consumed from the row buffer
   /// Allocations repaired into the spare-row region (fault-aware
@@ -30,11 +30,6 @@ struct CodegenStats {
   /// so no emission of these waves needs fewer CIM-read instructions
   /// (not an instruction count; 0 for the naive flow).
   long roundFloor = 0;
-
-  long totalInstructions() const {
-    return hostWrites + cimReads + plainReads + spillWrites + shifts +
-           xfers;
-  }
 };
 
 struct Program {

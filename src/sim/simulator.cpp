@@ -275,9 +275,51 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
   const auto hostEnd = program.hostWriteValues.end();
 
   trace::Tracer& tracer = trace::Tracer::instance();
+  // The detect-and-retry loop of every guarded sense (scouting op, plain
+  // read, transfer source): `value` holds the first sample; value/check
+  // pairs are re-sensed from `truthW` until they agree or the retry
+  // budget runs out. Returns the senses spent. The pair in `value` and
+  // `check` still disagrees only after an exhausted budget; scouting ops
+  // then degrade, while plain reads and transfers (already at MRA 1)
+  // keep the last sample.
+  auto guardedSample = [&](size_t idx, const uint64_t* truthW,
+                           double effPdf, uint64_t* value) -> int {
+    result.guardedOps++;
+    std::copy_n(truthW, W, check.data());
+    inject(check.data(), effPdf);
+    int senses = 2;
+    int tries = 0;
+    while (!std::equal(value, value + W, check.data()) &&
+           tries < options.retryBudget) {
+      ++tries;
+      result.retriedOps++;
+      if (tracer.enabled())
+        tracer.instant("sim", "guarded_retry",
+                       strCat("\"instruction\": ", idx, ", \"try\": ", tries));
+      std::copy_n(truthW, W, value);
+      inject(value, effPdf);
+      std::copy_n(truthW, W, check.data());
+      inject(check.data(), effPdf);
+      senses += 2;
+    }
+    return senses;
+  };
+  // Endurance: one programming pulse on the row; crossing the budget
+  // converts its cells to stuck-at-LRS inside noteRowWrite, so this write
+  // and later reads of the row see the pinned state.
+  auto wearRow = [&](size_t idx, int arrayId, int row) {
+    if (!mutableMap) return;
+    long count = mutableMap->noteRowWrite(arrayId, row);
+    if (count != mutableMap->options().rowWriteBudget + 1) return;
+    result.wornRows++;
+    if (tracer.enabled())
+      tracer.instant("sim", "wear_out",
+                     strCat("\"instruction\": ", idx, ", \"array\": ",
+                            arrayId, ", \"row\": ", row));
+  };
+
   for (size_t idx = 0; idx < program.instructions.size(); ++idx) {
     const Instruction& inst = program.instructions[idx];
-    isa::validateInstruction(inst, target.numArrays, rows, cols);
     ArrayState& arr = arrayAt(inst.arrayId);
 
     now += cost.dispatchLatencyNs();
@@ -336,40 +378,6 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         if (fmap)
           for (int r : inst.rows)
             rowFaults.push_back(fmap->rowWords(inst.arrayId, r));
-        // One detect-and-retry loop shared by the scouting and plain-read
-        // paths (previously duplicated, letting the bookkeeping drift):
-        // `value` holds the first sampled read; value/check pairs are
-        // re-sensed from `truth` until they agree or the retry budget is
-        // exhausted, with the guard/retry counters and the instruction's
-        // lockstep sense depth updated here. Returns false when the
-        // budget ran out with the pair still disagreeing — the caller
-        // picks the fallback (degrade for scouting ops; plain reads are
-        // already at MRA 1, so their last sample stands).
-        auto guardedSample = [&](const uint64_t* truthW, double effPdf,
-                                 uint64_t* value) -> bool {
-          result.guardedOps++;
-          std::copy_n(truthW, W, check.data());
-          inject(check.data(), effPdf);
-          int senses = 2;
-          int tries = 0;
-          bool agree = std::equal(value, value + W, check.data());
-          while (!agree && tries < options.retryBudget) {
-            ++tries;
-            result.retriedOps++;
-            if (tracer.enabled())
-              tracer.instant("sim", "guarded_retry",
-                             strCat("\"instruction\": ", idx,
-                                    ", \"try\": ", tries));
-            std::copy_n(truthW, W, value);
-            inject(value, effPdf);
-            std::copy_n(truthW, W, check.data());
-            inject(check.data(), effPdf);
-            senses += 2;
-            agree = std::equal(value, value + W, check.data());
-          }
-          maxSenses = std::max(maxSenses, senses);
-          return agree;
-        };
         for (size_t i = 0; i < nCols; ++i) {
           int c = inst.columns[i];
           opPtrs.clear();
@@ -474,7 +482,9 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
                 // while the two samples disagree, up to the budget.
                 // Budget exhausted on persistent disagreement: fall back
                 // to the degraded sense as well.
-                if (!guardedSample(truth.data(), effPdf, out))
+                maxSenses = std::max(
+                    maxSenses, guardedSample(idx, truth.data(), effPdf, out));
+                if (!std::equal(out, out + W, check.data()))
                   degradeSense(out);
               }
             }
@@ -497,7 +507,8 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
               // guard as scouting ops. There is no lower sensing mode to
               // degrade to (MRA is already 1), so after an exhausted
               // budget the last sample stands (residual ~P_DF^2).
-              guardedSample(truth.data(), effPdf, value);
+              maxSenses = std::max(
+                  maxSenses, guardedSample(idx, truth.data(), effPdf, value));
             }
           }
         }
@@ -528,20 +539,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
 
       case InstKind::Write: {
         int row = inst.rows[0];
-        if (mutableMap) {
-          // Endurance: one programming pulse on the row; crossing the
-          // budget converts its cells to stuck-at-LRS inside noteRowWrite,
-          // so this write and later reads of the row see the pinned state.
-          long count = mutableMap->noteRowWrite(inst.arrayId, row);
-          if (count == mutableMap->options().rowWriteBudget + 1) {
-            result.wornRows++;
-            if (tracer.enabled())
-              tracer.instant("sim", "wear_out",
-                             strCat("\"instruction\": ", idx,
-                                    ", \"array\": ", inst.arrayId,
-                                    ", \"row\": ", row));
-          }
-        }
+        wearRow(idx, inst.arrayId, row);
         // A stuck cell keeps its pinned value whatever is programmed into
         // it. Every sense of a stuck cell (CIM read, transfer source,
         // output check) takes the pinned bit from the fault map, so the
@@ -631,30 +629,9 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         int senses = 1;
         if (!srcStuck) {
           inject(value, effPdf);
-          if (options.guardedExecution && effPdf > options.guardPdfThreshold) {
-            // Same check-read guard as a plain read: re-sense until the
-            // value/check pair agrees or the budget runs out (MRA is
-            // already 1, so the last sample stands after exhaustion).
-            result.guardedOps++;
-            std::copy_n(truth.data(), W, check.data());
-            inject(check.data(), effPdf);
-            senses = 2;
-            int tries = 0;
-            while (!std::equal(value, value + W, check.data()) &&
-                   tries < options.retryBudget) {
-              ++tries;
-              result.retriedOps++;
-              if (tracer.enabled())
-                tracer.instant("sim", "guarded_retry",
-                               strCat("\"instruction\": ", idx,
-                                      ", \"try\": ", tries));
-              std::copy_n(truth.data(), W, value);
-              inject(value, effPdf);
-              std::copy_n(truth.data(), W, check.data());
-              inject(check.data(), effPdf);
-              senses += 2;
-            }
-          }
+          // Same check-read guard as a plain read.
+          if (options.guardedExecution && effPdf > options.guardPdfThreshold)
+            senses = guardedSample(idx, truth.data(), effPdf, value);
         }
         now += senses * readNs;
         result.energyPj += senses * cost.readEnergyPj(1, 1);
@@ -675,17 +652,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
 
         // Destination write: posted, completing after the bus delivers.
         ArrayState& dst = arrayAt(inst.dstArray);
-        if (mutableMap) {
-          long count = mutableMap->noteRowWrite(inst.dstArray, inst.dstRow);
-          if (count == mutableMap->options().rowWriteBudget + 1) {
-            result.wornRows++;
-            if (tracer.enabled())
-              tracer.instant("sim", "wear_out",
-                             strCat("\"instruction\": ", idx,
-                                    ", \"array\": ", inst.dstArray,
-                                    ", \"row\": ", inst.dstRow));
-          }
-        }
+        wearRow(idx, inst.dstArray, inst.dstRow);
         ArrayState::Row& dstPage = dst.writableRow(inst.dstRow);
         uint64_t* dstWords = dst.cellWords(dstPage, inst.dstCol);
         std::copy_n(value, W, dstWords);  // a stuck cell ignores it (Write)

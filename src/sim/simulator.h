@@ -59,8 +59,13 @@ struct SimOptions {
   /// Statically verify the program (src/verify structural rules) before
   /// executing it: malformed streams fail with a VerificationError that
   /// pins the instruction index and violated rule instead of surfacing as
-  /// a mid-execution SimulationError. Disable for hot loops that run one
-  /// already-verified program many times (e.g. Monte-Carlo trials).
+  /// a mid-execution SimulationError. This pass is the simulator's only
+  /// instruction check. Precondition when off: the program is already
+  /// verified for this target (mapping::compile returned it, or
+  /// verify::verifyProgram accepted it). The simulator then still throws
+  /// SimulationError on unwritten cells and invalid buffer columns, but
+  /// an instruction that breaks verify::checkInstructionRules (an
+  /// address out of bounds, a malformed shape) is undefined behaviour.
   bool staticVerify = true;
 
   /// Record per-read stall events (instruction index, stall ns, distance
@@ -162,7 +167,9 @@ struct SimResult {
 };
 
 /// Executes `program` (compiled from `g`) on the target. Throws
-/// SimulationError on malformed programs; if options.verify is set, a
+/// VerificationError on a program that breaks the verifier's structural
+/// rules (options.staticVerify) and SimulationError on reads of unwritten
+/// cells or invalid buffer columns; if options.verify is set, a
 /// functional mismatch against the reference evaluator also throws.
 SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
                    const mapping::Program& program,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <span>
 #include <sstream>
@@ -745,6 +744,11 @@ std::optional<Violation> checkInstructionRules(const Instruction& inst,
 
   for (size_t i = 0; i < inst.colOps.size(); ++i) {
     bool chains = inst.chainsBuffer[i];
+    // Before the arity rule, which an unchained rowless column (zero
+    // sensed bits) would otherwise always trip first.
+    if (inst.rows.empty() && !chains)
+      return shape(strCat("rowless read requires every column to chain; "
+                          "column ", inst.columns[i], " does not"));
     if (chains && !target.bufferChaining)
       return makeRuleViolation(
           Rule::BufferChaining, index, inst,
@@ -765,11 +769,6 @@ std::optional<Violation> checkInstructionRules(const Instruction& inst,
           strCat(ir::opName(inst.colOps[i]), " on column ", inst.columns[i],
                  " senses ", operandBits, " bits; needs at least two"));
     }
-    if (inst.rows.empty() && !chains)
-      return makeRuleViolation(
-          Rule::InstructionShape, index, inst,
-          strCat("rowless read requires every column to chain; column ",
-                 inst.columns[i], " does not"));
   }
   return std::nullopt;
 }
@@ -799,16 +798,6 @@ void checkProgram(const ir::Graph& g, const isa::TargetSpec& target,
              " violation", result.violations.size() == 1 ? "" : "s",
              "):\n", result.summary()),
       ruleName(first.rule), index);
-}
-
-bool verifyCompiledByDefault() {
-  if (const char* env = std::getenv("SHERLOCK_VERIFY"))
-    return env[0] != '0';
-#ifdef NDEBUG
-  return false;
-#else
-  return true;
-#endif
 }
 
 }  // namespace sherlock::verify

@@ -142,17 +142,12 @@ void checkProgram(const ir::Graph& g, const isa::TargetSpec& target,
 /// Checks only the per-instruction rules (bounds, shape, MRA, per-column
 /// op and chaining legality) of a single instruction against the target —
 /// no cross-instruction dataflow. Returns the first violation, if any.
+/// This is the one statement of instruction legality: verifyProgram
+/// applies it to every instruction, and nothing else re-checks it.
 /// Exposed for property tests that validate instruction streams produced
 /// outside a full Program (e.g. clustering invariants).
 std::optional<Violation> checkInstructionRules(const isa::Instruction& inst,
                                                const isa::TargetSpec& target,
                                                size_t index = 0);
-
-/// Default for "verify every compiled program" wiring (mapping::compile):
-/// the SHERLOCK_VERIFY environment variable ("0" disables, anything else
-/// enables) wins; otherwise on in debug builds, off in release (opt-in).
-/// The test suite sets SHERLOCK_VERIFY=1 via ctest, so every test
-/// compilation is verified regardless of build type.
-bool verifyCompiledByDefault();
 
 }  // namespace sherlock::verify

@@ -22,6 +22,7 @@
 #include "dag_fuzz.h"
 #include "support/bitvector.h"
 #include "ir/evaluator.h"
+#include "mapping/program_analysis.h"
 #include "sim/simulator.h"
 #include "transforms/passes.h"
 #include "verify/verifier.h"
@@ -96,9 +97,6 @@ void runSeed(uint64_t seed) {
     isa::TargetSpec target = fuzzTarget(config, spec.maxArity);
     mapping::CompileOptions copts;
     copts.strategy = config.strategy;
-    // Verified explicitly below so a failure carries the full violation
-    // report instead of the facade's first-violation exception.
-    copts.verify = false;
     mapping::CompileResult compiled = mapping::compile(g, target, copts);
 
     // Level 1: static verification, including DAG equivalence.
@@ -159,7 +157,6 @@ void runFaultSeed(uint64_t seed) {
 
     mapping::CompileOptions copts;
     copts.strategy = config.strategy;
-    copts.verify = false;  // verified explicitly with the map below
     copts.faults.map = &map;
     copts.faults.spareRows = 4;
     mapping::CompileResult compiled = mapping::compile(g, target, copts);
@@ -232,7 +229,6 @@ void runMultiArraySeed(uint64_t seed, long& shardedRuns) {
 
     mapping::CompileOptions copts;
     copts.strategy = mapping::Strategy::Optimized;
-    copts.verify = false;  // verified explicitly below
     copts.optimizer.maxColumnsPerArray = point.maxColumnsPerArray;
     mapping::CompileResult compiled;
     try {
@@ -257,7 +253,7 @@ void runMultiArraySeed(uint64_t seed, long& shardedRuns) {
     }
     if (arraysUsed.size() > 1) shardedRuns++;
     if (cut) {
-      EXPECT_GT(compiled.program.stats.xfers, 0)
+      EXPECT_GT(mapping::analyzeProgram(compiled.program).xfers, 0)
           << "cut placement emitted no inter-array transfer";
     }
 

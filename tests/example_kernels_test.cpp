@@ -56,7 +56,6 @@ TEST_P(ExampleKernels, CompileVerifySimulate) {
         isa::TargetSpec::square(512, device::TechnologyParams::reRam(), 2);
     mapping::CompileOptions copts;
     copts.strategy = GetParam();
-    copts.verify = false;  // verified explicitly for the full report
     auto compiled = mapping::compile(g, target, copts);
 
     verify::VerifyResult vr =

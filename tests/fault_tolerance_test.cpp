@@ -323,7 +323,6 @@ TEST(FaultTolerance, PressureTransfersStageThroughMainRows) {
       target.numArrays, target.rows(), target.cols(), fo);
   mapping::CompileOptions copts;
   copts.strategy = mapping::Strategy::Naive;
-  copts.verify = false;  // verified explicitly below
   copts.faults.map = &map;
   copts.faults.spareRows = 8;
   mapping::CompileResult compiled = mapping::compile(g, target, copts);

@@ -281,8 +281,8 @@ GoldenRuns computeRuns() {
       {"reram-1024-mra2-O", reram, 1024, 2, false, true},
       {"reram-512-mra4-O", reram, 512, 4, false, true},
   };
-  // Compilation is verified under ctest (SHERLOCK_VERIFY=1); the
-  // simulator's own static pass would only repeat it.
+  // compileFlow verified every program; the simulator's own static
+  // pass would only repeat it.
   sim::SimOptions plain;
   plain.staticVerify = false;
   GoldenRuns runs;

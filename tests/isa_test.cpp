@@ -1,5 +1,6 @@
-// Unit tests for the CIM ISA: construction, validation, and the assembly
-// printer/parser round trip (format of paper Fig. 4).
+// Unit tests for the CIM ISA: construction and the assembly
+// printer/parser round trip (format of paper Fig. 4). Instruction
+// legality is the verifier's (verifier_test's InstructionRules cases).
 #include <gtest/gtest.h>
 
 #include "arraymodel/array_model.h"
@@ -80,76 +81,6 @@ TEST(Instruction, ParseRejectsGarbage) {
     EXPECT_STREQ(e.what(),
                  "xfer destination row '99999999999' is out of range");
   }
-}
-
-TEST(Validation, BoundsChecked) {
-  int arrays = 2, rows = 16, cols = 16;
-  EXPECT_NO_THROW(validateInstruction(makeWrite(1, {0, 15}, 15), arrays,
-                                      rows, cols));
-  EXPECT_THROW(validateInstruction(makeWrite(2, {0}, 0), arrays, rows, cols),
-               Error);
-  EXPECT_THROW(
-      validateInstruction(makeWrite(0, {16}, 0), arrays, rows, cols), Error);
-  EXPECT_THROW(
-      validateInstruction(makeWrite(0, {0}, 16), arrays, rows, cols), Error);
-}
-
-TEST(Validation, OutOfRangeMessages) {
-  auto message = [](const Instruction& inst) -> std::string {
-    try {
-      validateInstruction(inst, 2, 16, 16);
-    } catch (const Error& e) {
-      return e.what();
-    }
-    return "no error";
-  };
-  EXPECT_EQ(message(makeCimRead(0, {3}, {2, 16}, {ir::OpKind::And})),
-            "row 16 out of range");
-  EXPECT_EQ(message(makeWrite(0, {17}, 0)), "column 17 out of range");
-  EXPECT_EQ(message(makeWrite(2, {0}, 0)), "array id 2 out of range");
-}
-
-TEST(Validation, XferBoundsChecked) {
-  int arrays = 4, rows = 16, cols = 16;
-  EXPECT_NO_THROW(
-      validateInstruction(makeXfer(0, 0, 0, 3, 15, 15), arrays, rows, cols));
-  // Each endpoint coordinate is checked: destination array, column, row,
-  // then the source side.
-  EXPECT_THROW(
-      validateInstruction(makeXfer(0, 0, 0, 4, 0, 0), arrays, rows, cols),
-      Error);
-  EXPECT_THROW(
-      validateInstruction(makeXfer(0, 0, 0, 1, 16, 0), arrays, rows, cols),
-      Error);
-  EXPECT_THROW(
-      validateInstruction(makeXfer(0, 0, 0, 1, 0, 16), arrays, rows, cols),
-      Error);
-  EXPECT_THROW(
-      validateInstruction(makeXfer(0, 16, 0, 1, 0, 0), arrays, rows, cols),
-      Error);
-  EXPECT_THROW(
-      validateInstruction(makeXfer(0, 0, 16, 1, 0, 0), arrays, rows, cols),
-      Error);
-}
-
-TEST(Validation, OrderingAndUniqueness) {
-  int arrays = 1, rows = 16, cols = 16;
-  Instruction bad = makeWrite(0, {5, 3}, 0);  // descending columns
-  EXPECT_THROW(validateInstruction(bad, arrays, rows, cols), Error);
-  Instruction dup = makeCimRead(0, {1}, {3, 3}, {ir::OpKind::And});
-  EXPECT_THROW(validateInstruction(dup, arrays, rows, cols), Error);
-}
-
-TEST(Validation, OpsMustParallelColumns) {
-  Instruction inst = makeCimRead(0, {1, 2}, {3, 4}, {ir::OpKind::And});
-  EXPECT_THROW(validateInstruction(inst, 1, 16, 16), Error);
-}
-
-TEST(Validation, RowlessReadRequiresFullChaining) {
-  Instruction ok = makeCimRead(0, {1}, {}, {ir::OpKind::Not}, {true});
-  EXPECT_NO_THROW(validateInstruction(ok, 1, 16, 16));
-  Instruction bad = makeCimRead(0, {1}, {}, {ir::OpKind::Not}, {false});
-  EXPECT_THROW(validateInstruction(bad, 1, 16, 16), Error);
 }
 
 TEST(Target, MraLimitCappedByTechnology) {

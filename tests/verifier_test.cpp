@@ -4,14 +4,20 @@
 // paper workloads under both mappers — must verify cleanly.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "device/faultmap.h"
+#include "ir/serialize.h"
 #include "mapping/compiler.h"
+#include "serve/service.h"
 #include "sim/simulator.h"
+#include "support/trace.h"
 #include "transforms/passes.h"
 #include "verify/verifier.h"
 #include "workloads/aes.h"
@@ -505,7 +511,6 @@ TEST(Verifier, FaultAvoidanceAcceptsFaultAwarePlacements) {
        {mapping::Strategy::Naive, mapping::Strategy::Optimized}) {
     mapping::CompileOptions copts;
     copts.strategy = strategy;
-    copts.verify = false;  // verified explicitly with the map below
     copts.faults.map = &map;
     copts.faults.spareRows = 4;
     auto compiled = mapping::compile(g, target, copts);
@@ -965,14 +970,109 @@ TEST(Verifier, EveryMutationKeepsItsFullResult) {
   }
 }
 
-TEST(Verifier, CompileFacadeVerifiesWhenRequested) {
+/// Recorded "mapping"/"verify" spans: mapping::compile opens one per
+/// program it proves.
+size_t verifySpans() {
+  size_t n = 0;
+  for (const trace::TraceEvent& e : trace::Tracer::instance().snapshot())
+    n += e.phase == trace::TraceEvent::Phase::Begin &&
+         std::string_view(e.category) == "mapping" && e.name == "verify";
+  return n;
+}
+
+TEST(Verifier, EveryCompileVerifiesWhateverTheEnvironment) {
+  // The variable that once switched verification off in release builds
+  // must change nothing: compile and a service miss both prove. Nothing
+  // reads it any more, so it is left set.
+  ::setenv("SHERLOCK_VERIFY", "0", 1);
+  trace::Tracer& tracer = trace::Tracer::instance();
+  tracer.clear();
+  tracer.enable();
+
   workloads::RandomDagSpec spec;
   spec.seed = 11;
   ir::Graph g =
       transforms::canonicalize(workloads::buildRandomDag(spec));
-  mapping::CompileOptions copts;
-  copts.verify = true;
-  EXPECT_NO_THROW(mapping::compile(g, target64(), copts));
+  EXPECT_NO_THROW(mapping::compile(g, target64()));
+  EXPECT_EQ(verifySpans(), 1u);
+
+  serve::CompileService service;
+  serve::RequestOptions request;
+  request.targetDim = 64;
+  serve::CompileResponse response =
+      service.handle(ir::graphToText(g), request);
+  EXPECT_TRUE(response.ok) << response.payload;
+  EXPECT_FALSE(response.cacheHit);
+  EXPECT_EQ(verifySpans(), 2u);
+
+  tracer.disable();
+  tracer.clear();
+}
+
+/// A 16 x 16 ReRAM target with `arrays` arrays.
+isa::TargetSpec target16(int arrays) {
+  isa::TargetSpec t =
+      isa::TargetSpec::square(16, device::TechnologyParams::reRam(), 2);
+  t.numArrays = arrays;
+  return t;
+}
+
+/// The first broken rule's name for `inst` on target16(arrays), or ""
+/// when the instruction is legal.
+std::string ruleOf(const Instruction& inst, int arrays = 1) {
+  std::optional<Violation> v = checkInstructionRules(inst, target16(arrays));
+  return v ? ruleName(v->rule) : "";
+}
+
+TEST(InstructionRules, AddressesStayInBounds) {
+  EXPECT_EQ(ruleOf(isa::makeWrite(1, {0, 15}, 15), 2), "");
+  EXPECT_EQ(ruleOf(isa::makeWrite(2, {0}, 0), 2), "address-bounds");
+  EXPECT_EQ(ruleOf(isa::makeWrite(0, {16}, 0), 2), "address-bounds");
+  EXPECT_EQ(ruleOf(isa::makeWrite(0, {0}, 16), 2), "address-bounds");
+  EXPECT_EQ(
+      ruleOf(isa::makeCimRead(0, {3}, {2, 16}, {ir::OpKind::And}), 2),
+      "address-bounds");
+}
+
+TEST(InstructionRules, OutOfBoundsMessagesNameTheRange) {
+  auto message = [](const Instruction& inst) {
+    std::optional<Violation> v = checkInstructionRules(inst, target16(2));
+    return v ? v->message : "no violation";
+  };
+  EXPECT_EQ(message(isa::makeCimRead(0, {3}, {2, 16}, {ir::OpKind::And})),
+            "row 16 outside [0, 16)");
+  EXPECT_EQ(message(isa::makeWrite(0, {17}, 0)), "column 17 outside [0, 16)");
+  EXPECT_EQ(message(isa::makeWrite(2, {0}, 0)), "array id 2 outside [0, 2)");
+}
+
+TEST(InstructionRules, XferEndpointsStayInBounds) {
+  EXPECT_EQ(ruleOf(isa::makeXfer(0, 0, 0, 3, 15, 15), 4), "");
+  // Each endpoint coordinate is checked: destination array, column, row,
+  // then the source side.
+  EXPECT_EQ(ruleOf(isa::makeXfer(0, 0, 0, 4, 0, 0), 4), "address-bounds");
+  EXPECT_EQ(ruleOf(isa::makeXfer(0, 0, 0, 1, 16, 0), 4), "address-bounds");
+  EXPECT_EQ(ruleOf(isa::makeXfer(0, 0, 0, 1, 0, 16), 4), "address-bounds");
+  EXPECT_EQ(ruleOf(isa::makeXfer(0, 16, 0, 1, 0, 0), 4), "address-bounds");
+  EXPECT_EQ(ruleOf(isa::makeXfer(0, 0, 16, 1, 0, 0), 4), "address-bounds");
+}
+
+TEST(InstructionRules, ListsAreAscendingAndUnique) {
+  EXPECT_EQ(ruleOf(isa::makeWrite(0, {5, 3}, 0)), "instruction-shape");
+  EXPECT_EQ(ruleOf(isa::makeCimRead(0, {1}, {3, 3}, {ir::OpKind::And})),
+            "instruction-shape");
+}
+
+TEST(InstructionRules, OpsParallelColumns) {
+  EXPECT_EQ(ruleOf(isa::makeCimRead(0, {1, 2}, {3, 4}, {ir::OpKind::And})),
+            "instruction-shape");
+}
+
+TEST(InstructionRules, RowlessReadChainsEveryColumn) {
+  EXPECT_EQ(ruleOf(isa::makeCimRead(0, {1}, {}, {ir::OpKind::Not}, {true})),
+            "");
+  EXPECT_EQ(
+      ruleOf(isa::makeCimRead(0, {1}, {}, {ir::OpKind::Not}, {false})),
+      "instruction-shape");
 }
 
 /// Acceptance: every program both mappers emit for the paper workloads
@@ -984,7 +1084,6 @@ void expectWorkloadVerifies(const ir::Graph& g, mapping::Strategy strategy) {
       isa::TargetSpec::square(512, device::TechnologyParams::reRam(), 2);
   mapping::CompileOptions copts;
   copts.strategy = strategy;
-  copts.verify = false;  // verified explicitly for the full report
   auto compiled = mapping::compile(g, target, copts);
   VerifyResult r = verifyProgram(g, target, compiled.program);
   EXPECT_TRUE(r.ok()) << r.summary();

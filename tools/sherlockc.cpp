@@ -38,7 +38,6 @@
 #include "support/failpoint.h"
 #include "support/parallel.h"
 #include "support/trace.h"
-#include "verify/verifier.h"
 
 using namespace sherlock;
 
@@ -49,7 +48,6 @@ struct Options {
   // --emit and the compile flags (--target ... --spare-rows, --nand, -O,
   // --default-deadline-ms); under --serve, the daemon-wide defaults.
   serve::RequestOptions compile;
-  bool verify = false;      // --verify: static program verification
   int jobs = 0;             // 0: SHERLOCK_THREADS / hardware default
   bool guarded = false;  // --emit sim: guarded Monte-Carlo execution
   // Compile-service daemon mode (src/serve): a long-running process
@@ -76,6 +74,9 @@ struct Options {
   std::cerr
       << "usage: " << argv0
       << " [options] <kernel.sk> [more.sk ...]\n"
+         "Every compiled program is statically verified (ISA/array\n"
+         "rules and DAG equivalence) before it is emitted; a violation\n"
+         "fails the file and lists each broken rule.\n"
          "  --emit asm|dot|dag|stats|sim|faultmap\n"
          "                             output kind (default asm)\n"
          "  --target <N>               square array dimension (default 512)\n"
@@ -85,9 +86,6 @@ struct Options {
          "                             node substitution (default 2)\n"
          "  --fraction <f>             substitution budget in [0,1]\n"
          "  --nand                     lower XOR/OR to NAND form first\n"
-         "  --verify                   statically verify the compiled\n"
-         "                             program (ISA/array rules + DAG\n"
-         "                             equivalence) and report violations\n"
          "  --jobs <N>                 compile input files with N parallel\n"
          "                             workers (default: SHERLOCK_THREADS\n"
          "                             or hardware concurrency)\n"
@@ -208,7 +206,6 @@ Options parseArgs(int argc, char** argv) {
     else if (arg == "--spare-rows") o.compile.spareRows = nextInt();
     else if (arg == "--guarded") o.guarded = true;
     else if (arg == "--nand") o.compile.nandLower = true;
-    else if (arg == "--verify") o.verify = true;
     else if (arg == "-O") o.compile.aggressive = true;
     else if (arg == "--serve") o.serve = true;
     else if (arg == "--socket") o.socketPath = next();
@@ -275,20 +272,6 @@ std::string processFile(const std::string& inputFile, const Options& opts,
   const device::FaultMap* faultMap =
       compiled.faultMap ? &*compiled.faultMap : nullptr;
 
-  if (opts.verify) {
-    verify::VerifyOptions vopts;
-    vopts.faultMap = faultMap;
-    vopts.spareRows = flow.spareRows;
-    verify::VerifyResult vr =
-        verify::verifyProgram(compiled.graph, target, program, vopts);
-    if (!vr.ok())
-      throw Error(strCat("verification failed (", vr.violations.size(),
-                         " violation", vr.violations.size() == 1 ? "" : "s",
-                         "):\n", vr.summary()));
-    out << "# verify: ok (" << vr.checkedInstructions
-        << " instructions checked)\n";
-  }
-
   if (request.emit == "asm") {
     out << "# sherlockc: " << inputFile << " -> " << target.tech.name << " "
         << request.targetDim << "x" << request.targetDim << ", "
@@ -301,6 +284,7 @@ std::string processFile(const std::string& inputFile, const Options& opts,
     return out.str();
   }
   sim::SimOptions sopts;
+  sopts.staticVerify = false;  // compilePrepared verified the program
   sopts.faultMap = faultMap;
   if (opts.guarded) {
     sopts.guardedExecution = true;
@@ -435,10 +419,6 @@ int main(int argc, char** argv) {
   }
   if (!opts.traceOut.empty()) trace::Tracer::instance().enable();
   if (opts.serve) return runServe(opts);
-
-  // --verify reports every violation itself (processFile) instead of
-  // the flow's first-violation throw.
-  if (opts.verify) setup.flow.verify = false;
 
   struct FileResult {
     std::string text;
