@@ -143,6 +143,19 @@ int main(int argc, char** argv) {
           .set("p_app", r.sim.pApp)
           .set("cim_reads", r.cimReadInstructions)
           .set("round_floor", r.stats.roundFloor);
+      // Latency by cause; the parts sum to latency_ns.
+      Json parts = Json::object();
+      parts.set("stall", r.sim.stallNs)
+          .set("dispatch", r.sim.dispatchNs)
+          .set("cim_sense", r.sim.cimSenseNs)
+          .set("plain_read", r.sim.plainReadNs)
+          .set("buffer_op", r.sim.bufferOpNs)
+          .set("write_issue", r.sim.writeIssueNs)
+          .set("shift", r.sim.shiftNs)
+          .set("xfer_sense", r.sim.xferSenseNs)
+          .set("guarded_resense", r.sim.guardedResenseNs)
+          .set("degrade", r.sim.degradeNs);
+      c.set("latency_parts_ns", std::move(parts));
       configs.push(std::move(c));
     }
     Json root = Json::object();

@@ -111,6 +111,11 @@ struct ArrayState {
 
 }  // namespace
 
+double SimResult::attributedNs() const {
+  return stallNs + dispatchNs + cimSenseNs + plainReadNs + bufferOpNs +
+         writeIssueNs + shiftNs + xferSenseNs + guardedResenseNs + degradeNs;
+}
+
 long SimResult::corruptedLanes() const {
   long n = 0;
   for (uint64_t w : corruptedLaneWords) n += std::popcount(w);
@@ -323,6 +328,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
     ArrayState& arr = arrayAt(inst.arrayId);
 
     now += cost.dispatchLatencyNs();
+    result.dispatchNs += cost.dispatchLatencyNs();
     result.energyPj += cost.dispatchEnergyPj();
     result.instructionCount++;
 
@@ -352,11 +358,14 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
 
         if (inst.rows.empty()) {
           now += kBufferOpLatencyNs;
+          result.bufferOpNs += kBufferOpLatencyNs;
           result.energyPj +=
               0.005 * target.geometry.dataWidthBits *
               static_cast<double>(inst.columns.size());
         } else {
           now += readNs;
+          (inst.colOps.empty() ? result.plainReadNs : result.cimSenseNs) +=
+              readNs;
           result.energyPj += cost.readEnergyPj(
               static_cast<int>(inst.rows.size()),
               static_cast<int>(inst.columns.size()));
@@ -518,14 +527,18 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         if (maxSenses > 1) {
           double extra = maxSenses - 1;
           now += extra * readNs;
+          result.guardedResenseNs += extra * readNs;
           result.energyPj +=
               extra * cost.readEnergyPj(
                           static_cast<int>(inst.rows.size()),
                           static_cast<int>(inst.columns.size()));
         }
         if (degradedCols > 0) {
-          now += static_cast<double>(inst.rows.size()) * readNs +
-                 kBufferOpLatencyNs;
+          double replayNs =
+              static_cast<double>(inst.rows.size()) * readNs +
+              kBufferOpLatencyNs;
+          now += replayNs;
+          result.degradeNs += replayNs;
           result.energyPj += static_cast<double>(inst.rows.size()) *
                              cost.readEnergyPj(1, degradedCols);
         }
@@ -570,6 +583,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
           page.writeIndex[static_cast<size_t>(col)] = static_cast<long>(idx);
         }
         now += writeIssueNs;
+        result.writeIssueNs += writeIssueNs;
         result.energyPj +=
             cost.writeEnergyPj(static_cast<int>(inst.columns.size()));
         break;
@@ -581,6 +595,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
           d = (cols - d) % cols;
         arr.rotate(d);  // bits at column c move to (c + d) % cols
         now += cost.shiftLatencyNs(inst.shiftDistance);
+        result.shiftNs += cost.shiftLatencyNs(inst.shiftDistance);
         result.energyPj += cost.shiftEnergyPj(inst.shiftDistance);
         break;
       }
@@ -634,6 +649,8 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
             senses = guardedSample(idx, truth.data(), effPdf, value);
         }
         now += senses * readNs;
+        result.xferSenseNs += readNs;
+        result.guardedResenseNs += (senses - 1) * readNs;
         result.energyPj += senses * cost.readEnergyPj(1, 1);
 
         // Bus leg: the engine queues for the bus and carries the bit.

@@ -120,6 +120,22 @@ struct SimResult {
   /// Portion of latency spent stalled on read-after-write exposure.
   double stallNs = 0;
 
+  /// Latency by cause. Each part is accumulated beside the clock, so
+  /// stallNs plus these parts sum to latencyNs (up to rounding). Bus
+  /// wait is not a part: the issuing controller never waits for the bus.
+  double dispatchNs = 0;        ///< one dispatch cycle per instruction
+  double cimSenseNs = 0;        ///< first sense of every CIM read
+  double plainReadNs = 0;       ///< first sense of every plain read
+  double bufferOpNs = 0;        ///< rowless row-buffer ops
+  double writeIssueNs = 0;      ///< issue of posted writes
+  double shiftNs = 0;           ///< row-buffer rotations
+  double xferSenseNs = 0;       ///< first sense of every transfer source
+  double guardedResenseNs = 0;  ///< guarded check reads and retries
+  double degradeNs = 0;         ///< single-row replays of degraded ops
+
+  /// stallNs plus every latency part: latencyNs, summed in another order.
+  double attributedNs() const;
+
   /// Application failure probability (paper Sec. 4.2).
   double pApp = 0;
   /// Scouting column-operations executed (the N of the P_app product).

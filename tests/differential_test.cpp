@@ -122,6 +122,7 @@ void runSeed(uint64_t seed) {
       sim::SimResult res = sim::simulate(g, target, compiled.program, sopts);
       ASSERT_TRUE(res.verified);
       ASSERT_GT(res.latencyNs, 0.0);
+      ASSERT_NEAR(res.attributedNs(), res.latencyNs, 1e-9 * res.latencyNs);
     }
   }
 }
@@ -183,6 +184,7 @@ void runFaultSeed(uint64_t seed) {
     ASSERT_TRUE(res.verified);
     ASSERT_EQ(res.stuckCellReads, 0)
         << "fault-aware placement let a stuck cell be sensed";
+    ASSERT_NEAR(res.attributedNs(), res.latencyNs, 1e-9 * res.latencyNs);
   }
 }
 
@@ -275,6 +277,7 @@ void runMultiArraySeed(uint64_t seed, long& shardedRuns) {
       sim::SimResult res = sim::simulate(g, target, compiled.program, sopts);
       ASSERT_TRUE(res.verified);
       ASSERT_GT(res.latencyNs, 0.0);
+      ASSERT_NEAR(res.attributedNs(), res.latencyNs, 1e-9 * res.latencyNs);
     }
 
     // Fault-injected variant: dense persistent faults, spare-row repair,
@@ -316,6 +319,7 @@ void runMultiArraySeed(uint64_t seed, long& shardedRuns) {
     ASSERT_TRUE(res.verified);
     ASSERT_EQ(res.stuckCellReads, 0)
         << "fault-aware placement let a stuck cell be sensed";
+    ASSERT_NEAR(res.attributedNs(), res.latencyNs, 1e-9 * res.latencyNs);
   }
 }
 
