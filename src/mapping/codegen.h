@@ -16,11 +16,17 @@
 //
 // The optimized flow does each wave's movement first, then emits its CIM
 // reads in column-parallel rounds: round r holds the r-th op of every
-// execution column (columns ascending, each column's ops oldest operands
-// first). Before a round, the latched values its reads would displace
-// are flushed — two or more on one array into a row free in all of their
-// columns, so the writes fold into one and later reads of those values
-// activate the same rows.
+// execution column (each column's ops oldest operands first). Before a
+// round, the latched values its reads would displace are flushed — two
+// or more on one array into a row free in all of their columns, so the
+// writes fold into one and later reads of those values activate the same
+// rows. Each op's chained operand (the one it takes from the row buffer)
+// is decided once, at the start of its round. The round then emits its
+// shift-free ops (no chained operand, or one already latched in the op's
+// column), then one group per (array, rotation): the group's chained
+// operands are plain-read where not yet latched, rotated into place by
+// one shift, and consumed by the group's reads. Each part's reads go in
+// the order of the rows they activate.
 //
 // Cross-cluster instruction merging (Sec. 3.3.3) is performed inline:
 // an emitted instruction is folded into its immediate predecessor whenever

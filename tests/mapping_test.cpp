@@ -740,11 +740,26 @@ TEST(Codegen, RoundsMergeAcrossColumns) {
       ++cimReads;
       columnOps += static_cast<long>(inst.colOps.size());
     }
-  EXPECT_GE(columnOps, 3 * cimReads)
+  EXPECT_GE(columnOps, 6 * cimReads)
       << columnOps << " column ops in " << cimReads << " CIM reads";
   // The round floor bounds the CIM reads from below.
   EXPECT_GT(compiled.program.stats.roundFloor, 0);
   EXPECT_GE(cimReads, compiled.program.stats.roundFloor);
+}
+
+TEST(Codegen, ChainedOperandsShareShifts) {
+  // A round's ops whose chained operands need the same rotation share
+  // one shift, so most chained operands arrive without a shift of their
+  // own.
+  workloads::SobelSpec spec;
+  spec.width = 16;
+  ir::Graph g = transforms::canonicalize(workloads::buildSobel(spec));
+  auto compiled = compile(g, smallTarget(1024));
+  const CodegenStats& stats = compiled.program.stats;
+  EXPECT_GT(stats.chainedOperands, 0);
+  EXPECT_LE(4 * stats.shifts, stats.chainedOperands)
+      << stats.shifts << " shifts for " << stats.chainedOperands
+      << " chained operands";
 }
 
 TEST(Codegen, AlignedWritesAvoidFaultsAndSpareRows) {
