@@ -3,11 +3,14 @@
 // write-back with row-buffer operand chaining, and the clustering
 // refinement pass — each toggled off individually against the full
 // optimized configuration. The (workload x variant) grid runs
-// concurrently; rows print in grid order.
+// concurrently; rows print in grid order. With --json, each cell is one
+// config keyed by its variant, so compare_bench.py gates its modeled
+// latency and energy against BENCH_ablation_merge.json.
 #include <iostream>
 #include <map>
 
 #include "bench/common.h"
+#include "bench/json.h"
 #include "support/parallel.h"
 #include "support/table.h"
 
@@ -31,9 +34,16 @@ struct Cell {
   const Variant* variant;
 };
 
+struct CellResult {
+  mapping::CodegenStats stats;
+  long instructions = 0;
+  sim::SimResult sim;
+};
+
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  std::string jsonPath = jsonPathArg(argc, argv);
   const Variant variants[] = {
       {"full opt", true, false, true, 2},
       {"no instruction merging", false, false, true, 2},
@@ -53,7 +63,7 @@ int main() {
   for (const char* workload : kWorkloads)
     graphs.emplace(workload, makeWorkload(workload));
 
-  auto rows = parallelMap(grid, [&](const Cell& cell) {
+  auto results = parallelMap(grid, [&](const Cell& cell) {
     const Variant& v = *cell.variant;
     const ir::Graph& g = graphs.at(cell.workload);
     isa::TargetSpec target =
@@ -72,22 +82,56 @@ int main() {
     if (!r.verified)
       throw Error(strCat("verification failed: ", cell.workload, " / ",
                          v.name));
-    return std::vector<std::string>{
-        cell.workload, v.name,
-        std::to_string(compiled.program.instructions.size()),
-        std::to_string(compiled.program.stats.spillWrites),
-        std::to_string(compiled.program.stats.chainedOperands),
-        std::to_string(compiled.program.stats.mergedInstructions),
-        Table::num(r.latencyUs(), 2), Table::num(r.energyUj(), 2)};
+    return CellResult{compiled.program.stats,
+                      static_cast<long>(compiled.program.instructions.size()),
+                      std::move(r)};
   });
 
   Table t("Ablation A2 — optimized-flow features (512x512 ReRAM)");
   t.setHeader({"Benchmark", "variant", "instructions", "spill writes",
                "chained", "merged", "latency (us)", "energy (uJ)"});
-  for (size_t i = 0; i < rows.size(); ++i) {
-    t.addRow(rows[i]);
+  Json configs = Json::array();
+  for (size_t i = 0; i < results.size(); ++i) {
+    const Cell& cell = grid[i];
+    const CellResult& r = results[i];
+    t.addRow({cell.workload, cell.variant->name,
+              std::to_string(r.instructions),
+              std::to_string(r.stats.spillWrites),
+              std::to_string(r.stats.chainedOperands),
+              std::to_string(r.stats.mergedInstructions),
+              Table::num(r.sim.latencyUs(), 2),
+              Table::num(r.sim.energyUj(), 2)});
     if ((i + 1) % std::size(variants) == 0) t.addSeparator();
+    Json c = Json::object();
+    c.set("workload", cell.workload)
+        .set("tech", "ReRAM")
+        .set("array_dim", 512)
+        .set("strategy", "opt")
+        .set("mra", 2)
+        .set("variant", cell.variant->name)
+        .set("latency_ns", r.sim.latencyNs)
+        .set("energy_pj", r.sim.energyPj)
+        .set("instructions", r.instructions)
+        .set("spill_writes", r.stats.spillWrites)
+        .set("shifts", r.stats.shifts)
+        .set("chained_operands", r.stats.chainedOperands)
+        .set("merged_instructions", r.stats.mergedInstructions);
+    configs.push(std::move(c));
   }
   t.print(std::cout);
+
+  if (!jsonPath.empty()) {
+    Json root = Json::object();
+    root.set("schema_version", kBenchSchemaVersion)
+        .set("title", "Ablation A2 — optimized-flow features")
+        .set("benchmark",
+             "bench_ablation_merge: each optimized-flow feature toggled "
+             "off against full opt (512x512 ReRAM, MRA 2)")
+        .set("metric",
+             "analytic latency_ns and energy_pj per (workload, variant) "
+             "config (deterministic)")
+        .set("configs", std::move(configs));
+    writeJson(jsonPath, root);
+  }
   return 0;
 }

@@ -6,8 +6,8 @@ Usage: compare_bench.py BASELINE.json CURRENT.json
 Both artifacts may carry a "configs" array whose entries describe one
 benchmark point each; entries are matched on (workload, tech,
 array_dim, strategy, mra, cache_size, fraction, fault_density,
-spare_rows, guarded) — a field an artifact does not carry is None — and
-gated exactly: on every shared config, each of
+spare_rows, guarded, variant) — a field an artifact does not carry is
+None — and gated exactly: on every shared config, each of
 
   * latency_ns and energy_pj — the modeled latency and energy
     (wall-clock-free analytic/simulated values; benches report
@@ -51,6 +51,7 @@ def config_key(c):
         c.get("fault_density"),
         c.get("spare_rows"),
         c.get("guarded"),
+        c.get("variant"),
     )
 
 
