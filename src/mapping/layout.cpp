@@ -169,28 +169,10 @@ std::optional<int> Layout::commonFreeRow(std::span<const ColumnRef> columns) {
   return std::nullopt;
 }
 
-bool Layout::isPlaced(ir::NodeId value) const {
-  return !placements(value).empty();
-}
-
-std::optional<CellAddress> Layout::placementIn(ir::NodeId value,
-                                               ColumnRef where) const {
-  for (const CellAddress& cell : placements(value))
-    if (cell.arrayId == where.arrayId && cell.col == where.col) return cell;
-  return std::nullopt;
-}
-
 std::optional<CellAddress> Layout::anyPlacement(ir::NodeId value) const {
   const auto& cells = placements(value);
   if (cells.empty()) return std::nullopt;
   return cells.front();
-}
-
-const PlacementList& Layout::placements(ir::NodeId value) const {
-  static const PlacementList kNone;
-  if (value < 0 || static_cast<size_t>(value) >= placements_.size())
-    return kNone;
-  return placements_[static_cast<size_t>(value)];
 }
 
 void Layout::freeCell(const CellAddress& cell) {

@@ -193,4 +193,24 @@ class Layout {
   int peakLiveCells_ = 0;
 };
 
+// The code generator asks these on every operand of every op; defined
+// here so that they inline.
+inline const PlacementList& Layout::placements(ir::NodeId value) const {
+  static const PlacementList kNone;
+  if (value < 0 || static_cast<size_t>(value) >= placements_.size())
+    return kNone;
+  return placements_[static_cast<size_t>(value)];
+}
+
+inline bool Layout::isPlaced(ir::NodeId value) const {
+  return !placements(value).empty();
+}
+
+inline std::optional<CellAddress> Layout::placementIn(ir::NodeId value,
+                                                      ColumnRef where) const {
+  for (const CellAddress& cell : placements(value))
+    if (cell.arrayId == where.arrayId && cell.col == where.col) return cell;
+  return std::nullopt;
+}
+
 }  // namespace sherlock::mapping
