@@ -35,23 +35,9 @@ uint8_t g16Mul(uint8_t a, uint8_t b) {
 /// basis-change matrices (row i gives output bit i as an XOR of inputs).
 struct Tower {
   uint8_t lambda = 0;
-  std::array<uint8_t, 8> toTower{};    // AES bits -> tower bits
-  std::array<uint8_t, 8> fromTower{};  // tower bits -> AES bits
+  std::array<uint8_t, 8> toTower{};          // AES bits -> tower bits
   std::array<uint8_t, 8> fromTowerAffine{};  // tower bits -> S-box bits
-  // Inverse S-box support: y -> tower(invAffine(y)) plus the constant
-  // already folded through the matrix.
-  std::array<uint8_t, 8> invAffineToTower{};
-  uint8_t invAffineToTowerConst = 0;
 };
-
-/// Applies a GF(2) 8x8 row-mask matrix to a byte.
-uint8_t applyMatrixByte(const std::array<uint8_t, 8>& m, uint8_t v) {
-  uint8_t r = 0;
-  for (int i = 0; i < 8; ++i)
-    if (__builtin_parity(m[static_cast<size_t>(i)] & v))
-      r |= static_cast<uint8_t>(1 << i);
-  return r;
-}
 
 /// Row-mask matrix product: (a . b)(x) == a(b(x)).
 std::array<uint8_t, 8> composeMatrices(const std::array<uint8_t, 8>& a,
@@ -145,7 +131,6 @@ Tower deriveTower() {
   }
 
   // Post matrix: AES affine layer composed with tower->AES basis change.
-  t.fromTower = invertMatrix(t.toTower);
   std::array<uint8_t, 8> affine{};
   for (int i = 0; i < 8; ++i) {
     uint8_t mask = 0;
@@ -153,14 +138,7 @@ Tower deriveTower() {
       mask |= static_cast<uint8_t>(1 << ((i + off) % 8));
     affine[static_cast<size_t>(i)] = mask;
   }
-  t.fromTowerAffine = composeMatrices(affine, t.fromTower);
-
-  // Inverse S-box entry: tower(A^-1 y) with the constant A^-1(0x63)
-  // folded through the tower basis change.
-  std::array<uint8_t, 8> invAffine = invertMatrix(affine);
-  t.invAffineToTower = composeMatrices(t.toTower, invAffine);
-  t.invAffineToTowerConst =
-      applyMatrixByte(t.toTower, applyMatrixByte(invAffine, 0x63));
+  t.fromTowerAffine = composeMatrices(affine, invertMatrix(t.toTower));
   return t;
 }
 
@@ -281,37 +259,6 @@ class AesCircuit {
     return out;
   }
 
-  /// The bit-sliced inverse S-box: invAffine (with its constant folded
-  /// into the tower entry matrix), tower inversion, then the plain
-  /// tower->AES basis change.
-  std::array<NodeId, 8> invSboxSlices(const std::array<NodeId, 8>& in) {
-    auto t = applyMatrix(tower_.invAffineToTower, in);
-    for (int i = 0; i < 8; ++i)
-      if (tower_.invAffineToTowerConst & (1 << i))
-        t[static_cast<size_t>(i)] =
-            g_.addOp(OpKind::Not, {t[static_cast<size_t>(i)]});
-    return applyMatrix(tower_.fromTower, towerInverse(t));
-  }
-
-  /// Multiplies a byte's slices by a GF(2^8) constant (a linear map; the
-  /// matrix is derived on the host). Used by InvMixColumns' 9/11/13/14
-  /// coefficients.
-  std::array<NodeId, 8> mulConstSlices(uint8_t constant,
-                                       const std::array<NodeId, 8>& in) {
-    std::array<uint8_t, 8> m{};
-    for (int rowBit = 0; rowBit < 8; ++rowBit) {
-      uint8_t mask = 0;
-      for (int colIdx = 0; colIdx < 8; ++colIdx) {
-        uint8_t image = aes::gfMul(constant,
-                                   static_cast<uint8_t>(1 << colIdx));
-        if (image & (1 << rowBit))
-          mask |= static_cast<uint8_t>(1 << colIdx);
-      }
-      m[static_cast<size_t>(rowBit)] = mask;
-    }
-    return applyMatrix(m, in);
-  }
-
  private:
   Graph& g_;
   const Tower& tower_;
@@ -422,85 +369,7 @@ Graph buildAes(const AesSpec& spec) {
   return g;
 }
 
-Graph buildAesDecrypt(const AesSpec& spec) {
-  checkArg(spec.rounds >= 1 && spec.rounds <= 10,
-           "rounds must be in [1, 10]");
-  Graph g;
-  Tower tower = deriveTower();
-  AesCircuit circuit(g, tower);
-
-  State state(128);
-  for (int k = 0; k < 128; ++k)
-    state[static_cast<size_t>(k)] = g.addInput(strCat("ct.", k));
-
-  auto roundKey = [&](int r) {
-    State rk(128);
-    for (int k = 0; k < 128; ++k)
-      rk[static_cast<size_t>(k)] = g.addInput(strCat("rk", r, ".", k));
-    return rk;
-  };
-  auto addRoundKey = [&](State& s, const State& rk) {
-    for (int k = 0; k < 128; ++k)
-      s[static_cast<size_t>(k)] = g.addOp(
-          OpKind::Xor,
-          {s[static_cast<size_t>(k)], rk[static_cast<size_t>(k)]});
-  };
-  auto invSubBytes = [&](State& s) {
-    for (int byteIdx = 0; byteIdx < 16; ++byteIdx)
-      setByte(s, byteIdx, circuit.invSboxSlices(byteOf(s, byteIdx)));
-  };
-  auto invShiftRows = [&](State& s) {
-    State t = s;
-    for (int row = 0; row < 4; ++row)
-      for (int col = 0; col < 4; ++col)
-        setByte(s, 4 * ((col + row) % 4) + row, byteOf(t, 4 * col + row));
-  };
-  auto xorBytes = [&](const std::array<NodeId, 8>& a,
-                      const std::array<NodeId, 8>& b) {
-    std::array<NodeId, 8> out{};
-    for (int i = 0; i < 8; ++i)
-      out[static_cast<size_t>(i)] =
-          circuit.x2(a[static_cast<size_t>(i)], b[static_cast<size_t>(i)]);
-    return out;
-  };
-  auto invMixColumns = [&](State& s) {
-    // InvMixColumns coefficients rotate through {14, 11, 13, 9}.
-    const uint8_t coef[4] = {14, 11, 13, 9};
-    for (int col = 0; col < 4; ++col) {
-      std::array<std::array<NodeId, 8>, 4> in;
-      for (int rowIdx = 0; rowIdx < 4; ++rowIdx)
-        in[static_cast<size_t>(rowIdx)] = byteOf(s, 4 * col + rowIdx);
-      for (int rowIdx = 0; rowIdx < 4; ++rowIdx) {
-        std::array<NodeId, 8> acc = circuit.mulConstSlices(
-            coef[(4 - rowIdx) % 4], in[0]);
-        for (int k = 1; k < 4; ++k)
-          acc = xorBytes(acc, circuit.mulConstSlices(
-                                  coef[(k + 4 - rowIdx) % 4],
-                                  in[static_cast<size_t>(k)]));
-        setByte(s, 4 * col + rowIdx, acc);
-      }
-    }
-  };
-
-  addRoundKey(state, roundKey(spec.rounds));
-  invShiftRows(state);
-  invSubBytes(state);
-  for (int r = spec.rounds - 1; r >= 1; --r) {
-    addRoundKey(state, roundKey(r));
-    invMixColumns(state);
-    invShiftRows(state);
-    invSubBytes(state);
-  }
-  addRoundKey(state, roundKey(0));
-
-  for (NodeId s : state) g.markOutput(s);
-  return g;
-}
-
-namespace {
-
-std::map<std::string, uint64_t> packBlocks(
-    const char* prefix,
+std::map<std::string, uint64_t> packPlaintext(
     const std::vector<std::array<uint8_t, 16>>& blocks) {
   checkArg(blocks.size() <= 64, "at most 64 blocks per bulk word");
   std::map<std::string, uint64_t> inputs;
@@ -510,21 +379,9 @@ std::map<std::string, uint64_t> packBlocks(
       uint8_t byte = blocks[lane][static_cast<size_t>(k / 8)];
       if ((byte >> (k % 8)) & 1) word |= uint64_t{1} << lane;
     }
-    inputs[strCat(prefix, ".", k)] = word;
+    inputs[strCat("pt.", k)] = word;
   }
   return inputs;
-}
-
-}  // namespace
-
-std::map<std::string, uint64_t> packPlaintext(
-    const std::vector<std::array<uint8_t, 16>>& blocks) {
-  return packBlocks("pt", blocks);
-}
-
-std::map<std::string, uint64_t> packCiphertext(
-    const std::vector<std::array<uint8_t, 16>>& blocks) {
-  return packBlocks("ct", blocks);
 }
 
 std::map<std::string, uint64_t> packRoundKeys(

@@ -33,18 +33,9 @@ struct AesSpec {
 /// slices, in bit order.
 ir::Graph buildAes(const AesSpec& spec = {});
 
-/// Builds the bit-sliced AES inverse cipher (decryption). Inputs: "ct.k"
-/// plus the same "rk<r>.k" round keys as buildAes. Outputs: the 128
-/// plaintext slices.
-ir::Graph buildAesDecrypt(const AesSpec& spec = {});
-
 /// Packs up to 64 blocks into bit-sliced input words for the "pt.*"
 /// inputs (block b occupies bulk lane b).
 std::map<std::string, uint64_t> packPlaintext(
-    const std::vector<std::array<uint8_t, 16>>& blocks);
-
-/// Same layout for the inverse cipher's "ct.*" inputs.
-std::map<std::string, uint64_t> packCiphertext(
     const std::vector<std::array<uint8_t, 16>>& blocks);
 
 /// Packs the expanded round keys of `key` into "rk<r>.*" input words

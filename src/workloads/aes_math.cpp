@@ -42,19 +42,6 @@ uint8_t sbox(uint8_t x) {
   return r ^ 0x63;
 }
 
-uint8_t invSbox(uint8_t x) {
-  // Inverse affine layer: bit i of t = x_{i+2} ^ x_{i+5} ^ x_{i+7} ^ c
-  // with constant 0x05, then field inversion.
-  uint8_t t = 0;
-  for (int i = 0; i < 8; ++i) {
-    int bit = ((x >> ((i + 2) % 8)) ^ (x >> ((i + 5) % 8)) ^
-               (x >> ((i + 7) % 8))) &
-              1;
-    t |= static_cast<uint8_t>(bit << i);
-  }
-  return gfInv(t ^ 0x05);
-}
-
 std::array<std::array<uint8_t, 16>, 11> expandKey(
     const std::array<uint8_t, 16>& key) {
   std::array<std::array<uint8_t, 16>, 11> roundKeys;
@@ -118,53 +105,7 @@ void mixColumns(std::array<uint8_t, 16>& s) {
   }
 }
 
-void invSubBytes(std::array<uint8_t, 16>& s) {
-  for (auto& b : s) b = invSbox(b);
-}
-
-void invShiftRows(std::array<uint8_t, 16>& s) {
-  std::array<uint8_t, 16> t = s;
-  for (int row = 0; row < 4; ++row)
-    for (int col = 0; col < 4; ++col)
-      s[static_cast<size_t>(4 * ((col + row) % 4) + row)] =
-          t[static_cast<size_t>(4 * col + row)];
-}
-
-void invMixColumns(std::array<uint8_t, 16>& s) {
-  for (int col = 0; col < 4; ++col) {
-    uint8_t* c = &s[static_cast<size_t>(4 * col)];
-    uint8_t a0 = c[0], a1 = c[1], a2 = c[2], a3 = c[3];
-    c[0] = static_cast<uint8_t>(gfMul(a0, 14) ^ gfMul(a1, 11) ^
-                                gfMul(a2, 13) ^ gfMul(a3, 9));
-    c[1] = static_cast<uint8_t>(gfMul(a0, 9) ^ gfMul(a1, 14) ^
-                                gfMul(a2, 11) ^ gfMul(a3, 13));
-    c[2] = static_cast<uint8_t>(gfMul(a0, 13) ^ gfMul(a1, 9) ^
-                                gfMul(a2, 14) ^ gfMul(a3, 11));
-    c[3] = static_cast<uint8_t>(gfMul(a0, 11) ^ gfMul(a1, 13) ^
-                                gfMul(a2, 9) ^ gfMul(a3, 14));
-  }
-}
-
 }  // namespace
-
-std::array<uint8_t, 16> decryptBlock(const std::array<uint8_t, 16>& cipher,
-                                     const std::array<uint8_t, 16>& key,
-                                     int rounds) {
-  checkArg(rounds >= 1 && rounds <= 10, "rounds must be in [1, 10]");
-  auto rk = expandKey(key);
-  std::array<uint8_t, 16> s = cipher;
-  addRoundKey(s, rk[static_cast<size_t>(rounds)]);
-  invShiftRows(s);
-  invSubBytes(s);
-  for (int r = rounds - 1; r >= 1; --r) {
-    addRoundKey(s, rk[static_cast<size_t>(r)]);
-    invMixColumns(s);
-    invShiftRows(s);
-    invSubBytes(s);
-  }
-  addRoundKey(s, rk[0]);
-  return s;
-}
 
 std::array<uint8_t, 16> encryptBlock(const std::array<uint8_t, 16>& plain,
                                      const std::array<uint8_t, 16>& key,

@@ -19,9 +19,6 @@ uint8_t gfInv(uint8_t a);
 /// The AES S-box: affine(gfInv(x)).
 uint8_t sbox(uint8_t x);
 
-/// The inverse S-box: gfInv(invAffine(x)).
-uint8_t invSbox(uint8_t x);
-
 /// AES-128 key expansion: 11 round keys of 16 bytes.
 std::array<std::array<uint8_t, 16>, 11> expandKey(
     const std::array<uint8_t, 16>& key);
@@ -29,12 +26,6 @@ std::array<std::array<uint8_t, 16>, 11> expandKey(
 /// Reference AES-128 block encryption (optionally reduced rounds, for
 /// circuit tests; rounds in [1, 10], 10 = full AES).
 std::array<uint8_t, 16> encryptBlock(const std::array<uint8_t, 16>& plain,
-                                     const std::array<uint8_t, 16>& key,
-                                     int rounds = 10);
-
-/// Reference AES-128 block decryption (inverse cipher, matching
-/// encryptBlock's reduced-round semantics).
-std::array<uint8_t, 16> decryptBlock(const std::array<uint8_t, 16>& cipher,
                                      const std::array<uint8_t, 16>& key,
                                      int rounds = 10);
 
