@@ -12,22 +12,28 @@ None — and gated exactly: on every shared config, each of
   * latency_ns and energy_pj — the modeled latency and energy
     (wall-clock-free analytic/simulated values; benches report
     machine-dependent wall-clock under other names precisely so it is
-    never gated here), and
+    never gated here), and each entry of latency_parts_ns, the same
+    latency by cause,
+  * the program counts cim_reads and round_floor (Table 2) and
+    instructions, spill_writes, shifts, chained_operands and
+    merged_instructions (the merge ablation), and
   * hit_rate — deterministic cache-replay hit rates,
 
 must match the baseline within 1e-9 relative (absolute below 1), in
-either direction. These values are bit-reproducible: the model uses
-only +, *, /, log2 of a power of two and sqrt. Any drift means the
-emitted programs, the model or the cache keying changed — regenerate
-the baseline in the change that explains it. The geometric-mean
-latency ratio is printed for reference.
+either direction, wherever both sides carry it. These values are
+bit-reproducible: the model uses only +, *, /, log2 of a power of two
+and sqrt. (p_app is not gated: it goes through erfc, whose last bits
+may differ between libm builds.) Any drift means the emitted programs,
+the model or the cache keying changed — regenerate the baseline in the
+change that explains it. Drifted values are listed per config; the
+geometric-mean latency ratio is printed for reference.
 
 An artifact that repeats a config key among its gateable configs
 fails: the repeats would collapse into one gated entry and the others
 would go unchecked.
 
 A pair with nothing to gate — one side has no gateable configs, e.g.
-BENCH_6.json's Monte-Carlo wall-clock record — fails: a gate that
+a record of wall-clock timings only — fails: a gate that
 compares nothing would pass forever without anyone noticing. When BOTH
 sides carry gateable configs and they share none, the gate fails too —
 that is a config-key mismatch (renamed workload, changed key schema).
@@ -59,10 +65,17 @@ def is_number(val):
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
+def metric_value(c, metric):
+    """A config's value of `metric`; "a.b" names entry b of dict a."""
+    field, _, entry = metric.partition(".")
+    val = c.get(field)
+    return val.get(entry) if entry and isinstance(val, dict) else val
+
+
 def metric_configs(doc, metric, positive=True):
     out = {}
     for c in doc.get("configs", []):
-        val = c.get(metric)
+        val = metric_value(c, metric)
         if is_number(val):
             if positive and val <= 0:
                 continue
@@ -74,7 +87,7 @@ def repeated_keys(doc):
     """Config keys that more than one gateable config of `doc` carries."""
     seen, repeated = set(), set()
     for c in doc.get("configs", []):
-        if not any(is_number(c.get(m)) for m in GATED_METRICS):
+        if not any(is_number(c.get(m)) for m in GATED_FIELDS):
             continue
         key = config_key(c)
         if key in seen:
@@ -88,7 +101,18 @@ def key_name(key):
 
 
 TOLERANCE = 1e-9
-GATED_METRICS = ("latency_ns", "energy_pj", "hit_rate")
+GATED_FIELDS = ("latency_ns", "energy_pj", "hit_rate", "cim_reads",
+                "round_floor", "instructions", "spill_writes", "shifts",
+                "chained_operands", "merged_instructions")
+PARTS = "latency_parts_ns"
+
+
+def gated_metrics(*docs):
+    """GATED_FIELDS, then one "latency_parts_ns.<cause>" per cause any
+    config of `docs` carries."""
+    parts = {part for doc in docs for c in doc.get("configs", [])
+             if isinstance(c.get(PARTS), dict) for part in c[PARTS]}
+    return list(GATED_FIELDS) + [f"{PARTS}.{p}" for p in sorted(parts)]
 
 
 def print_latency_geomean(base, cur):
@@ -116,13 +140,12 @@ def gate_exact(base, cur, metric):
         return False, (len(base_val), len(cur_val))
 
     failed = False
-    print(f"{'config':<52} {'base ' + metric:>18} {'cur ' + metric:>18}")
     for key in shared:
         b, c = base_val[key], cur_val[key]
-        drifted = abs(c - b) > TOLERANCE * max(1.0, abs(b))
-        mark = "  <-- DRIFT" if drifted else ""
-        print(f"{key_name(key):<52} {b:>18.10g} {c:>18.10g}{mark}")
-        failed |= drifted
+        if abs(c - b) > TOLERANCE * max(1.0, abs(b)):
+            print(f"{key_name(key)}: {metric} {b:.10g} -> {c:.10g}"
+                  f"  <-- DRIFT")
+            failed = True
     if failed:
         print(f"compare_bench: FAIL — deterministic {metric} drifted from "
               f"the baseline")
@@ -164,7 +187,7 @@ def main():
 
     counts = {}
     failed = False
-    for metric in GATED_METRICS:
+    for metric in gated_metrics(base, cur):
         metric_failed, counts[metric] = gate_exact(base, cur, metric)
         failed |= metric_failed
     print_latency_geomean(base, cur)

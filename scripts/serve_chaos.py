@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Deterministic chaos soak for the resilient serve daemon (Issue 10).
+"""Deterministic chaos soak for the resilient serve daemon.
 
 Drives `sherlockc --serve --socket` through six adversarial phases and
 holds it to one contract: **every** response is either byte-identical
 to the clean-run reference payload or a structured `ERR`/`BUSY`
 record — never a crash, a hang, or a torn response.
 
-  1. reference  — clean stdin run records the expected payload per
-                  kernel (the byte-identity oracle for every later
-                  phase).
+  1. clean      — one stdin session, three passes over every kernel:
+                  cold, identical source (a direct-memo hit), and
+                  source plus a comment (a canonical-level hit), each
+                  byte-identical to the cold payload; then STATS and
+                  TRACE. The cold payloads are the byte-identity
+                  oracle for every later phase.
   2. faults     — daemon under seeded `parse:<p>,compile:<p>`
                   failpoints; repeated requests must each be a
                   byte-identical success or `code=injected_fault`.
@@ -37,6 +40,12 @@ Usage: serve_chaos.py [--sherlockc build/tools/sherlockc]
                       [--kernels examples/kernels] [--target 128]
                       [--seed 7] [--cycles 3] [--rounds 6]
                       [--timeout 60] [--report chaos_report.json]
+                      [--trace-out TRACE.json] [--metrics-out METRICS.json]
+
+--trace-out and --metrics-out apply to the clean daemon only, which
+writes both files on exit (for check_trace.py or artifact upload);
+without --trace-out its TRACE response must still parse, but carries
+no spans.
 """
 
 import argparse
@@ -50,8 +59,8 @@ import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from serve_client import (ProtocolError, SessionTimeout, SocketSession,
-                          frame_request, parse_record,
+from serve_client import (ByteStream, ProtocolError, SessionTimeout,
+                          SocketSession, frame_request, parse_record,
                           request_with_backoff)  # noqa: E402
 
 import random  # noqa: E402
@@ -134,38 +143,108 @@ def request_options(target):
     return {"lang": "kernel", "target": target}
 
 
-def phase_reference(args, kernels):
-    """Clean stdin run: the byte-identity oracle."""
+def phase_clean(args, kernels):
+    """One clean stdin session in three passes over every kernel.
+
+    Pass 1 is cold (hit=0). Pass 2 sends the identical source and must
+    be a direct-memo hit (hit=1 direct=1); pass 3 appends a comment,
+    which misses the direct memo but hits the canonical level (hit=1
+    direct=0). Both payloads must be byte-identical to pass 1's, whose
+    payloads become the byte-identity oracle of every later phase. STATS
+    must count every request and a nonzero hit rate; TRACE must be
+    Chrome trace JSON, carrying the request lifecycle spans when
+    --trace-out turned the tracer on.
+    """
     script = ""
-    for name, source in kernels:
-        script += frame_request(name, source, request_options(args.target))
-    script += "FLUSH\nQUIT\n"
-    proc = subprocess.run([args.sherlockc, "--serve"],
-                          input=script.encode(), capture_output=True,
+    for rep in (1, 2, 3):
+        for name, source in kernels:
+            if rep == 3:
+                # A different direct-memo key, the same canonical form.
+                source = source.rstrip("\n") + "\n// canonical-hit probe"
+            script += frame_request(f"pass{rep}-{name}", source,
+                                    request_options(args.target))
+        script += "FLUSH\n"
+    script += "STATS\nTRACE\nQUIT\n"
+    cmd = [args.sherlockc, "--serve"]
+    if args.trace_out:
+        cmd += ["--trace-out", args.trace_out]
+    if args.metrics_out:
+        cmd += ["--metrics-out", args.metrics_out]
+    proc = subprocess.run(cmd, input=script.encode(), capture_output=True,
                           timeout=args.timeout)
     if proc.returncode != 0:
         raise ChaosFailure(
-            f"reference run exited {proc.returncode}: "
+            f"clean run exited {proc.returncode}: "
             f"{proc.stderr.decode(errors='replace')}")
-    reference, pos, raw = {}, 0, proc.stdout
-    while pos < len(raw):
-        nl = raw.find(b"\n", pos)
-        if nl < 0:
-            break
-        header = raw[pos:nl].decode()
-        pos = nl + 1
-        fields = dict(t.split("=", 1) for t in header.split() if "=" in t)
-        n = int(fields.get("bytes", 0))
-        tokens = header.split()
-        if tokens[0] == "RESP":
-            if tokens[2] != "ok":
-                raise ChaosFailure(f"reference compile failed: {header}")
-            reference[tokens[1]] = raw[pos:pos + n]
-        pos += n
-    missing = [n for n, _ in kernels if n not in reference]
-    if missing:
-        raise ChaosFailure(f"reference run missing responses: {missing}")
-    return reference
+
+    responses, docs = {}, {}
+    stream = ByteStream(proc.stdout)
+    while not stream.at_end():
+        record = parse_record(stream)
+        if record["kind"] == "RESP":
+            if record["status"] != "ok":
+                raise ChaosFailure(
+                    f"clean: {record['id']} failed: "
+                    f"{record['payload'].decode(errors='replace')[:200]}")
+            responses[record["id"]] = record
+        elif record["kind"] in ("STATS-RESP", "TRACE-RESP"):
+            try:
+                docs[record["kind"]] = json.loads(record["payload"])
+            except ValueError as e:
+                raise ChaosFailure(f"clean: {record['kind']} is not JSON: "
+                                   f"{e}")
+        else:
+            raise ChaosFailure(f"clean: unexpected line {record['line']!r}")
+
+    want = {1: {"hit": "0"}, 2: {"hit": "1", "direct": "1"},
+            3: {"hit": "1", "direct": "0"}}
+    reference = {}
+    for name, _ in kernels:
+        passes = {rep: responses.get(f"pass{rep}-{name}") for rep in want}
+        if None in passes.values():
+            raise ChaosFailure(f"clean: missing a response for {name}")
+        for rep, fields in want.items():
+            got = {k: passes[rep]["fields"].get(k) for k in fields}
+            if got != fields:
+                raise ChaosFailure(
+                    f"clean: pass {rep} of {name} read {got}, "
+                    f"expected {fields}")
+            if passes[rep]["payload"] != passes[1]["payload"]:
+                raise ChaosFailure(
+                    f"clean: pass {rep} payload of {name} differs from "
+                    f"the cold compile")
+        reference[name] = passes[1]["payload"]
+
+    stats, trace = docs.get("STATS-RESP"), docs.get("TRACE-RESP")
+    if stats is None or trace is None:
+        raise ChaosFailure("clean: no STATS or no TRACE response")
+    counters = stats.get("counters", {})
+    gauges = stats.get("gauges", {})
+    if stats.get("schema_version") != 1:
+        raise ChaosFailure(f"clean: metrics schema_version "
+                           f"{stats.get('schema_version')!r}")
+    if counters.get("serve.requests") != 3 * len(kernels):
+        raise ChaosFailure(f"clean: serve.requests = "
+                           f"{counters.get('serve.requests')}, expected "
+                           f"{3 * len(kernels)}")
+    if not (counters.get("serve.direct_hits", 0) > 0 and
+            gauges.get("serve.hit_rate", 0) > 0):
+        raise ChaosFailure(f"clean: no direct hits or a zero hit rate: "
+                           f"{counters} {gauges}")
+    events = trace.get("traceEvents")
+    if not isinstance(events, list):
+        raise ChaosFailure("clean: TRACE payload has no traceEvents")
+    if args.trace_out:
+        spans = {e.get("name") for e in events if e.get("ph") == "B"}
+        missing = [span for span in ("request", "parse", "canonicalize",
+                                     "lookup", "compile")
+                   if span not in spans]
+        if missing:
+            raise ChaosFailure(f"clean: trace lacks the spans {missing}")
+    return reference, {"kernels": len(kernels),
+                       "hit_rate": gauges["serve.hit_rate"],
+                       "direct_hits": counters["serve.direct_hits"],
+                       "trace_events": len(events)}
 
 
 def check_response(record, name, reference, allowed_codes, stats):
@@ -430,6 +509,10 @@ def main():
                     help="watchdog bound per daemon interaction (s)")
     ap.add_argument("--report", default="",
                     help="write the per-phase results JSON here")
+    ap.add_argument("--trace-out", default="",
+                    help="trace the clean daemon, which writes this file")
+    ap.add_argument("--metrics-out", default="",
+                    help="the clean daemon writes its metrics JSON here")
     args = ap.parse_args()
 
     kernels = load_kernels(args.kernels)
@@ -437,8 +520,7 @@ def main():
     t0 = time.monotonic()
     try:
         with tempfile.TemporaryDirectory(prefix="sherlock_chaos_") as wd:
-            reference = phase_reference(args, kernels)
-            report["reference"] = {"kernels": len(reference)}
+            reference, report["clean"] = phase_clean(args, kernels)
             report["faults"] = phase_faults(args, kernels, reference, wd)
             report["malformed"] = phase_malformed(args, kernels,
                                                  reference, wd)
@@ -447,7 +529,8 @@ def main():
             report["kill_rehydrate"] = phase_kill_rehydrate(
                 args, kernels, reference, wd)
             report["drain"] = phase_drain(args, kernels, wd)
-    except (ChaosFailure, ProtocolError, SessionTimeout, EOFError) as e:
+    except (ChaosFailure, ProtocolError, SessionTimeout, EOFError,
+            subprocess.TimeoutExpired) as e:
         print(f"serve_chaos: FAIL — {e}")
         if args.report:
             report["failure"] = str(e)
@@ -457,7 +540,10 @@ def main():
     if args.report:
         open(args.report, "w").write(json.dumps(report, indent=2))
     f, o, k = report["faults"], report["overload"], report["kill_rehydrate"]
+    c = report["clean"]
     print(f"serve_chaos: OK — seed {args.seed}: "
+          f"clean {c['kernels']} kernels x3 passes (hit rate "
+          f"{c['hit_rate']:.3f}, {c['trace_events']} trace events), "
           f"faults {f['ok']} ok / {f['errors']} injected, "
           f"overload {o['busy']} BUSY (first in "
           f"{o['busy_latency_ms']} ms, retry landed in "

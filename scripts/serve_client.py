@@ -6,6 +6,8 @@ Importable pieces (used by serve_chaos.py and ad-hoc tooling):
   * SocketSession — line/byte-framed reader over a unix stream socket,
     with a hard per-read timeout so a wedged daemon fails loudly
     instead of hanging the caller.
+  * ByteStream — the same reader over bytes already in hand, such as
+    the captured stdout of a `sherlockc --serve` stdin session.
   * frame_request / parse_record — build REQ blocks, parse the framed
     RESP / BUSY / STATS-RESP / TRACE-RESP / PROTOCOL-ERROR records.
   * request_with_backoff — send one request and honor load shedding:
@@ -37,26 +39,13 @@ class SessionTimeout(Exception):
     """No bytes from the daemon within the per-read timeout."""
 
 
-class SocketSession:
-    """Buffered line/byte framing over a unix stream socket."""
+class FramedReader:
+    """Line/byte framing over `buf`, which _fill() extends."""
 
-    def __init__(self, path, timeout=30.0):
-        self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self.sock.settimeout(timeout)
-        self.sock.connect(path)
-        self.buf = b""
-
-    def send(self, text):
-        self.sock.sendall(text.encode())
+    buf = b""
 
     def _fill(self):
-        try:
-            chunk = self.sock.recv(65536)
-        except socket.timeout:
-            raise SessionTimeout("daemon silent past the read timeout")
-        if not chunk:
-            raise EOFError("daemon closed the connection")
-        self.buf += chunk
+        raise EOFError("stream ends inside a record")
 
     def read_line(self):
         while b"\n" not in self.buf:
@@ -70,11 +59,42 @@ class SocketSession:
         payload, self.buf = self.buf[:n], self.buf[n:]
         return payload
 
+
+class SocketSession(FramedReader):
+    """Buffered line/byte framing over a unix stream socket."""
+
+    def __init__(self, path, timeout=30.0):
+        self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        self.sock.settimeout(timeout)
+        self.sock.connect(path)
+
+    def send(self, text):
+        self.sock.sendall(text.encode())
+
+    def _fill(self):
+        try:
+            chunk = self.sock.recv(65536)
+        except socket.timeout:
+            raise SessionTimeout("daemon silent past the read timeout")
+        if not chunk:
+            raise EOFError("daemon closed the connection")
+        self.buf += chunk
+
     def close(self):
         try:
             self.sock.close()
         except OSError:
             pass
+
+
+class ByteStream(FramedReader):
+    """The same framing over bytes already in hand."""
+
+    def __init__(self, raw):
+        self.buf = raw
+
+    def at_end(self):
+        return not self.buf
 
 
 def frame_request(rid, body, options=None):
