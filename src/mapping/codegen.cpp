@@ -746,6 +746,7 @@ class CodeGenerator {
       loads_.push_back({cell->row, p.source, p.chained});
     }
     std::sort(moving_.begin(), moving_.end());
+    pinPending(begin);
     flushLatched(arrayId, moving_);
 
     // Loads from one row fold into one plain read.
@@ -947,6 +948,14 @@ class CodeGenerator {
   void pinRound() {
     ++pinEpoch_;
     for (NodeId op : round_) markPinned(op);
+  }
+
+  /// Narrows the round's pins to the planned ops from `begin` on: the
+  /// ops already emitted read nothing more, so a full column may drop
+  /// the replicas they read to make room for a flush.
+  void pinPending(size_t begin) {
+    ++pinEpoch_;
+    for (size_t i = begin; i < order_.size(); ++i) markPinned(planned(i).op);
   }
 
   void markPinned(NodeId op) {

@@ -22,6 +22,7 @@
 #include "dag_fuzz.h"
 #include "support/bitvector.h"
 #include "ir/evaluator.h"
+#include "mapping/flow.h"
 #include "mapping/program_analysis.h"
 #include "sim/simulator.h"
 #include "transforms/passes.h"
@@ -389,6 +390,99 @@ TEST_P(MultiArrayShard, ShardedProgramsAgreeAcrossArrayCounts) {
 
 INSTANTIATE_TEST_SUITE_P(MultiArrayFuzz, MultiArrayShard,
                          ::testing::Range(0, 4));
+
+// Small-geometry level: the same fuzzed DAGs on targets of 4-16 rows and
+// 16-64 columns, where columns fill up and codegen's full-column paths
+// run (replica drops, flushes into a full column, eviction). ReRAM at
+// MRA = the DAG's maximum arity, both strategies, without and with a
+// fault map (density 0.02; 1 spare row below 8 rows, else 2). Every
+// compile returns a program, which compile has verified, or throws
+// MappingError. On the default seed range each (geometry, strategy,
+// map)'s MappingError count is pinned, so a change that loses a compile
+// fails here (and one that gains a compile updates the pin). Seed count:
+// SHERLOCK_SMALL_FUZZ_SEEDS (default 100), range start
+// SHERLOCK_SMALL_FUZZ_FIRST_SEED (default 1).
+constexpr long kSmallFuzzSeeds = 100;
+
+struct SmallGeometry {
+  int rows, cols, arrays;
+  /// MappingErrors on the default seeds, [naive, opt][no map, map].
+  int mappingErrors[2][2];
+};
+
+constexpr SmallGeometry kSmallGeometries[] = {
+    {4, 16, 1, {{79, 88}, {97, 97}}},  {4, 64, 1, {{38, 74}, {64, 71}}},
+    {4, 64, 16, {{38, 74}, {23, 43}}}, {6, 32, 2, {{0, 4}, {32, 61}}},
+    {8, 16, 2, {{0, 0}, {65, 81}}},    {16, 64, 2, {{1, 0}, {0, 0}}},
+    {12, 32, 16, {{0, 0}, {0, 0}}}};
+
+std::string geometryName(const SmallGeometry& geo) {
+  return strCat(geo.rows, "x", geo.cols, "x", geo.arrays);
+}
+
+void PrintTo(const SmallGeometry& geo, std::ostream* os) {
+  *os << geometryName(geo);
+}
+
+class SmallGeometryShard : public ::testing::TestWithParam<SmallGeometry> {};
+
+TEST_P(SmallGeometryShard, EveryCompileVerifiesOrThrowsMappingError) {
+  const SmallGeometry& geo = GetParam();
+  const long seeds = envLong("SHERLOCK_SMALL_FUZZ_SEEDS", kSmallFuzzSeeds);
+  const long first = envLong("SHERLOCK_SMALL_FUZZ_FIRST_SEED", 1);
+  const long last = first + seeds - 1;
+  const std::string name = geometryName(geo);
+  std::cout << "[small-geometry-fuzz] " << name << ": seeds " << first
+            << ".." << last
+            << " (reproduce one: SHERLOCK_SMALL_FUZZ_SEEDS=1 "
+               "SHERLOCK_SMALL_FUZZ_FIRST_SEED=<seed> ./differential_test "
+               "--gtest_filter='*SmallGeometryShard*')\n";
+  int errors[2][2] = {};
+  for (long seed = first; seed <= last; ++seed) {
+    workloads::RandomDagSpec spec = sampleDagSpec(static_cast<uint64_t>(seed));
+    ir::Graph g = workloads::buildRandomDag(spec);
+    isa::TargetSpec target = isa::TargetSpec::square(
+        geo.cols, device::TechnologyParams::reRam(), spec.maxArity);
+    target.geometry.rows = geo.rows;
+    target.numArrays = geo.arrays;
+    for (int opt = 0; opt < 2; ++opt)
+      for (int faulty = 0; faulty < 2; ++faulty) {
+        SCOPED_TRACE(strCat("seed ", seed, opt ? ", opt" : ", naive",
+                            faulty ? ", fault map" : ""));
+        mapping::FlowOptions options;
+        options.strategy =
+            opt ? mapping::Strategy::Optimized : mapping::Strategy::Naive;
+        if (faulty) {
+          options.faultDensity = 0.02;
+          options.faultSeed = static_cast<uint64_t>(seed);
+          options.spareRows = geo.rows < 8 ? 1 : 2;
+        }
+        try {
+          mapping::FlowResult flow = mapping::compileFlow(g, target, options);
+          EXPECT_FALSE(flow.compiled.program.instructions.empty());
+        } catch (const MappingError&) {
+          ++errors[opt][faulty];
+        }
+      }
+  }
+  std::cout << "[small-geometry-fuzz] " << name
+            << ": MappingErrors naive " << errors[0][0] << "/"
+            << errors[0][1] << ", opt " << errors[1][0] << "/"
+            << errors[1][1] << " (no map/fault map)\n";
+  if (seeds != kSmallFuzzSeeds || first != 1) return;
+  for (int opt = 0; opt < 2; ++opt)
+    for (int faulty = 0; faulty < 2; ++faulty)
+      EXPECT_EQ(errors[opt][faulty], geo.mappingErrors[opt][faulty])
+          << name << (opt ? " opt" : " naive")
+          << (faulty ? " with a fault map" : " without a fault map");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SmallGeometryFuzz, SmallGeometryShard,
+    ::testing::ValuesIn(kSmallGeometries),
+    [](const ::testing::TestParamInfo<SmallGeometry>& info) {
+      return geometryName(info.param);
+    });
 
 }  // namespace
 }  // namespace sherlock::testing

@@ -9,9 +9,11 @@
 #include <optional>
 #include <set>
 
+#include "dag_fuzz.h"
 #include "ir/analysis.h"
 #include "mapping/clustering.h"
 #include "mapping/compiler.h"
+#include "mapping/flow.h"
 #include "transforms/passes.h"
 #include "transforms/substitution.h"
 #include "sim/simulator.h"
@@ -797,6 +799,21 @@ TEST(Codegen, AlignedWritesAvoidFaultsAndSpareRows) {
     }
     EXPECT_GT(alignedFlushes, 0);
   }
+}
+
+TEST(Codegen, ShiftGroupFlushIntoAFullColumnCompiles) {
+  // A shift group flushes what its rotation would lose. On this 4-row
+  // target the flush meets a full column whose only droppable replica
+  // holds a value that only ops the round already emitted pinned.
+  // Pinning the whole round until its end made the compile throw
+  // "cannot flush value 22: column 2 of array 0 is full and holds no
+  // droppable replica".
+  ir::Graph g = workloads::buildRandomDag(testing::sampleDagSpec(36));
+  auto target = smallTarget(64, 4);
+  target.geometry.rows = 4;
+  target.numArrays = 1;
+  FlowResult flow = compileFlow(g, target, {});
+  EXPECT_GT(flow.compiled.program.stats.shifts, 0);
 }
 
 TEST(Codegen, HostWritesCoverAllConsumedLeaves) {
