@@ -82,30 +82,4 @@ double ArrayCostModel::shiftEnergyPj(int distance) const {
          geometry_.dataWidthBits;
 }
 
-namespace {
-constexpr double kFeatureNm = 22.0;
-// Peripheral block sizes in F^2 per unit (decoder per row, sense amp +
-// op mux + buffer latch + write driver per column).
-constexpr double kDecoderPerRowF2 = 60.0;
-constexpr double kColumnPeripheryF2 = 900.0;
-}  // namespace
-
-double ArrayCostModel::cellAreaMm2() const {
-  double f2Mm2 = kFeatureNm * kFeatureNm * 1e-12;  // one F^2 in mm^2
-  return static_cast<double>(geometry_.rows) * geometry_.cols *
-         tech_.cellAreaF2 * f2Mm2;
-}
-
-double ArrayCostModel::peripheryAreaMm2() const {
-  double f2Mm2 = kFeatureNm * kFeatureNm * 1e-12;
-  return (geometry_.rows * kDecoderPerRowF2 +
-          geometry_.cols * kColumnPeripheryF2) *
-         f2Mm2;
-}
-
-double ArrayCostModel::totalAreaMm2() const {
-  return (cellAreaMm2() + peripheryAreaMm2()) *
-         (static_cast<double>(geometry_.dataWidthBits));
-}
-
 }  // namespace sherlock::arraymodel

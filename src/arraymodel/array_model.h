@@ -73,19 +73,6 @@ class ArrayCostModel {
   /// Bus leg of one inter-array transfer: 0.5 pJ per bulk slice bit.
   double busEnergyPj() const { return 0.5 * geometry_.dataWidthBits; }
 
-  // --- Area (mm^2) --------------------------------------------------------
-
-  /// Cell-array footprint of one slice (rows x cols cells at the
-  /// technology's F^2 cell size, 22 nm feature size).
-  double cellAreaMm2() const;
-
-  /// Peripheral footprint of one slice: row decoder, per-column sense
-  /// amplifiers with op multiplexers, row-buffer logic and write drivers.
-  double peripheryAreaMm2() const;
-
-  /// Total footprint including all bulk slices.
-  double totalAreaMm2() const;
-
  private:
   double decodeLatencyNs() const;
   double wordlineLatencyNs() const;

@@ -257,89 +257,4 @@ std::string FaultMap::toText() const {
   return out.str();
 }
 
-FaultMap FaultMap::fromText(const std::string& text) {
-  std::istringstream in(text);
-  auto fail = [](const std::string& why) -> void {
-    throw Error(strCat("malformed fault map: ", why));
-  };
-
-  std::string line;
-  if (!std::getline(in, line) || line != "sherlock-faultmap v1")
-    fail("missing 'sherlock-faultmap v1' header");
-
-  auto expect = [&](std::istream& is, const std::string& token) {
-    std::string word;
-    if (!(is >> word) || word != token)
-      fail(strCat("expected '", token, "', got '", word, "'"));
-  };
-
-  int numArrays = 0, rows = 0, cols = 0;
-  {
-    if (!std::getline(in, line)) fail("missing dimensions line");
-    std::istringstream ls(line);
-    expect(ls, "arrays");
-    ls >> numArrays;
-    expect(ls, "rows");
-    ls >> rows;
-    expect(ls, "cols");
-    if (!(ls >> cols)) fail("bad dimensions line");
-  }
-
-  FaultMapOptions options;
-  {
-    if (!std::getline(in, line)) fail("missing options line");
-    std::istringstream ls(line);
-    expect(ls, "seed");
-    ls >> options.seed;
-    expect(ls, "stuck-density");
-    ls >> options.stuckDensity;
-    expect(ls, "weak-density");
-    ls >> options.weakDensity;
-    expect(ls, "weak-mult");
-    ls >> options.weakPdfMultiplier;
-    expect(ls, "row-write-budget");
-    if (!(ls >> options.rowWriteBudget)) fail("bad options line");
-  }
-
-  FaultMap map(numArrays, rows, cols, options);
-  bool sawEnd = false;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    if (line == "end") {
-      sawEnd = true;
-      break;
-    }
-    std::istringstream ls(line);
-    std::string kind;
-    ls >> kind;
-    if (kind == "wear") {
-      int a = 0, r = 0;
-      long count = 0;
-      if (!(ls >> a >> r >> count) || a < 0 || a >= numArrays || r < 0 ||
-          r >= rows || count < 0)
-        fail(strCat("bad wear line '", line, "'"));
-      map.rowWrites_[map.rowIndex(a, r)] = count;
-      continue;
-    }
-    CellFault fault;
-    if (kind == cellFaultName(CellFault::StuckAtLrs))
-      fault = CellFault::StuckAtLrs;
-    else if (kind == cellFaultName(CellFault::StuckAtHrs))
-      fault = CellFault::StuckAtHrs;
-    else if (kind == cellFaultName(CellFault::Weak))
-      fault = CellFault::Weak;
-    else {
-      fail(strCat("unknown fault kind '", kind, "'"));
-      break;  // unreachable; silences -Wmaybe-uninitialized
-    }
-    int a = 0, r = 0, c = 0;
-    if (!(ls >> a >> r >> c) || a < 0 || a >= numArrays || r < 0 ||
-        r >= rows || c < 0 || c >= cols)
-      fail(strCat("bad fault line '", line, "'"));
-    map.setFault(a, r, c, fault);
-  }
-  if (!sawEnd) fail("missing 'end' terminator");
-  return map;
-}
-
 }  // namespace sherlock::device

@@ -18,9 +18,9 @@
 // A FaultMap is generated deterministically from (seed, densities): every
 // cell's fate is a pure function of the seed and its global index, so the
 // same options always produce byte-identical maps regardless of who
-// generates them (compiler, simulator, bench worker). Maps serialize to a
-// line-oriented text format for tooling (sherlockc --emit faultmap) and
-// round-trip losslessly.
+// generates them (compiler, simulator, bench worker). Maps print to a
+// line-oriented text format for tooling (sherlockc --emit faultmap);
+// nothing parses it back.
 //
 // Storage is three bit planes per row, 64 columns per word: stuck (either
 // polarity), stuck-at-HRS (a subset of stuck) and weak (disjoint from
@@ -139,8 +139,6 @@ class FaultMap {
   /// Line-oriented text form: a header with dimensions and generation
   /// options, one line per fault, one line per worn row counter.
   std::string toText() const;
-  /// Inverse of toText; throws Error on malformed input.
-  static FaultMap fromText(const std::string& text);
 
   bool operator==(const FaultMap&) const = default;
 

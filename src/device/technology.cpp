@@ -1,7 +1,6 @@
 #include "device/technology.h"
 
 #include <cmath>
-#include <utility>
 
 #include "support/diagnostics.h"
 
@@ -32,7 +31,6 @@ TechnologyParams TechnologyParams::sttMram() {
   p.readEnergyPj = 0.03;
   p.writeEnergyPj = 0.6;
   p.maxActivatedRows = 8;
-  p.cellAreaF2 = 36.0;            // 1T1MTJ with a sized access transistor
   return p;
 }
 
@@ -50,7 +48,6 @@ TechnologyParams TechnologyParams::reRam() {
   p.readEnergyPj = 0.04;
   p.writeEnergyPj = 4.0;
   p.maxActivatedRows = 8;
-  p.cellAreaF2 = 4.0;             // crossbar
   return p;
 }
 
@@ -68,20 +65,6 @@ TechnologyParams TechnologyParams::pcm() {
   p.readEnergyPj = 0.05;
   p.writeEnergyPj = 8.0;
   p.maxActivatedRows = 8;
-  p.cellAreaF2 = 6.0;
-  return p;
-}
-
-TechnologyParams TechnologyParams::atTemperature(double celsius) const {
-  checkArg(celsius > -273.15 && celsius <= 400.0,
-           "temperature out of the modeled range");
-  constexpr double kNominalK = 273.15 + 27.0;
-  double scale = std::sqrt((273.15 + celsius) / kNominalK);
-  TechnologyParams p = *this;
-  p.lrsSigma *= scale;
-  p.hrsSigma *= scale;
-  p.referenceSigmaFrac *= scale;
-  p.name = strCat(name, " @", celsius, "C");
   return p;
 }
 

@@ -41,10 +41,6 @@ struct TechnologyParams {
   /// Maximum simultaneously activatable rows the sensing scheme supports.
   int maxActivatedRows = 8;
 
-  /// Cell footprint in F^2 (F = feature size); crossbar ReRAM/PCM reach
-  /// 4F^2, 1T1MTJ STT-MRAM needs a larger access transistor.
-  double cellAreaF2 = 4.0;
-
   double lrsConductance() const { return 1.0 / lrsOhm; }
   double hrsConductance() const { return 1.0 / hrsOhm; }
   /// Single-cell sense gap in conductance.
@@ -67,13 +63,6 @@ struct TechnologyParams {
   static TechnologyParams pcm();
 
   static TechnologyParams forTechnology(Technology tech);
-
-  /// Derates this model to an operating temperature (nominal models are
-  /// characterized at 27 C, Table 1). Thermal fluctuation widens the
-  /// resistance distributions and the reference noise roughly linearly in
-  /// absolute temperature; the nominal resistances stay (first-order
-  /// calibrated references track the mean shift).
-  TechnologyParams atTemperature(double celsius) const;
 };
 
 }  // namespace sherlock::device

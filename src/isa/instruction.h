@@ -84,15 +84,8 @@ struct Instruction {
   bool isCimRead() const { return kind == InstKind::Read && !colOps.empty(); }
   bool isPlainRead() const { return kind == InstKind::Read && colOps.empty(); }
 
-  /// Number of activated rows (the MRA degree of a CIM read).
-  int activatedRows() const { return static_cast<int>(rows.size()); }
-
   /// Renders in the paper's assembly format.
   std::string toString() const;
-
-  /// Parses one assembly line (inverse of toString). Throws Error on
-  /// malformed input.
-  static Instruction parse(const std::string& line);
 
   bool operator==(const Instruction& other) const = default;
 };
@@ -108,8 +101,5 @@ Instruction makeXfer(int srcArray, int srcCol, int srcRow, int dstArray,
 
 /// Renders a whole program, one instruction per line.
 std::string toAssembly(const std::vector<Instruction>& program);
-
-/// Parses a whole program; ignores blank lines and '#' comments.
-std::vector<Instruction> parseAssembly(const std::string& text);
 
 }  // namespace sherlock::isa

@@ -1,7 +1,7 @@
 // Unit and property tests for the persistent cell-fault model: seeded
 // generation is deterministic and byte-reproducible (pinned by digests
 // and by a per-cell reference draw), every query agrees with a plain
-// byte-per-cell model, the text format round-trips losslessly, endurance
+// byte-per-cell model, the text form prints a pinned layout, endurance
 // wear converts rows to stuck faults, and — the placement contract —
 // compiled programs never read or write a faulty cell on either mapper.
 #include <gtest/gtest.h>
@@ -253,10 +253,6 @@ TEST(FaultMap, QueriesMatchByteReference) {
       ref.noteRowWrite(a, r, kBudget);
     }
     expectMatchesReference(map, ref);
-
-    FaultMap back = FaultMap::fromText(map.toText());
-    EXPECT_EQ(back, map);
-    expectMatchesReference(back, ref);
   }
 }
 
@@ -354,34 +350,28 @@ TEST(FaultMap, EnduranceWearConvertsRowToStuck) {
   EXPECT_EQ(eternal.faultAt(0, 0, 0), CellFault::None);
 }
 
-TEST(FaultMap, TextRoundTripPreservesEveryFault) {
-  FaultMapOptions o = denseOptions();
-  o.rowWriteBudget = 100;
-  FaultMap m = FaultMap::generate(3, 48, 32, o);
-  m.noteRowWrite(1, 7);
-  m.noteRowWrite(1, 7);
-  m.noteRowWrite(2, 0);
-
-  std::string text = m.toText();
-  FaultMap back = FaultMap::fromText(text);
-  EXPECT_EQ(back, m);
-  EXPECT_EQ(back.toText(), text);  // serialization is a fixed point
-  EXPECT_EQ(back.rowWrites(1, 7), 2);
-  EXPECT_EQ(back.options(), o);
-}
-
-TEST(FaultMap, FromTextRejectsMalformedInput) {
-  EXPECT_THROW(FaultMap::fromText(""), Error);
-  EXPECT_THROW(FaultMap::fromText("not a fault map\n"), Error);
-
-  FaultMap m = FaultMap::generate(1, 8, 8, denseOptions());
-  std::string text = m.toText();
-  // Truncating the trailing "end" marker must be detected.
-  std::string truncated = text.substr(0, text.rfind("end"));
-  EXPECT_THROW(FaultMap::fromText(truncated), Error);
-  // Out-of-bounds fault coordinates must be detected.
-  std::string oob = truncated + "stuck-lrs 0 900 0\nend\n";
-  EXPECT_THROW(FaultMap::fromText(oob), Error);
+// The text form, line for line, on a map small enough to read: the
+// header, one line per fault in (array, row, column) order, then one
+// `wear` line per written row. The generated-map digests pin the header
+// and fault lines; this case also pins the `wear` line.
+TEST(FaultMap, TextFormOfAHandBuiltMap) {
+  FaultMap m(2, 4, 8);
+  m.setFault(1, 3, 7, CellFault::StuckAtHrs);
+  m.setFault(0, 1, 5, CellFault::Weak);
+  m.setFault(0, 1, 2, CellFault::StuckAtLrs);
+  m.noteRowWrite(1, 2);
+  m.noteRowWrite(1, 2);
+  EXPECT_EQ(m.toText(),
+            "sherlock-faultmap v1\n"
+            "arrays 2 rows 4 cols 8\n"
+            "seed 1 stuck-density 0 weak-density 0 weak-mult 8 "
+            "row-write-budget 0\n"
+            "# stuck 2 weak 1 of 64 cells\n"
+            "stuck-lrs 0 1 2\n"
+            "weak 0 1 5\n"
+            "stuck-hrs 1 3 7\n"
+            "wear 1 2 2\n"
+            "end\n");
 }
 
 TEST(FaultMap, RejectsNonPhysicalOptions) {
