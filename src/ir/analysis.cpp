@@ -1,15 +1,8 @@
 #include "ir/analysis.h"
 
 #include <algorithm>
-#include <numeric>
 
 namespace sherlock::ir {
-
-std::vector<NodeId> topologicalOrder(const Graph& g) {
-  std::vector<NodeId> order(g.numNodes());
-  std::iota(order.begin(), order.end(), 0);
-  return order;
-}
 
 std::vector<int> bLevels(const Graph& g) {
   std::vector<int> level(g.numNodes(), 0);
@@ -41,14 +34,6 @@ std::vector<NodeId> bLevelSortedOps(const Graph& g) {
   return ops;
 }
 
-std::vector<int> userCounts(const Graph& g) {
-  std::vector<int> counts(g.numNodes(), 0);
-  for (NodeId i = g.firstId(); i < g.endId(); ++i)
-    counts[static_cast<size_t>(i)] =
-        static_cast<int>(g.node(i).users.size());
-  return counts;
-}
-
 std::vector<int> tLevels(const Graph& g) {
   std::vector<int> level(g.numNodes(), 0);
   // Operands always have smaller ids, so a forward scan sees producers
@@ -61,52 +46,6 @@ std::vector<int> tLevels(const Graph& g) {
     level[static_cast<size_t>(i)] = best + (n.isOp() ? 1 : 0);
   }
   return level;
-}
-
-std::vector<int> slack(const Graph& g) {
-  auto b = bLevels(g);
-  auto t = tLevels(g);
-  int cp = criticalPathLength(g);
-  std::vector<int> s(g.numNodes(), -1);
-  for (NodeId i = g.firstId(); i < g.endId(); ++i) {
-    if (!g.node(i).isOp()) continue;
-    s[static_cast<size_t>(i)] =
-        cp - t[static_cast<size_t>(i)] - b[static_cast<size_t>(i)] + 1;
-  }
-  return s;
-}
-
-std::vector<NodeId> criticalPathOps(const Graph& g) {
-  auto s = slack(g);
-  std::vector<NodeId> critical;
-  for (NodeId i = g.firstId(); i < g.endId(); ++i)
-    if (g.node(i).isOp() && s[static_cast<size_t>(i)] == 0)
-      critical.push_back(i);
-  return critical;
-}
-
-std::vector<int> levelWidths(const Graph& g) {
-  auto levels = bLevels(g);
-  std::vector<int> widths;
-  for (NodeId i = g.firstId(); i < g.endId(); ++i) {
-    if (!g.node(i).isOp()) continue;
-    size_t l = static_cast<size_t>(levels[static_cast<size_t>(i)]);
-    if (widths.size() <= l) widths.resize(l + 1, 0);
-    widths[l]++;
-  }
-  return widths;
-}
-
-std::vector<int> operandCountHistogram(const Graph& g) {
-  std::vector<int> hist;
-  for (NodeId i = g.firstId(); i < g.endId(); ++i) {
-    const Node& n = g.node(i);
-    if (!n.isOp()) continue;
-    size_t k = n.operands.size();
-    if (hist.size() <= k) hist.resize(k + 1, 0);
-    hist[k]++;
-  }
-  return hist;
 }
 
 }  // namespace sherlock::ir

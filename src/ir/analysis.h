@@ -1,5 +1,5 @@
-// Graph analyses used by the mappers: b-level priorities (Kwok & Ahmad),
-// topological traversal, and size/shape statistics.
+// Graph analyses used by the mappers: b-level priorities (Kwok & Ahmad)
+// and their ASAP dual, the t-level.
 #pragma once
 
 #include <vector>
@@ -7,12 +7,6 @@
 #include "ir/graph.h"
 
 namespace sherlock::ir {
-
-/// Returns node ids in a valid topological order (producers first). Ids are
-/// assigned topologically by construction, so this is simply 0..n-1; it
-/// exists as an explicit named operation for readability and future graphs
-/// with id reuse.
-std::vector<NodeId> topologicalOrder(const Graph& g);
 
 /// Computes the b-level of every node: the number of operation nodes on the
 /// longest directed path from the node to any exit node, counting the node
@@ -28,28 +22,9 @@ int criticalPathLength(const Graph& g);
 /// id to keep the order deterministic (the order the mappers consume).
 std::vector<NodeId> bLevelSortedOps(const Graph& g);
 
-/// Returns, for every node, the number of op users (out-degree into ops).
-std::vector<int> userCounts(const Graph& g);
-
-/// Histogram of operand counts over op nodes: result[k] = #ops with k
-/// operands (used by reliability accounting and the MRA sweeps).
-std::vector<int> operandCountHistogram(const Graph& g);
-
 /// Computes the t-level of every node: the number of operation nodes on
 /// the longest directed path from any entry to the node, counting the
 /// node itself when it is an operation (ASAP depth; the dual of bLevels).
 std::vector<int> tLevels(const Graph& g);
-
-/// Scheduling slack of every op node: criticalPathLength - tLevel -
-/// bLevel + 1. Zero for nodes on a critical path; leaf (non-op) entries
-/// are reported as -1.
-std::vector<int> slack(const Graph& g);
-
-/// Op nodes with zero slack, in id order: the critical path(s).
-std::vector<NodeId> criticalPathOps(const Graph& g);
-
-/// Number of op nodes per b-level (the wave widths the scheduler sees):
-/// result[l] = #ops with b-level l (index 0 unused).
-std::vector<int> levelWidths(const Graph& g);
 
 }  // namespace sherlock::ir

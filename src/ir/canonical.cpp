@@ -186,6 +186,4 @@ std::string CanonicalForm::fingerprint() const {
   return s;
 }
 
-uint64_t canonicalHash(const Graph& g) { return canonicalForm(g).hashLo; }
-
 }  // namespace sherlock::ir

@@ -61,7 +61,4 @@ struct CanonicalForm {
 /// below a compile.
 CanonicalForm canonicalForm(const Graph& g);
 
-/// Convenience: the low 64 fingerprint bits of canonicalForm(g).
-uint64_t canonicalHash(const Graph& g);
-
 }  // namespace sherlock::ir

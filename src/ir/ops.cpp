@@ -32,8 +32,6 @@ OpKind opFromName(const std::string& name) {
 
 bool isUnary(OpKind op) { return op == OpKind::Not || op == OpKind::Copy; }
 
-bool isMultiOperand(OpKind op) { return !isUnary(op); }
-
 OpKind baseOp(OpKind op) {
   switch (op) {
     case OpKind::Nand: return OpKind::And;

@@ -31,11 +31,6 @@ OpKind opFromName(const std::string& name);
 /// True for ops that take exactly one operand (Not, Copy).
 bool isUnary(OpKind op);
 
-/// True if the op can take more than two operands in a single multi-row
-/// activation (associative & commutative scouting ops). Not/Copy cannot;
-/// Xor/Xnor can (parity sensing), as can And/Or/Nand/Nor.
-bool isMultiOperand(OpKind op);
-
 /// The base op of an inverted kind (AND for NAND, OR for NOR, XOR for
 /// XNOR); every other op is its own base.
 OpKind baseOp(OpKind op);

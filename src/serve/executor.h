@@ -41,7 +41,6 @@ class RequestExecutor {
   /// throw — report failures through their own channel.
   bool trySubmit(std::function<void()> task);
 
-  size_t workerCount() const { return workers_.size(); }
   /// Tasks waiting for a worker right now.
   size_t queueDepth() const;
   /// Tasks executing right now.

@@ -25,18 +25,6 @@ BitVector BitVector::operator~() const {
   return r;
 }
 
-BitVector BitVector::shiftedLeft(size_t amount) const {
-  BitVector r(size_);
-  for (size_t i = amount; i < size_; ++i) r.set(i, get(i - amount));
-  return r;
-}
-
-BitVector BitVector::shiftedRight(size_t amount) const {
-  BitVector r(size_);
-  for (size_t i = 0; i + amount < size_; ++i) r.set(i, get(i + amount));
-  return r;
-}
-
 BitVector BitVector::slice(size_t begin, size_t count) const {
   SHERLOCK_ASSERT(begin + count <= size_, "slice [", begin, ", ",
                   begin + count, ") exceeds size ", size_);

@@ -69,11 +69,6 @@ class BitVector {
   }
   bool operator!=(const BitVector& o) const { return !(*this == o); }
 
-  /// Logical shift of the whole vector by `amount` positions toward higher
-  /// indices (left) or lower indices (right); vacated bits are zero.
-  BitVector shiftedLeft(size_t amount) const;
-  BitVector shiftedRight(size_t amount) const;
-
   /// Returns bits [begin, begin+count) as a new vector.
   BitVector slice(size_t begin, size_t count) const;
 
@@ -90,9 +85,6 @@ class BitVector {
   uint64_t toUint64() const;
 
   // --- Packed word access (multi-word lane interop) ----------------------
-  /// Number of 64-bit storage words (ceil(size / 64)).
-  size_t wordCount() const { return words_.size(); }
-
   /// The i-th 64-bit storage word (bits [64i, 64i+64), padding zeroed).
   uint64_t word(size_t i) const {
     SHERLOCK_ASSERT(i < words_.size(), "word index ", i, " out of range ",

@@ -32,14 +32,6 @@ double geomeanSafe(const std::vector<double>& xs, double floor) {
   return std::exp(s / static_cast<double>(xs.size()));
 }
 
-double stddev(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  double m = mean(xs);
-  double s = 0.0;
-  for (double x : xs) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(xs.size() - 1));
-}
-
 double quantile(std::vector<double> xs, double q) {
   checkArg(!xs.empty(), "quantile of empty range");
   checkArg(q >= 0.0 && q <= 1.0, "quantile q must be in [0, 1]");
@@ -50,8 +42,6 @@ double quantile(std::vector<double> xs, double q) {
   double frac = pos - static_cast<double>(lo);
   return xs[lo] * (1.0 - frac) + xs[hi] * frac;
 }
-
-double normalCdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
 
 double normalTail(double x) { return 0.5 * std::erfc(x / std::sqrt(2.0)); }
 

@@ -21,14 +21,8 @@ double geomean(const std::vector<double>& xs);
 /// throwing. Returns 0 for empty input. `floor` must be positive.
 double geomeanSafe(const std::vector<double>& xs, double floor = 1e-12);
 
-/// Sample standard deviation (n-1 denominator). Returns 0 for n < 2.
-double stddev(const std::vector<double>& xs);
-
 /// Linear-interpolated quantile, q in [0, 1]. Input need not be sorted.
 double quantile(std::vector<double> xs, double q);
-
-/// Standard normal cumulative distribution function.
-double normalCdf(double x);
 
 /// Upper tail of the standard normal distribution, Q(x) = 1 - Phi(x).
 /// Numerically accurate far into the tail (uses erfc).

@@ -35,36 +35,6 @@ std::pair<Word, Word> BitsliceBuilder::aligned(const Word& a,
   return {std::move(pa), std::move(pb)};
 }
 
-Word BitsliceBuilder::bitwiseAnd(const Word& a, const Word& b) {
-  auto [pa, pb] = aligned(a, b);
-  Word r;
-  for (size_t i = 0; i < pa.size(); ++i)
-    r.push_back(g_.addOp(OpKind::And, {pa[i], pb[i]}));
-  return r;
-}
-
-Word BitsliceBuilder::bitwiseOr(const Word& a, const Word& b) {
-  auto [pa, pb] = aligned(a, b);
-  Word r;
-  for (size_t i = 0; i < pa.size(); ++i)
-    r.push_back(g_.addOp(OpKind::Or, {pa[i], pb[i]}));
-  return r;
-}
-
-Word BitsliceBuilder::bitwiseXor(const Word& a, const Word& b) {
-  auto [pa, pb] = aligned(a, b);
-  Word r;
-  for (size_t i = 0; i < pa.size(); ++i)
-    r.push_back(g_.addOp(OpKind::Xor, {pa[i], pb[i]}));
-  return r;
-}
-
-Word BitsliceBuilder::bitwiseNot(const Word& a) {
-  Word r;
-  for (NodeId s : a) r.push_back(g_.addOp(OpKind::Not, {s}));
-  return r;
-}
-
 Word BitsliceBuilder::add(const Word& a, const Word& b) {
   auto [pa, pb] = aligned(a, b);
   Word sum;

@@ -29,12 +29,6 @@ class BitsliceBuilder {
   /// A word holding the constant `value` in every bulk element.
   Word constant(uint64_t value, int bits);
 
-  // --- slice-wise logic ---------------------------------------------------
-  Word bitwiseAnd(const Word& a, const Word& b);
-  Word bitwiseOr(const Word& a, const Word& b);
-  Word bitwiseXor(const Word& a, const Word& b);
-  Word bitwiseNot(const Word& a);
-
   // --- arithmetic (ripple carry) -------------------------------------------
   /// a + b, result width = max(width) + 1 (no overflow loss).
   Word add(const Word& a, const Word& b);

@@ -303,21 +303,6 @@ TEST(Analysis, BLevelSortedOpsDescending) {
   EXPECT_EQ(sorted[2], w);
 }
 
-TEST(Analysis, OperandCountHistogram) {
-  Graph g;
-  NodeId a = g.addInput("a");
-  NodeId b = g.addInput("b");
-  NodeId c = g.addInput("c");
-  g.addOp(OpKind::And, {a, b});
-  g.addOp(OpKind::Or, {a, b, c});
-  g.addOp(OpKind::Not, {a});
-  auto hist = operandCountHistogram(g);
-  ASSERT_GE(hist.size(), 4u);
-  EXPECT_EQ(hist[1], 1);
-  EXPECT_EQ(hist[2], 1);
-  EXPECT_EQ(hist[3], 1);
-}
-
 TEST(Evaluator, BasicAndMultiWidth) {
   Graph g;
   NodeId a = g.addInput("a");
@@ -381,53 +366,31 @@ TEST(Dot, ContainsNodesAndEdges) {
 namespace sherlock::ir {
 namespace {
 
-TEST(Analysis, TLevelsAndSlack) {
+TEST(Analysis, TLevels) {
   Graph g;
   NodeId a = g.addInput("a");
   NodeId b = g.addInput("b");
   NodeId c = g.addInput("c");
-  NodeId x = g.addOp(OpKind::Xor, {a, b});  // t=1, b=3 -> slack 0
-  NodeId y = g.addOp(OpKind::And, {x, c});  // t=2, b=2 -> slack 0
-  NodeId w = g.addOp(OpKind::Or, {a, b});   // t=1, b=2 -> slack 1
-  NodeId z = g.addOp(OpKind::Or, {y, w});   // t=3, b=1 -> slack 0
+  NodeId x = g.addOp(OpKind::Xor, {a, b});
+  NodeId y = g.addOp(OpKind::And, {x, c});
+  NodeId w = g.addOp(OpKind::Or, {a, b});
+  NodeId z = g.addOp(OpKind::Or, {y, w});
   g.markOutput(z);
   auto t = tLevels(g);
   EXPECT_EQ(t[static_cast<size_t>(x)], 1);
   EXPECT_EQ(t[static_cast<size_t>(y)], 2);
   EXPECT_EQ(t[static_cast<size_t>(z)], 3);
   EXPECT_EQ(t[static_cast<size_t>(a)], 0);  // leaves carry zero weight
-  auto s = slack(g);
-  EXPECT_EQ(s[static_cast<size_t>(x)], 0);
-  EXPECT_EQ(s[static_cast<size_t>(y)], 0);
-  EXPECT_EQ(s[static_cast<size_t>(w)], 1);
-  EXPECT_EQ(s[static_cast<size_t>(z)], 0);
-  EXPECT_EQ(s[static_cast<size_t>(a)], -1);  // not an op
-  auto crit = criticalPathOps(g);
-  EXPECT_EQ(crit, (std::vector<NodeId>{x, y, z}));
 }
 
-TEST(Analysis, LevelWidths) {
-  Graph g;
-  NodeId a = g.addInput("a");
-  NodeId b = g.addInput("b");
-  NodeId x = g.addOp(OpKind::And, {a, b});
-  NodeId y = g.addOp(OpKind::Or, {a, b});
-  g.markOutput(g.addOp(OpKind::Xor, {x, y}));
-  auto widths = levelWidths(g);
-  ASSERT_EQ(widths.size(), 3u);
-  EXPECT_EQ(widths[1], 1);  // the Xor sink
-  EXPECT_EQ(widths[2], 2);  // And + Or
-}
-
-TEST(Analysis, SlackZeroSumsToCriticalPath) {
-  // On a pure chain every op is critical.
+TEST(Analysis, CriticalPathOfAChain) {
+  // On a pure chain the critical path is every op.
   Graph g;
   NodeId a = g.addInput("a");
   NodeId b = g.addInput("b");
   NodeId acc = g.addOp(OpKind::Not, {a});
   for (int i = 0; i < 5; ++i) acc = g.addOp(OpKind::Xor, {acc, b});
   g.markOutput(acc);
-  EXPECT_EQ(criticalPathOps(g).size(), 6u);
   EXPECT_EQ(criticalPathLength(g), 6);
 }
 

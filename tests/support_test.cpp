@@ -80,13 +80,6 @@ TEST(BitVector, SizeMismatchThrows) {
   EXPECT_THROW(a & b, InternalError);
 }
 
-TEST(BitVector, Shifts) {
-  auto a = BitVector::fromString("0011");
-  EXPECT_EQ(a.shiftedLeft(1).toString(), "0110");
-  EXPECT_EQ(a.shiftedRight(1).toString(), "0001");
-  EXPECT_EQ(a.shiftedLeft(4).toString(), "0000");
-}
-
 TEST(BitVector, SliceAndRoundTrip) {
   auto a = BitVector::fromUint64(0xdeadbeef, 32);
   EXPECT_EQ(a.toUint64(), 0xdeadbeefu);
@@ -381,11 +374,10 @@ TEST(Rng, SampleBernoulliBitsIsDeterministic) {
   EXPECT_GT(na, 0);  // 512 lanes at p = 0.07: zero flips is implausible
 }
 
-TEST(Stats, MeanGeomeanStddev) {
+TEST(Stats, MeanGeomean) {
   std::vector<double> xs{1.0, 2.0, 4.0};
   EXPECT_DOUBLE_EQ(mean(xs), 7.0 / 3.0);
   EXPECT_NEAR(geomean(xs), 2.0, 1e-12);
-  EXPECT_NEAR(stddev(xs), 1.5275252316519468, 1e-9);
   EXPECT_THROW(geomean({1.0, -1.0}), Error);
 }
 
@@ -557,7 +549,6 @@ TEST(Parallel, DefaultThreadsHonorsEnvOverride) {
 }
 
 TEST(Stats, NormalTailAccuracy) {
-  EXPECT_NEAR(normalCdf(0.0), 0.5, 1e-12);
   EXPECT_NEAR(normalTail(0.0), 0.5, 1e-12);
   // Far tail stays positive and decreasing (the reliability model lives
   // out here).
