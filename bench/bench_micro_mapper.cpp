@@ -81,7 +81,6 @@ BENCHMARK(BM_BuildAes)->Arg(10)->Unit(benchmark::kMillisecond);
 /// the faulty-guarded workload at dim 512.
 device::FaultMapOptions faultOptions() {
   device::FaultMapOptions o;
-  o.seed = 1;
   o.stuckDensity = 0.01;
   o.weakDensity = 0.005;
   return o;

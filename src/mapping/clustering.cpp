@@ -7,6 +7,7 @@
 #include <set>
 
 #include "ir/analysis.h"
+#include "support/rng.h"
 
 namespace sherlock::mapping {
 
@@ -14,6 +15,20 @@ using ir::Graph;
 using ir::NodeId;
 
 namespace {
+
+// Eq. 1 constants. alpha weighs a node's affinity to a predecessor's
+// cluster; beta < 0 charges each member the cluster already holds, since
+// Case 5 prefers smaller clusters. In a sweep over alpha in {0, 0.5, 1,
+// 2} and beta in {-2, -0.5, 0, 0.5} at 512^2 ReRAM, beta > 0 cost up to
+// 2.7x latency, while Sobel ran faster at beta = 0 than at these values
+// (EXPERIMENTS.md, "Ablations").
+constexpr double kAlpha = 1.0;
+constexpr double kBeta = -0.5;
+
+// Seed of the paper's "randomly assign to one of the predecessor's
+// clusters" tie-break in Case 2. Fixed, so that a clustering, and with it
+// every emitted program, is a function of the DAG and the target alone.
+constexpr uint64_t kTieBreakSeed = 1;
 
 // Cell sets are ascending vectors of distinct NodeIds.
 
@@ -91,7 +106,7 @@ ClusteringResult findClusters(const Graph& g,
                               const ClusteringOptions& options) {
   checkArg(options.columnCapacity > 0, "columnCapacity must be positive");
   auto levels = ir::bLevels(g);
-  Rng rng(options.seed);
+  Rng rng(kTieBreakSeed);
 
   ClusteringResult result;
   result.clusterOf.assign(g.numNodes(), -1);
@@ -206,7 +221,7 @@ ClusteringResult findClusters(const Graph& g,
         SHERLOCK_ASSERT(gap >= 1, "predecessor priority must exceed node's");
         affinity += 1.0 / static_cast<double>(gap);
       }
-      double score = options.beta * c.size() + options.alpha * affinity;
+      double score = kBeta * c.size() + kAlpha * affinity;
       if (score > bestScore) {
         bestScore = score;
         best = ci;

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "ir/graph.h"
-#include "support/rng.h"
 
 namespace sherlock::mapping {
 
@@ -40,19 +39,11 @@ struct ClusteringOptions {
   /// cap, even independent clusters are force-merged.
   int maxClusters = 0;
 
-  /// Eq. 1 constants.
-  double alpha = 1.0;
-  double beta = -0.5;
-
   /// Local refinement sweeps after merging: each op node migrates to the
   /// cluster holding most of its DAG neighbors when that reduces crossing
   /// dependencies and fits the capacity (a Kernighan-Lin-style cleanup of
   /// the greedy assignment).
   int refinePasses = 2;
-
-  /// Seed for the paper's "randomly assign to one of the predecessor's
-  /// clusters" tie-break in Case 2.
-  uint64_t seed = 1;
 };
 
 struct Cluster {

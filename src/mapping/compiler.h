@@ -31,7 +31,7 @@ struct CompileOptions {
   std::optional<bool> eagerWriteback;
   /// Scheduler wave ordering (ablation; default b-level).
   CodegenOptions::WaveOrder waveOrder = CodegenOptions::WaveOrder::BLevel;
-  /// Eq. 1 clustering constants (optimized strategy only).
+  /// Refinement sweeps and the column cap (optimized strategy only).
   OptMapperOptions optimizer;
   /// Fault-aware placement: consult the map, avoid faulty cells, repair
   /// collisions into spare rows (see mapping/layout.h). The verifier run

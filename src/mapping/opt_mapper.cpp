@@ -11,6 +11,11 @@ namespace sherlock::mapping {
 
 namespace {
 
+// Fraction of a column's rows the clusterer may budget. The remainder
+// absorbs the cells codegen allocates at run time: movement targets and
+// flushed row-buffer values.
+constexpr double kCapacityFraction = 0.85;
+
 // Places the clusters of a kernel no single array holds, keeping few
 // operand edges on the bus: every edge whose producer and consumer
 // clusters land on different arrays costs the code generator an XFER.
@@ -151,7 +156,7 @@ OptMapping mapOptimized(const ir::Graph& g, const isa::TargetSpec& target,
         "fault map leaves no usable columns for optimized mapping");
 
   const int capacity = std::max(
-      2, static_cast<int>(planningRows * options.capacityFraction));
+      2, static_cast<int>(planningRows * kCapacityFraction));
 
   ClusteringOptions copt;
   copt.columnCapacity = capacity;
@@ -160,9 +165,6 @@ OptMapping mapOptimized(const ir::Graph& g, const isa::TargetSpec& target,
       (g.valueCount() + static_cast<size_t>(capacity) - 1) /
       static_cast<size_t>(capacity));
   copt.maxClusters = static_cast<int>(usableTotal);
-  copt.alpha = options.alpha;
-  copt.beta = options.beta;
-  copt.seed = options.seed;
   copt.refinePasses = options.refinePasses;
 
   OptMapping out;

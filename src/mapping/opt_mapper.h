@@ -15,16 +15,9 @@
 namespace sherlock::mapping {
 
 struct OptMapperOptions {
-  /// Eq. 1 constants (see clustering.h).
-  double alpha = 1.0;
-  double beta = -0.5;
-  uint64_t seed = 1;
   /// Post-merge local refinement sweeps (see clustering.h); also the
   /// most Kernighan-Lin sweeps a spill across arrays makes.
   int refinePasses = 2;
-  /// Fraction of a column's rows the clusterer may budget. The remainder
-  /// absorbs run-time allocations (movement targets, flushed buffers).
-  double capacityFraction = 0.85;
   /// Columns of each array the mapper may occupy (0 = every column).
   /// Shrinking the cap forces kernels across arrays — the fuzz harness
   /// uses it to exercise inter-array codegen on small DAGs.

@@ -24,6 +24,13 @@ namespace {
 
 constexpr double kBufferOpLatencyNs = 0.5;   // rowless row-buffer logic
 
+// Under guarded execution, a sense whose effective P_DF exceeds this gets
+// a check read. At two activated rows it splits the paper's technologies:
+// every STT-MRAM scouting sense lies above it (AND: 8.0e-8) and every
+// ReRAM one below (XOR: 7.7e-15), so guarding costs a two-row ReRAM
+// program nothing.
+constexpr double kGuardPdfThreshold = 1e-9;
+
 /// Functional state of one array: cells + row buffer, W packed 64-bit
 /// lane words per cell position (64 * W bulk slices simulated at once).
 /// Everything lives in flat contiguous uint64_t arrays — including the
@@ -486,7 +493,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
               std::copy_n(truth.data(), W, out);
               inject(out, effPdf);
               if (options.guardedExecution &&
-                  effPdf > options.guardPdfThreshold) {
+                  effPdf > kGuardPdfThreshold) {
                 // Guard: duplicate the scouting op as a check read; retry
                 // while the two samples disagree, up to the budget.
                 // Budget exhausted on persistent disagreement: fall back
@@ -511,7 +518,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
             std::copy_n(value, W, truth.data());
             inject(value, effPdf);
             if (options.guardedExecution &&
-                effPdf > options.guardPdfThreshold) {
+                effPdf > kGuardPdfThreshold) {
               // Plain reads above the threshold get the same check-read
               // guard as scouting ops. There is no lower sensing mode to
               // degrade to (MRA is already 1), so after an exhausted
@@ -645,7 +652,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         if (!srcStuck) {
           inject(value, effPdf);
           // Same check-read guard as a plain read.
-          if (options.guardedExecution && effPdf > options.guardPdfThreshold)
+          if (options.guardedExecution && effPdf > kGuardPdfThreshold)
             senses = guardedSample(idx, truth.data(), effPdf, value);
         }
         now += senses * readNs;

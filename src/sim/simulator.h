@@ -90,8 +90,8 @@ struct SimOptions {
   const device::FaultMap* faultMap = nullptr;
 
   /// Guarded detect-and-retry execution: every scouting column-op whose
-  /// effective P_DF exceeds `guardPdfThreshold` is duplicated as a check
-  /// read; on mismatch the op is re-sensed up to `retryBudget` times
+  /// effective P_DF exceeds 1e-9 (`kGuardPdfThreshold`) is duplicated as a
+  /// check read; on mismatch the op is re-sensed up to `retryBudget` times
   /// (lockstep across the instruction's columns, with full latency and
   /// energy accounting). When the budget is exhausted the op degrades
   /// gracefully: it is split into single-row plain reads (MRA 1, the
@@ -103,7 +103,6 @@ struct SimOptions {
   /// (STT-MRAM XOR at 2 rows) but not at the ~3e-3 of 3-row senses.
   /// Counters land in SimResult::{guarded,retried,degraded}Ops.
   bool guardedExecution = false;
-  double guardPdfThreshold = 1e-9;
   double degradePdfThreshold = 1e-3;
   int retryBudget = 3;
 };

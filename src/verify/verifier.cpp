@@ -55,6 +55,11 @@ std::string VerifyResult::summary() const {
 
 namespace {
 
+/// A result stops collecting after this many violations: the first few
+/// locate a fault, and a broken program would otherwise report one per
+/// instruction.
+constexpr size_t kMaxViolations = 16;
+
 /// Hash-consed symbolic values. Two expressions receive the same id iff
 /// they are equal under the scouting-logic algebra restricted to the
 /// rewrites the mappers perform: operand order/duplication normalization
@@ -290,7 +295,7 @@ class Verifier {
 
  private:
   bool full() const {
-    return result_.violations.size() >= options_.maxViolations;
+    return result_.violations.size() >= kMaxViolations;
   }
 
   void report(Violation v) {

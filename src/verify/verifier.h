@@ -105,8 +105,6 @@ struct VerifyOptions {
   /// Run the symbolic value-numbering equivalence check against the DAG
   /// (skipped automatically when structural rules already failed).
   bool checkEquivalence = true;
-  /// Stop collecting after this many violations.
-  size_t maxViolations = 16;
   /// With a fault map, enforce FaultAvoidance: the program must not sense
   /// or program any stuck-at cell. Dimensions must match the target.
   const device::FaultMap* faultMap = nullptr;
