@@ -670,9 +670,10 @@ class CodeGenerator {
   /// operand resident in the op's column. Making an operand resident
   /// moves it only when a full column dropped its prepared cell since;
   /// that movement rotates or overwrites the row buffer, so the round is
-  /// then planned again. order_ lists the plan shift-free ops first, then
-  /// by array and rotation, each part in the order of the rows its reads
-  /// activate.
+  /// then planned again. Only naive placement with lazy write-back has
+  /// been seen to need that (Codegen.RoundIsPlannedAgainAfterAMove).
+  /// order_ lists the plan shift-free ops first, then by array and
+  /// rotation, each part in the order of the rows its reads activate.
   void planRound() {
     for (;;) {
       long moves = prog_.stats.plainReads + prog_.stats.shifts;
@@ -684,10 +685,7 @@ class CodeGenerator {
         p.chained = chainedOperand(op, p.at);
         if (p.chained != ir::kInvalidNode) {
           p.source = chainSource(p.chained, p.at);
-          if (p.source < 0)
-            p.chained = ir::kInvalidNode;
-          else
-            p.rotation = rotation(p.source, p.at.col);
+          p.rotation = rotation(p.source, p.at.col);
         }
         p.rows = operandRows(op, p.at, p.chained);
         // The part: shift-free first, then by array and rotation.
@@ -767,19 +765,30 @@ class CodeGenerator {
   }
 
   /// The column the operand `v` chained into `xc` comes from: the one
-  /// latching it, or else one holding a cell of it. -1 when it is latched
-  /// in another column that neither holds a cell of it nor would flush
-  /// it, since another group's shift would then lose it for good.
+  /// latching it, or else one holding a cell of it. A value latched in
+  /// another column must have a cell there or still need a flush, or
+  /// another group's shift would lose it for good; and the chain rule
+  /// only picks values latched or placed on `xc`'s array. The asserts
+  /// state both conditions (EXPERIMENTS.md, "Full columns on small
+  /// targets", counts the compiles they were checked on).
   int chainSource(NodeId v, ColumnRef xc) const {
     int col = findInBuffer(xc.arrayId, v);
-    if (col == xc.col) return col;
-    if (col >= 0)
-      return needsFlush(v) || layout_.placementIn(v, {xc.arrayId, col})
-                 ? col
-                 : -1;
-    for (const CellAddress& c : layout_.placements(v))
-      if (c.arrayId == xc.arrayId) return c.col;
-    return -1;
+    if (col >= 0) {
+      SHERLOCK_ASSERT(col == xc.col || needsFlush(v) ||
+                          layout_.placementIn(v, {xc.arrayId, col}),
+                      "chained value ", v, " is latched in column ", col,
+                      " of array ", xc.arrayId,
+                      ", which holds no cell of it, and needs no flush");
+      return col;
+    }
+    const PlacementList& cells = layout_.placements(v);
+    auto cell = std::find_if(cells.begin(), cells.end(),
+                             [&](const CellAddress& c) {
+                               return c.arrayId == xc.arrayId;
+                             });
+    SHERLOCK_ASSERT(cell != cells.end(), "chained value ", v,
+                    " is neither latched nor placed on array ", xc.arrayId);
+    return cell->col;
   }
 
   /// The chain rule: the operand `op`'s CIM read takes from its column's

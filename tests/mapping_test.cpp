@@ -816,6 +816,25 @@ TEST(Codegen, ShiftGroupFlushIntoAFullColumnCompiles) {
   EXPECT_GT(flow.compiled.program.stats.shifts, 0);
 }
 
+TEST(Codegen, RoundIsPlannedAgainAfterAMove) {
+  // Naive placement with lazy write-back on 16-row columns: a full
+  // column drops a replica that an operand's movement had prepared, so
+  // planning one of the rounds moves that operand again, which rotates
+  // the row buffer, and planRound plans the round a second time. With the
+  // second pass replaced by an assert, this compile throws.
+  workloads::RandomDagSpec spec;
+  spec.seed = 55;
+  spec.ops = 20;
+  spec.maxArity = 4;
+  spec.inputs = 10;
+  ir::Graph g = transforms::canonicalize(workloads::buildRandomDag(spec));
+  CompileOptions options;
+  options.strategy = Strategy::Naive;
+  options.eagerWriteback = false;
+  auto compiled = compile(g, smallTarget(16, 4), options);
+  EXPECT_GT(compiled.program.stats.shifts, 0);
+}
+
 TEST(Codegen, HostWritesCoverAllConsumedLeaves) {
   ir::Graph g = workloads::buildBitweaving({12});
   auto target = smallTarget(64);
