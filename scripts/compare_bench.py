@@ -32,11 +32,15 @@ An artifact that repeats a config key among its gateable configs
 fails: the repeats would collapse into one gated entry and the others
 would go unchecked.
 
+A gated field that a config key carries on one side but not on the
+other fails, and the failure names those keys: an artifact that drops
+configs, or drops a field from some, would otherwise pass on what it
+kept. A renamed workload or a changed key schema leaves every key on
+one side only, so it fails the same way.
+
 A pair with nothing to gate — one side has no gateable configs, e.g.
 a record of wall-clock timings only — fails: a gate that
-compares nothing would pass forever without anyone noticing. When BOTH
-sides carry gateable configs and they share none, the gate fails too —
-that is a config-key mismatch (renamed workload, changed key schema).
+compares nothing would pass forever without anyone noticing.
 """
 
 import argparse
@@ -100,6 +104,17 @@ def key_name(key):
     return "/".join(str(k) for k in key if k is not None)
 
 
+def lacking(doc, other, metrics):
+    """Config key -> the metrics `other` carries for it and `doc` lacks."""
+    out = {}
+    for metric in metrics:
+        have = metric_configs(doc, metric, positive=False)
+        for key in metric_configs(other, metric, positive=False):
+            if key not in have:
+                out.setdefault(key, []).append(metric)
+    return out
+
+
 TOLERANCE = 1e-9
 GATED_FIELDS = ("latency_ns", "energy_pj", "hit_rate", "cim_reads",
                 "round_floor", "instructions", "spill_writes", "shifts",
@@ -129,15 +144,12 @@ def print_latency_geomean(base, cur):
 
 
 def gate_exact(base, cur, metric):
-    """Exact gate on one deterministic metric.
-
-    Returns (failed, (baseline config count, current config count)).
-    """
+    """Exact gate on one deterministic metric; True when it drifted."""
     base_val = metric_configs(base, metric, positive=False)
     cur_val = metric_configs(cur, metric, positive=False)
     shared = sorted(set(base_val) & set(cur_val))
     if not shared:
-        return False, (len(base_val), len(cur_val))
+        return False
 
     failed = False
     for key in shared:
@@ -151,7 +163,7 @@ def gate_exact(base, cur, metric):
               f"the baseline")
     else:
         print(f"{metric} exact over {len(shared)} shared configs")
-    return failed, (len(base_val), len(cur_val))
+    return failed
 
 
 def main():
@@ -185,36 +197,29 @@ def main():
                   f"{names}; each gated config needs a key of its own")
             return 1
 
-    counts = {}
+    metrics = gated_metrics(base, cur)
     failed = False
-    for metric in gated_metrics(base, cur):
-        metric_failed, counts[metric] = gate_exact(base, cur, metric)
-        failed |= metric_failed
+    for metric in metrics:
+        failed |= gate_exact(base, cur, metric)
     print_latency_geomean(base, cur)
-    if failed:
-        return 1
 
-    # Loud failure on a key-schema mismatch: both sides carry gateable
-    # configs for a metric, yet none matched.
-    compared = False
-    for metric, (n_base, n_cur) in counts.items():
-        if n_base == 0 or n_cur == 0:
-            continue
-        base_keys = set(metric_configs(base, metric, positive=False))
-        cur_keys = set(metric_configs(cur, metric, positive=False))
-        if not base_keys & cur_keys:
-            print(f"compare_bench: FAIL — {args.baseline} and "
-                  f"{args.current} both carry {metric} configs "
-                  f"({n_base} vs {n_cur}) but share NONE; the config key "
-                  f"schema or workload names diverged and the gate would "
-                  f"be silently disabled")
-            return 1
-        compared = True
-
-    if not compared:
+    if not all(any(metric_configs(doc, m, positive=False) for m in metrics)
+               for doc in (base, cur)):
         print(f"compare_bench: FAIL — no shared gateable configs between "
               f"{args.baseline} and {args.current}; the gate compared "
               f"nothing")
+        return 1
+    for path, doc, other in ((args.current, cur, base),
+                             (args.baseline, base, cur)):
+        missing = lacking(doc, other, metrics)
+        if missing:
+            names = ", ".join(key_name(k) for k in sorted(missing, key=key_name))
+            fields = sorted({m for ms in missing.values() for m in ms})
+            print(f"compare_bench: FAIL — {path} lacks gated fields the "
+                  f"other side carries ({', '.join(fields)}) on "
+                  f"{len(missing)} config(s): {names}")
+            failed = True
+    if failed:
         return 1
     print("compare_bench: OK")
     return 0
