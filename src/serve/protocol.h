@@ -47,10 +47,10 @@
 //
 // Payload bytes are a per-request binding header ("# inputs: a->i0 ...")
 // followed by the cached program body; identical requests receive
-// byte-identical payloads whether served cold or from cache (the CI
-// smoke step asserts exactly this). The `hit`/`coalesced` flags and the
-// timing fields are diagnostics — they vary run to run and are excluded
-// from such comparisons.
+// byte-identical payloads whether served cold or from cache
+// (`serve_chaos.py`'s clean phase asserts exactly this). The
+// `hit`/`coalesced` flags and the timing fields are diagnostics — they
+// vary run to run and are excluded from such comparisons.
 //
 // Resilience semantics (serve/executor.h, support/cancel.h):
 //
