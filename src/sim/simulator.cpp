@@ -123,6 +123,11 @@ double SimResult::attributedNs() const {
          writeIssueNs + shiftNs + xferSenseNs + guardedResenseNs + degradeNs;
 }
 
+double SimResult::attributedPj() const {
+  return dispatchPj + cimSensePj + plainReadPj + bufferOpPj + hostWritePj +
+         spillWritePj + shiftPj + xferPj + guardedResensePj + degradePj;
+}
+
 long SimResult::corruptedLanes() const {
   long n = 0;
   for (uint64_t w : corruptedLaneWords) n += std::popcount(w);
@@ -337,6 +342,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
     now += cost.dispatchLatencyNs();
     result.dispatchNs += cost.dispatchLatencyNs();
     result.energyPj += cost.dispatchEnergyPj();
+    result.dispatchPj += cost.dispatchEnergyPj();
     result.instructionCount++;
 
     switch (inst.kind) {
@@ -366,16 +372,18 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         if (inst.rows.empty()) {
           now += kBufferOpLatencyNs;
           result.bufferOpNs += kBufferOpLatencyNs;
-          result.energyPj +=
-              0.005 * target.geometry.dataWidthBits *
-              static_cast<double>(inst.columns.size());
+          double pj = 0.005 * target.geometry.dataWidthBits *
+                      static_cast<double>(inst.columns.size());
+          result.energyPj += pj;
+          result.bufferOpPj += pj;
         } else {
           now += readNs;
           (inst.colOps.empty() ? result.plainReadNs : result.cimSenseNs) +=
               readNs;
-          result.energyPj += cost.readEnergyPj(
-              static_cast<int>(inst.rows.size()),
-              static_cast<int>(inst.columns.size()));
+          double pj = cost.readEnergyPj(static_cast<int>(inst.rows.size()),
+                                        static_cast<int>(inst.columns.size()));
+          result.energyPj += pj;
+          (inst.colOps.empty() ? result.plainReadPj : result.cimSensePj) += pj;
         }
 
         // Functional: compute all columns against the pre-read buffer,
@@ -535,10 +543,11 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
           double extra = maxSenses - 1;
           now += extra * readNs;
           result.guardedResenseNs += extra * readNs;
-          result.energyPj +=
-              extra * cost.readEnergyPj(
-                          static_cast<int>(inst.rows.size()),
-                          static_cast<int>(inst.columns.size()));
+          double pj = extra * cost.readEnergyPj(
+                                  static_cast<int>(inst.rows.size()),
+                                  static_cast<int>(inst.columns.size()));
+          result.energyPj += pj;
+          result.guardedResensePj += pj;
         }
         if (degradedCols > 0) {
           double replayNs =
@@ -546,8 +555,10 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
               kBufferOpLatencyNs;
           now += replayNs;
           result.degradeNs += replayNs;
-          result.energyPj += static_cast<double>(inst.rows.size()) *
-                             cost.readEnergyPj(1, degradedCols);
+          double pj = static_cast<double>(inst.rows.size()) *
+                      cost.readEnergyPj(1, degradedCols);
+          result.energyPj += pj;
+          result.degradePj += pj;
         }
         for (size_t i = 0; i < nCols; ++i) {
           int c = inst.columns[i];
@@ -591,8 +602,9 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         }
         now += writeIssueNs;
         result.writeIssueNs += writeIssueNs;
-        result.energyPj +=
-            cost.writeEnergyPj(static_cast<int>(inst.columns.size()));
+        double pj = cost.writeEnergyPj(static_cast<int>(inst.columns.size()));
+        result.energyPj += pj;
+        (host ? result.hostWritePj : result.spillWritePj) += pj;
         break;
       }
 
@@ -604,6 +616,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         now += cost.shiftLatencyNs(inst.shiftDistance);
         result.shiftNs += cost.shiftLatencyNs(inst.shiftDistance);
         result.energyPj += cost.shiftEnergyPj(inst.shiftDistance);
+        result.shiftPj += cost.shiftEnergyPj(inst.shiftDistance);
         break;
       }
 
@@ -658,7 +671,9 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         now += senses * readNs;
         result.xferSenseNs += readNs;
         result.guardedResenseNs += (senses - 1) * readNs;
-        result.energyPj += senses * cost.readEnergyPj(1, 1);
+        double sensePj = senses * cost.readEnergyPj(1, 1);
+        result.energyPj += sensePj;
+        result.xferPj += sensePj;
 
         // Bus leg: the engine queues for the bus and carries the bit.
         // The issuing controller does NOT wait — compute overlaps with
@@ -671,7 +686,10 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         busFreeNs = busStart + legNs;
         result.busWaitNs += busStart - now;
         result.busBusyNs += legNs;
-        if (crosses) result.energyPj += cost.busEnergyPj();
+        if (crosses) {
+          result.energyPj += cost.busEnergyPj();
+          result.xferPj += cost.busEnergyPj();
+        }
         const double busEnd = busFreeNs;
 
         // Destination write: posted, completing after the bus delivers.
@@ -686,6 +704,7 @@ SimResult simulate(const ir::Graph& g, const isa::TargetSpec& target,
         dstPage.writeIndex[static_cast<size_t>(inst.dstCol)] =
             static_cast<long>(idx);
         result.energyPj += cost.writeEnergyPj(1);
+        result.xferPj += cost.writeEnergyPj(1);
         break;
       }
     }

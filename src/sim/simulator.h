@@ -135,6 +135,24 @@ struct SimResult {
   /// stallNs plus every latency part: latencyNs, summed in another order.
   double attributedNs() const;
 
+  /// Energy by cause: one part per place that adds to energyPj, so the
+  /// parts sum to energyPj (up to rounding).
+  double dispatchPj = 0;        ///< one dispatch per instruction
+  double cimSensePj = 0;        ///< first sense of every CIM read
+  double plainReadPj = 0;       ///< first sense of every plain read
+  double bufferOpPj = 0;        ///< rowless row-buffer ops
+  double hostWritePj = 0;       ///< writes of host data (leaf values)
+  double spillWritePj = 0;      ///< writes of row-buffer bits
+  double shiftPj = 0;           ///< row-buffer rotations
+  /// Transfers: every source sense (guarded ones too), the bus leg and
+  /// the landing write.
+  double xferPj = 0;
+  double guardedResensePj = 0;  ///< guarded re-senses of CIM and plain reads
+  double degradePj = 0;         ///< single-row replays of degraded ops
+
+  /// Every energy part: energyPj, summed in another order.
+  double attributedPj() const;
+
   /// Application failure probability (paper Sec. 4.2).
   double pApp = 0;
   /// Scouting column-operations executed (the N of the P_app product).

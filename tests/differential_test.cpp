@@ -124,6 +124,7 @@ void runSeed(uint64_t seed) {
       ASSERT_TRUE(res.verified);
       ASSERT_GT(res.latencyNs, 0.0);
       ASSERT_NEAR(res.attributedNs(), res.latencyNs, 1e-9 * res.latencyNs);
+      ASSERT_NEAR(res.attributedPj(), res.energyPj, 1e-9 * res.energyPj);
     }
   }
 }
@@ -186,6 +187,7 @@ void runFaultSeed(uint64_t seed) {
     ASSERT_EQ(res.stuckCellReads, 0)
         << "fault-aware placement let a stuck cell be sensed";
     ASSERT_NEAR(res.attributedNs(), res.latencyNs, 1e-9 * res.latencyNs);
+    ASSERT_NEAR(res.attributedPj(), res.energyPj, 1e-9 * res.energyPj);
   }
 }
 
@@ -279,6 +281,7 @@ void runMultiArraySeed(uint64_t seed, long& shardedRuns) {
       ASSERT_TRUE(res.verified);
       ASSERT_GT(res.latencyNs, 0.0);
       ASSERT_NEAR(res.attributedNs(), res.latencyNs, 1e-9 * res.latencyNs);
+      ASSERT_NEAR(res.attributedPj(), res.energyPj, 1e-9 * res.energyPj);
     }
 
     // Fault-injected variant: dense persistent faults, spare-row repair,
@@ -321,6 +324,7 @@ void runMultiArraySeed(uint64_t seed, long& shardedRuns) {
     ASSERT_EQ(res.stuckCellReads, 0)
         << "fault-aware placement let a stuck cell be sensed";
     ASSERT_NEAR(res.attributedNs(), res.latencyNs, 1e-9 * res.latencyNs);
+    ASSERT_NEAR(res.attributedPj(), res.energyPj, 1e-9 * res.energyPj);
   }
 }
 
