@@ -29,8 +29,6 @@ struct CompileOptions {
   /// codegen). Defaults to the paper's pairing: naive eager, optimized
   /// lazy. Set explicitly to override (ablation).
   std::optional<bool> eagerWriteback;
-  /// Scheduler wave ordering (ablation; default b-level).
-  CodegenOptions::WaveOrder waveOrder = CodegenOptions::WaveOrder::BLevel;
   /// Refinement sweeps and the column cap (optimized strategy only).
   OptMapperOptions optimizer;
   /// Fault-aware placement: consult the map, avoid faulty cells, repair
@@ -70,7 +68,6 @@ inline CompileResult compile(const ir::Graph& g,
   cg.mergeInstructions = options.mergeInstructions.value_or(optimized);
   cg.eagerWriteback = options.eagerWriteback.value_or(!optimized);
   cg.reuseMovedCopies = optimized;
-  cg.waveOrder = options.waveOrder;
   cg.faults = options.faults;
   {
     trace::Span span("mapping", "codegen");

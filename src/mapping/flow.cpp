@@ -126,7 +126,8 @@ std::string statsText(const FlowResult& result, const isa::TargetSpec& target,
         << " (cross edges " << result.compiled.clustering.crossClusterEdges
         << ")\n"
         << "CIM reads:      " << analysis.cimReads << " (round floor "
-        << s.roundFloor << ")\n";
+        << s.roundFloor << ", busiest column " << s.busiestColumn
+        << ", critical path " << s.criticalPath << ")\n";
   out << "\n" << analysis.toString();
   return out.str();
 }

@@ -25,11 +25,17 @@ struct CodegenStats {
   /// Allocations repaired into the spare-row region (fault-aware
   /// placement only; not an instruction count).
   long spareRowAllocations = 0;
-  /// Optimized flow: the sum over b-level waves of the busiest execution
-  /// column's op count. One instruction holds at most one op per column,
-  /// so no emission of these waves needs fewer CIM-read instructions
-  /// (not an instruction count; 0 for the naive flow).
+  /// Optimized flow: the round floor of the schedule codegen ran
+  /// (mapping::roundFloor), the sum over its steps of the busiest
+  /// execution column's op count. One instruction holds at most one op
+  /// per column, so no emission of that schedule needs fewer CIM-read
+  /// instructions (not an instruction count; 0 for the naive flow).
   long roundFloor = 0;
+  /// Floors of the CIM reads under every schedule (not instruction
+  /// counts): the most ops placed in one execution column, and the
+  /// critical path in ops (the maximum b-level).
+  long busiestColumn = 0;
+  long criticalPath = 0;
 };
 
 struct Program {

@@ -130,6 +130,8 @@ namespace sherlock::mapping {
 namespace {
 
 TEST(WaveOrder, TLevelSchedulingVerifies) {
+  // Both wave producers, passed as explicit schedules to codegen's
+  // optimized flow.
   for (uint64_t seed = 900; seed < 906; ++seed) {
     workloads::RandomDagSpec spec;
     spec.seed = seed;
@@ -139,12 +141,9 @@ TEST(WaveOrder, TLevelSchedulingVerifies) {
         transforms::canonicalize(workloads::buildRandomDag(spec));
     isa::TargetSpec target =
         isa::TargetSpec::square(128, device::TechnologyParams::reRam(), 3);
-    for (auto order : {CodegenOptions::WaveOrder::BLevel,
-                       CodegenOptions::WaveOrder::TLevel}) {
-      PlacementPlan plan = mapOptimized(g, target).plan;
-      CodegenOptions cg;
-      cg.waveOrder = order;
-      auto program = generateCode(g, target, plan, cg);
+    PlacementPlan plan = mapOptimized(g, target).plan;
+    for (auto producer : {bLevelWaves, tLevelWaves}) {
+      auto program = generateCode(g, target, plan, producer(g, plan));
       auto result = sim::simulate(g, target, program);
       EXPECT_TRUE(result.verified) << "seed " << seed;
     }
