@@ -257,9 +257,11 @@ TEST(FaultTolerance, EnduranceWearIsCountedWithoutMutatingCallerMap) {
   EXPECT_EQ(map, pristine);
   // The map starts fault-free, so every stuck read is of a worn row: the
   // simulator reads and programs worn rows as stuck-at-LRS. The counts
-  // were recorded with the byte-per-cell map and its separate masks.
+  // were recorded with the byte-per-cell map and its separate masks, and
+  // the stuck reads again once the optimized flow ran the wave schedule
+  // with the lower round floor.
   EXPECT_EQ(res.wornRows, 25);
-  EXPECT_EQ(res.stuckCellReads, 550);
+  EXPECT_EQ(res.stuckCellReads, 507);
   EXPECT_EQ(res.corruptedLanes(), 25);
 
   // Unlimited budget: nothing wears out.

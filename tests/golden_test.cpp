@@ -40,36 +40,36 @@ struct Golden {
 
 // clang-format off
 const Golden kGolden[] = {
-  {"Bitweaving reram-1024-mra2 naive", 0x92e66b8b4eeb4c6cULL},
-  {"Bitweaving reram-1024-mra2 opt", 0x83aca47e58386641ULL},
+{"Bitweaving reram-1024-mra2 naive", 0x92e66b8b4eeb4c6cULL},
+  {"Bitweaving reram-1024-mra2 opt", 0xba6f4bcea4e6792bULL},
   {"Bitweaving reram-512-mra4 naive", 0xce71730bf308a524ULL},
-  {"Bitweaving reram-512-mra4 opt", 0xb0bbb09cc478dcb5ULL},
+  {"Bitweaving reram-512-mra4 opt", 0x68eda16f8674b9fdULL},
   {"Bitweaving stt-512-nand naive", 0xd55cf3e6bee9b03dULL},
-  {"Bitweaving stt-512-nand opt", 0x934e1413ff73dc4cULL},
+  {"Bitweaving stt-512-nand opt", 0x578f947ae2bb920cULL},
   {"Bitweaving reram-1024-mra2-O naive", 0x92e66b8b4eeb4c6cULL},
-  {"Bitweaving reram-1024-mra2-O opt", 0x83aca47e58386641ULL},
+  {"Bitweaving reram-1024-mra2-O opt", 0xba6f4bcea4e6792bULL},
   {"Bitweaving reram-512-mra4-O naive", 0xce71730bf308a524ULL},
-  {"Bitweaving reram-512-mra4-O opt", 0xb0bbb09cc478dcb5ULL},
+  {"Bitweaving reram-512-mra4-O opt", 0x68eda16f8674b9fdULL},
   {"Sobel reram-1024-mra2 naive", 0x32101829d39b1f8cULL},
-  {"Sobel reram-1024-mra2 opt", 0x90ac0e35b739e646ULL},
+  {"Sobel reram-1024-mra2 opt", 0x2bd7d6767537393dULL},
   {"Sobel reram-512-mra4 naive", 0xcd4f29e756ba739cULL},
-  {"Sobel reram-512-mra4 opt", 0xfebfe7dab9671d18ULL},
+  {"Sobel reram-512-mra4 opt", 0xbfcfa608c9008869ULL},
   {"Sobel stt-512-nand naive", 0x80cdee7cb470daefULL},
-  {"Sobel stt-512-nand opt", 0x8e84f4365544b278ULL},
+  {"Sobel stt-512-nand opt", 0xb2fbdb1c05b717a0ULL},
   {"Sobel reram-1024-mra2-O naive", 0x9d6ca9bcb0e0fec5ULL},
   {"Sobel reram-1024-mra2-O opt", 0x11943ac5a0c998a8ULL},
   {"Sobel reram-512-mra4-O naive", 0x81535163b4ee2900ULL},
-  {"Sobel reram-512-mra4-O opt", 0x50e931c15bc5f3e9ULL},
+  {"Sobel reram-512-mra4-O opt", 0x40fc49efb7e206f0ULL},
   {"AES reram-1024-mra2 naive", 0x6e60afeb4e3f6af1ULL},
   {"AES reram-1024-mra2 opt", 0x01f5b60f7ed563e6ULL},
   {"AES reram-512-mra4 naive", 0xfe775104bb259d31ULL},
   {"AES reram-512-mra4 opt", 0x41269826e07e6a7aULL},
   {"AES stt-512-nand naive", 0xa0edaf49f8883daaULL},
-  {"AES stt-512-nand opt", 0x4b6b6607d123749cULL},
+  {"AES stt-512-nand opt", 0xe987af86c6eb2bd8ULL},
   {"AES reram-1024-mra2-O naive", 0x0007af54e73c5bb0ULL},
-  {"AES reram-1024-mra2-O opt", 0xfa853b6811b06d52ULL},
+  {"AES reram-1024-mra2-O opt", 0xdcaaa3db2e119509ULL},
   {"AES reram-512-mra4-O naive", 0x066f83190900e9cdULL},
-  {"AES reram-512-mra4-O opt", 0xf26f6a9bc9cdeabfULL},
+  {"AES reram-512-mra4-O opt", 0xf0824470eac6225bULL},
   {"bitweaving_between reram-1024-mra2 naive", 0x0174256340b8152eULL},
   {"bitweaving_between reram-1024-mra2 opt", 0xb8131aa74ed23bfdULL},
   {"bitweaving_between reram-512-mra4 naive", 0x263c26674b74055bULL},
@@ -108,35 +108,35 @@ const Golden kGolden[] = {
 // clang-format off
 const Golden kGoldenSim[] = {
   {"Bitweaving reram-1024-mra2 naive", 0xee1ab7d4ab2c70ceULL},
-  {"Bitweaving reram-1024-mra2 opt", 0x60cadf31bc47ad4bULL},
+  {"Bitweaving reram-1024-mra2 opt", 0x44f12e1d2f0f3bf0ULL},
   {"Bitweaving reram-512-mra4 naive", 0xe5ca6e67de568a52ULL},
-  {"Bitweaving reram-512-mra4 opt", 0x82e417a4efec6745ULL},
+  {"Bitweaving reram-512-mra4 opt", 0xf4e25aecf30d482cULL},
   {"Bitweaving stt-512-nand naive", 0x4063b858aebc7938ULL},
-  {"Bitweaving stt-512-nand opt", 0x6df26936bea53973ULL},
+  {"Bitweaving stt-512-nand opt", 0x8b59657b832cd7a4ULL},
   {"Bitweaving reram-1024-mra2-O naive", 0xee1ab7d4ab2c70ceULL},
-  {"Bitweaving reram-1024-mra2-O opt", 0x60cadf31bc47ad4bULL},
+  {"Bitweaving reram-1024-mra2-O opt", 0x44f12e1d2f0f3bf0ULL},
   {"Bitweaving reram-512-mra4-O naive", 0xe5ca6e67de568a52ULL},
-  {"Bitweaving reram-512-mra4-O opt", 0x82e417a4efec6745ULL},
+  {"Bitweaving reram-512-mra4-O opt", 0xf4e25aecf30d482cULL},
   {"Sobel reram-1024-mra2 naive", 0xc3fbe43fa55a5352ULL},
-  {"Sobel reram-1024-mra2 opt", 0x08a642a540b23e47ULL},
+  {"Sobel reram-1024-mra2 opt", 0x36255210a2c02364ULL},
   {"Sobel reram-512-mra4 naive", 0x6f7b364b0ebfb958ULL},
-  {"Sobel reram-512-mra4 opt", 0x8b221fcdad2e4833ULL},
+  {"Sobel reram-512-mra4 opt", 0x9ebb481a5ad21db7ULL},
   {"Sobel stt-512-nand naive", 0xcee5e88c5a5eafc6ULL},
-  {"Sobel stt-512-nand opt", 0xeb2cbc27a9ec10daULL},
+  {"Sobel stt-512-nand opt", 0x7375201f5160c62aULL},
   {"Sobel reram-1024-mra2-O naive", 0x18913953058c6acdULL},
   {"Sobel reram-1024-mra2-O opt", 0x604afc7eb56d390cULL},
   {"Sobel reram-512-mra4-O naive", 0x04f8d3b44de2b2edULL},
-  {"Sobel reram-512-mra4-O opt", 0x407d96d1de52d8f0ULL},
+  {"Sobel reram-512-mra4-O opt", 0x6a18f47a360b33d2ULL},
   {"AES reram-1024-mra2 naive", 0xf3a20f80b8c91f37ULL},
   {"AES reram-1024-mra2 opt", 0x70c518bfbff4bfabULL},
   {"AES reram-512-mra4 naive", 0x0d5114bd190296feULL},
   {"AES reram-512-mra4 opt", 0x37992341d330636dULL},
   {"AES stt-512-nand naive", 0xc3d9e5b3505d2dbfULL},
-  {"AES stt-512-nand opt", 0x9f8c921c18763dacULL},
+  {"AES stt-512-nand opt", 0x466bb1524d0a490fULL},
   {"AES reram-1024-mra2-O naive", 0xf8f9e705f654ecf1ULL},
-  {"AES reram-1024-mra2-O opt", 0x4c4b41760489bdfcULL},
+  {"AES reram-1024-mra2-O opt", 0x2b9b32e0d1b34313ULL},
   {"AES reram-512-mra4-O naive", 0xd68037bd3a39292cULL},
-  {"AES reram-512-mra4-O opt", 0x66864d5a1e84dc69ULL},
+  {"AES reram-512-mra4-O opt", 0x2be3fbe22f87fa00ULL},
   {"bitweaving_between reram-1024-mra2 naive", 0x460dc6bf26c9f201ULL},
   {"bitweaving_between reram-1024-mra2 opt", 0xbac50768f97d1ca2ULL},
   {"bitweaving_between reram-512-mra4 naive", 0xa826ec73bab8dc65ULL},
@@ -167,8 +167,8 @@ const Golden kGoldenSim[] = {
   {"popcount_threshold reram-1024-mra2-O opt", 0x0c0a7af24778e7c7ULL},
   {"popcount_threshold reram-512-mra4-O naive", 0x08022c86a5846159ULL},
   {"popcount_threshold reram-512-mra4-O opt", 0x236a25dce99fc126ULL},
-  {"Bitweaving stt-512-faulty-guarded opt", 0xfadadd1f9d4856b5ULL},
-  {"Sobel stt-512-faulty-guarded opt", 0xeca198747ce7d9c2ULL},
+  {"Bitweaving stt-512-faulty-guarded opt", 0xe78896c42d78e17bULL},
+  {"Sobel stt-512-faulty-guarded opt", 0xcf04c3f5f77e355cULL},
 };
 // clang-format on
 

@@ -18,6 +18,7 @@
 #include "transforms/substitution.h"
 #include "sim/simulator.h"
 #include "support/rng.h"
+#include "workloads/aes.h"
 #include "workloads/bitweaving.h"
 #include "workloads/random_dag.h"
 #include "workloads/sobel.h"
@@ -728,7 +729,7 @@ TEST(Codegen, OptOutperformsNaive) {
 }
 
 TEST(Codegen, RoundsMergeAcrossColumns) {
-  // The optimized flow emits each b-level wave in column-parallel rounds
+  // The optimized flow emits each schedule step in column-parallel rounds
   // and flushes the values a round displaces into a row its columns
   // share, so independent ops in different columns that activate the
   // same rows fold into one CIM read.
@@ -747,6 +748,155 @@ TEST(Codegen, RoundsMergeAcrossColumns) {
   // The round floor bounds the CIM reads from below.
   EXPECT_GT(compiled.program.stats.roundFloor, 0);
   EXPECT_GE(cimReads, compiled.program.stats.roundFloor);
+}
+
+/// Checks a schedule of `g` under `plan` the way codegen relies on it,
+/// without checkSchedule: its steps partition the op nodes, no op shares
+/// a step with one of its producers or runs before it, and its round
+/// floor is at least both floors that hold for every schedule.
+void expectScheduleHolds(const ir::Graph& g, const PlacementPlan& plan,
+                         const Schedule& schedule, const std::string& what) {
+  SCOPED_TRACE(what);
+  std::vector<long> stepOf(g.numNodes(), -1);
+  size_t listed = 0;
+  for (size_t s = 0; s < schedule.steps(); ++s)
+    for (ir::NodeId op : schedule.step(s)) {
+      ASSERT_TRUE(g.node(op).isOp()) << op;
+      ASSERT_EQ(stepOf[static_cast<size_t>(op)], -1) << op << " listed twice";
+      stepOf[static_cast<size_t>(op)] = static_cast<long>(s);
+      ++listed;
+    }
+  ASSERT_EQ(listed, g.opCount());
+  for (ir::NodeId op : g.opNodes())
+    for (ir::NodeId o : g.node(op).operands) {
+      if (!g.node(o).isOp()) continue;
+      ASSERT_LT(stepOf[static_cast<size_t>(o)],
+                stepOf[static_cast<size_t>(op)])
+          << "op " << op << " and its producer " << o;
+    }
+  long floor = roundFloor(schedule, plan);
+  EXPECT_GE(floor, busiestColumn(g, plan));
+  EXPECT_GE(floor, ir::criticalPathLength(g));
+}
+
+/// Both producers hold, and the compile's stats report the floors of the
+/// schedule chooseSchedule picks.
+void expectSchedulesOf(const ir::Graph& g, const CompileResult& compiled,
+                       const std::string& what) {
+  const PlacementPlan& plan = compiled.plan;
+  expectScheduleHolds(g, plan, bLevelWaves(g, plan), what + " b-level");
+  expectScheduleHolds(g, plan, tLevelWaves(g, plan), what + " t-level");
+  const CodegenStats& stats = compiled.program.stats;
+  EXPECT_EQ(stats.roundFloor, roundFloor(chooseSchedule(g, plan), plan))
+      << what;
+  EXPECT_EQ(stats.busiestColumn, busiestColumn(g, plan)) << what;
+  EXPECT_EQ(stats.criticalPath, ir::criticalPathLength(g)) << what;
+}
+
+TEST(Schedule, WaveProducersHoldOnTheFuzzCorpus) {
+  // The CI default shard's seeds, optimized on 256^2 ReRAM.
+  for (uint64_t seed = 1000; seed < 1200; ++seed) {
+    workloads::RandomDagSpec spec = testing::sampleDagSpec(seed);
+    ir::Graph g = transforms::canonicalize(workloads::buildRandomDag(spec));
+    auto target = isa::TargetSpec::square(
+        256, device::TechnologyParams::reRam(), spec.maxArity);
+    expectSchedulesOf(g, compile(g, target), strCat("seed ", seed));
+  }
+}
+
+TEST(Schedule, WaveProducersHoldOnThePaperKernels) {
+  workloads::BitweavingSpec bw;
+  bw.bits = 16;
+  bw.segments = 32;
+  workloads::SobelSpec sobel;
+  sobel.width = 16;
+  const std::pair<const char*, ir::Graph> kernels[] = {
+      {"Bitweaving", workloads::buildBitweaving(bw)},
+      {"Sobel", workloads::buildSobel(sobel)},
+      {"AES", workloads::buildAes({10})}};
+  for (const auto& [name, raw] : kernels)
+    for (auto [dim, mra] : {std::pair{1024, 2}, std::pair{512, 4}}) {
+      auto target = isa::TargetSpec::square(
+          dim, device::TechnologyParams::reRam(), mra);
+      FlowResult flow = compileFlow(raw, target, FlowOptions{});
+      expectSchedulesOf(flow.graph, flow.compiled,
+                        strCat(name, " ", dim, "^2 MRA ", mra));
+    }
+}
+
+TEST(Schedule, ChooseTakesTheLowerFloorAndBLevelOnATie) {
+  // A chain x1 -> x2 -> x3 beside ops whose waves differ by producer: y
+  // (t-level 1, b-level 1) and w -> w2 (t-levels 1, 2; b-levels 2, 1).
+  // Waves by b-level: {x1}, {x2, w}, {x3, y, w2}; by t-level:
+  // {x1, y, w}, {x2, w2}, {x3}.
+  ir::Graph g;
+  ir::NodeId a = g.addInput("a"), b = g.addInput("b");
+  ir::NodeId x1 = g.addOp(ir::OpKind::And, {a, b});
+  ir::NodeId x2 = g.addOp(ir::OpKind::And, {x1, a});
+  ir::NodeId x3 = g.addOp(ir::OpKind::And, {x2, b});
+  ir::NodeId y = g.addOp(ir::OpKind::Or, {a, b});
+  ir::NodeId w = g.addOp(ir::OpKind::Not, {a});
+  ir::NodeId w2 = g.addOp(ir::OpKind::Xor, {w, b});
+  for (ir::NodeId out : {x3, y, w2}) g.markOutput(out);
+  auto planWith = [&](std::map<ir::NodeId, int> columns) {
+    PlacementPlan plan;
+    plan.opLocation.resize(g.numNodes());
+    plan.leafColumns.resize(g.numNodes());
+    for (auto [op, col] : columns) plan.opLocation[op] = {0, col};
+    return plan;
+  };
+  struct Case {
+    const char* name;
+    PlacementPlan plan;
+    long bFloor, tFloor;
+    bool picksTLevel;
+  };
+  const Case cases[] = {
+      // x3 and y share a column: b-level's last wave needs two rounds.
+      {"t-level lower",
+       planWith({{x1, 1}, {x2, 2}, {x3, 0}, {y, 0}, {w, 3}, {w2, 4}}), 4,
+       3, true},
+      // x1 and w share a column: t-level's first wave needs two rounds.
+      {"b-level lower",
+       planWith({{x1, 0}, {x2, 1}, {x3, 2}, {y, 3}, {w, 0}, {w2, 4}}), 3,
+       4, false},
+      // Everything in one column: both floors are the op count.
+      {"tie",
+       planWith({{x1, 0}, {x2, 0}, {x3, 0}, {y, 0}, {w, 0}, {w2, 0}}), 6,
+       6, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Schedule bl = bLevelWaves(g, c.plan), tl = tLevelWaves(g, c.plan);
+    ASSERT_EQ(roundFloor(bl, c.plan), c.bFloor);
+    ASSERT_EQ(roundFloor(tl, c.plan), c.tFloor);
+    EXPECT_EQ(chooseSchedule(g, c.plan), c.picksTLevel ? tl : bl);
+  }
+}
+
+TEST(Schedule, CodegenRejectsAnInvalidSchedule) {
+  ir::Graph g;
+  ir::NodeId a = g.addInput("a"), b = g.addInput("b");
+  ir::NodeId x = g.addOp(ir::OpKind::And, {a, b});
+  ir::NodeId y = g.addOp(ir::OpKind::Or, {x, b});
+  g.markOutput(y);
+  auto target = smallTarget(64);
+  PlacementPlan plan = mapOptimized(g, target).plan;
+  Schedule ok = bLevelWaves(g, plan);
+  EXPECT_NO_THROW(generateCode(g, target, plan, ok));
+  Schedule oneStep;  // y beside its producer
+  oneStep.ops = {x, y};
+  oneStep.stepStart = {0, 2};
+  if (plan.opLocation[y] < plan.opLocation[x]) oneStep.ops = {y, x};
+  EXPECT_THROW(generateCode(g, target, plan, oneStep), Error);
+  Schedule reversed;  // y before its producer
+  reversed.ops = {y, x};
+  reversed.stepStart = {0, 1, 2};
+  EXPECT_THROW(generateCode(g, target, plan, reversed), Error);
+  Schedule missing;  // x never runs
+  missing.ops = {y};
+  missing.stepStart = {0, 1};
+  EXPECT_THROW(generateCode(g, target, plan, missing), Error);
 }
 
 TEST(Codegen, ChainedOperandsShareShifts) {
